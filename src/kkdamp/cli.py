@@ -30,11 +30,8 @@ from .errors import KKDampError
 from .model import Damping, PhiModel, State, classify_field, eigenvalues, eigenvectors
 from .region import RegionSigma, boundary_flow_check
 from .scenario import output_root, parse_scenario, run_scenario
-from .viscous import ViscousConfig, vanishing_viscosity_sweep
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17e")
+from .solver import _fmt
+from .viscous import vanishing_viscosity_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,14 +215,6 @@ def _cmd_convergence(args) -> int:
     d = sc.damping()
     grid = sc.grid()
     cfg = sc.solver_config()
-    if not isinstance(cfg, ViscousConfig):
-        cfg = ViscousConfig(
-            t_end=cfg.t_end,
-            output_times=cfg.output_times,
-            scheme=cfg.scheme,
-            splitting=cfg.splitting,
-            cfl=cfg.cfl,
-        )
     init = sc.initial_field(grid)
     report = vanishing_viscosity_sweep(init, phi, d, cfg, eps_values)
     root = output_root(args.output_dir) / sc.name

@@ -42,7 +42,8 @@ class CFLViolation(KKDampError):
 
 
 class StabilityViolation(KKDampError):
-    """Requested viscous step exceeds the explicit diffusion limit."""
+    """Requested viscous step exceeds the explicit diffusion limit, or the
+    time step has become too small to advance t."""
 
 
 class NonFinite(KKDampError):

@@ -40,11 +40,11 @@ from .solver import (
     SolverConfig,
     StateField,
     Trajectory,
+    _fmt,
     mollify_profile,
     simulate,
     write_snapshot,
 )
-from .viscous import ViscousConfig, viscous_simulate
 
 DEFAULT_OUTPUT_ROOT = "kkd_out"
 
@@ -96,6 +96,14 @@ _KNOWN_KEYS = {
     "check.containment.tol",
     "check.invariants",
     "check.invariants.tol",
+}
+
+# Keys whose value is a number or one of the listed words.
+_NUMBER_OR_WORD = {
+    "check.decay.p": ("inf", "Inf"),
+    "check.containment.c0": ("auto",),
+    "check.containment.c1": ("auto",),
+    "check.containment.c2": ("auto",),
 }
 
 
@@ -213,21 +221,15 @@ class Scenario:
             if n_out < 2:
                 raise ValidationError("n_outputs", f"need >= 2, got {n_out}")
             outputs = list(np.linspace(0.0, t_end, n_out))[1:]
-        kwargs = dict(
+        return SolverConfig(
             t_end=t_end,
             output_times=outputs,
             scheme=self.get_str("scheme", "rusanov"),
             splitting=self.get_str("splitting", "strang"),
             cfl=self.get_float("cfl", 0.45),
+            eps=self.get_float("viscous.eps", 0.0),
+            diffusion_number=self.get_float("viscous.diffusion_number", 0.4),
         )
-        eps = self.get_float("viscous.eps", 0.0)
-        if eps > 0.0:
-            return ViscousConfig(
-                eps=eps,
-                diffusion_number=self.get_float("viscous.diffusion_number", 0.4),
-                **kwargs,
-            )
-        return SolverConfig(**kwargs)
 
     def initial_field(self, grid: Grid1D) -> StateField:
         kind = self.get_str("init")
@@ -298,6 +300,14 @@ def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
         col = raw_line.index(value, raw_line.index("=")) + 1
         if key in sc.entries:
             raise ParseError(ln, raw_line.index(key) + 1, f"duplicate key {key!r}")
+        words = _NUMBER_OR_WORD.get(key, ())
+        if words and value not in words:
+            try:
+                float(value)
+            except ValueError:
+                raise ParseError(
+                    ln, col, f"{key}: expected a number or {'/'.join(words)}, got {value!r}"
+                )
         sc.entries[key] = Entry(value=value, line=ln, col=col)
         sc.order.append(key)
     if "name" not in sc.entries:
@@ -327,10 +337,6 @@ class RunResult:
     checks: dict
     artifacts: list
     trajectory: Trajectory
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17e")
 
 
 def _write_norm_series(traj: Trajectory, path: Path):
@@ -371,10 +377,7 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
     cfg = sc.solver_config()
     init = sc.initial_field(grid)
 
-    if isinstance(cfg, ViscousConfig) and cfg.eps > 0.0:
-        traj = viscous_simulate(init, phi, d, cfg)
-    else:
-        traj = simulate(init, phi, d, cfg)
+    traj = simulate(init, phi, d, cfg)
     # prepend the initial state so checks see t = 0
     full = Trajectory(
         fields=[init.copy()] + list(traj.fields),

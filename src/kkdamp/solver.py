@@ -7,7 +7,15 @@ D(dt/2) H(dt) D(dt/2) or Lie splitting D(dt) then H(dt). Because both
 numerical fluxes are monotone under the CFL constraint and the damping
 factors multiply u and v by equal or channel-wise constant factors, the
 positive invariant region {phi(r) <= C0, C1 <= u/v <= C2} with C1 = 0 is
-preserved discretely.
+preserved discretely. An optional explicit viscosity eps u_xx is added to
+the flux update, evaluated on the same (damped, pre-flux) data.
+
+`simulate` is the one marching loop, inviscid or viscous. Per step it
+evaluates the wave speeds twice: once on the current state for dt (through
+`max_wavespeed`), and once on the padded damped state, where a single
+hypot and phi/r phi' evaluation feeds the r <= r_max check, the CFL check
+and the face fluxes alike. Finiteness is validated once per step, when the
+new StateField is built.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .errors import (
     ConfigError,
     NonFinite,
     OutOfRange,
+    StabilityViolation,
     ValidationError,
 )
 from .model import Damping, PhiModel
@@ -103,6 +112,8 @@ class SolverConfig:
     scheme: str = "rusanov"
     splitting: str = "strang"
     cfl: float = 0.45
+    eps: float = 0.0  # explicit viscosity eps u_xx; 0 is the inviscid solver
+    diffusion_number: float = 0.4  # dt <= diffusion_number dx^2 / eps
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -115,6 +126,12 @@ class SolverConfig:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.t_end < 0:
             raise ConfigError(f"t_end must be nonnegative, got {self.t_end}")
+        if self.eps < 0:
+            raise ConfigError(f"eps must be nonnegative, got {self.eps}")
+        if not 0.0 < self.diffusion_number <= 0.5:
+            raise ConfigError(
+                f"diffusion_number must lie in (0, 0.5], got {self.diffusion_number}"
+            )
         if self.output_times is not None:
             ts = np.asarray(list(self.output_times), dtype=float)
             if ts.size == 0 or np.any(np.diff(ts) <= 0) or np.any(ts < 0):
@@ -126,6 +143,12 @@ class SolverConfig:
         if self.output_times is None:
             return np.array([self.t_end])
         return np.asarray(list(self.output_times), dtype=float)
+
+    def diffusion_limit(self, dx: float) -> float:
+        """Largest stable explicit diffusion step; inf without viscosity."""
+        if self.eps == 0.0:
+            return float("inf")
+        return self.diffusion_number * dx * dx / self.eps
 
 
 @dataclass
@@ -154,24 +177,93 @@ class Trajectory:
         return iter(self.fields)
 
 
-def _pad(arr: np.ndarray, boundary: str) -> np.ndarray:
+def _pad(arr: np.ndarray, boundary: str, factor=1.0) -> np.ndarray:
+    """arr * factor with one ghost cell on each side: the opposite edge cell
+    on periodic grids, the same edge cell on outflow grids."""
+    out = np.empty(arr.size + 2)
+    np.multiply(arr, factor, out=out[1:-1])
     if boundary == "periodic":
-        return np.concatenate([arr[-1:], arr, arr[:1]])
-    return np.concatenate([arr[:1], arr, arr[-1:]])  # outflow: copy edge cells
+        out[0], out[-1] = out[-2], out[1]
+    else:
+        out[0], out[-1] = out[1], out[-2]
+    return out
+
+
+def _cell_speeds(r: np.ndarray, phi: PhiModel) -> tuple[np.ndarray, np.ndarray]:
+    """phi(r) and max(|lambda_1|, |lambda_2|) per cell, after checking
+    r <= r_max."""
+    r_top = float(r.max())
+    if r_top > phi.r_max * (1.0 + 1e-12):
+        raise OutOfRange(f"state radius {r_top:g} exceeds r_max={phi.r_max:g}")
+    p = np.asarray(phi.phi(r), dtype=float)
+    speed = p + np.asarray(phi.r_dphi(r), dtype=float)  # lambda_2
+    np.abs(speed, out=speed)
+    np.maximum(np.abs(p), speed, out=speed)
+    return p, speed
 
 
 def max_wavespeed(f: StateField, phi: PhiModel) -> float:
     """max over cells of max(|lambda_1|, |lambda_2|), floored at 1e-14 so
     time steps stay finite on identically zero data."""
-    r = f.r
-    if float(np.max(r)) > phi.r_max * (1.0 + 1e-12):
-        raise OutOfRange(
-            f"state radius {float(np.max(r)):g} exceeds r_max={phi.r_max:g}"
-        )
-    p = np.asarray(phi.phi(r), dtype=float)
-    lam2 = p + np.asarray(phi.r_dphi(r), dtype=float)
-    speed = float(np.max(np.maximum(np.abs(p), np.abs(lam2))))
-    return max(speed, WAVESPEED_FLOOR)
+    return max(float(_cell_speeds(f.r, phi)[1].max()), WAVESPEED_FLOOR)
+
+
+def _flux_update(
+    ue: np.ndarray,
+    ve: np.ndarray,
+    dt: float,
+    dx: float,
+    phi: PhiModel,
+    scheme: str,
+    eps: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The step kernel: conservative flux update of size dt, plus eps w_xx,
+    of the padded cell data (ue, ve). Returns the new interior (u, v).
+
+    hypot, phi and r phi' are evaluated once, on the padded data, and the
+    r <= r_max check, the CFL check and the Rusanov dissipation all read
+    those cell speeds. Every operation matches the unfused formulas
+    0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i) and
+    w - dt/dx (flux_i+1/2 - flux_i-1/2) + nu (w_i+1 - 2 w_i + w_i-1)
+    term by term, so results are bit-identical to them."""
+    if scheme not in SCHEMES:
+        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if dt < 0:
+        raise ConfigError(f"dt must be nonnegative, got {dt}")
+    if dt == 0.0:
+        return ue[1:-1].copy(), ve[1:-1].copy()
+    pe, speed = _cell_speeds(np.hypot(ue, ve), phi)
+    top = max(float(speed.max()), WAVESPEED_FLOOR)
+    if dt * top > dx * (1.0 + 1e-9):
+        raise CFLViolation(f"dt={dt:g} exceeds stable step {dx / top:g} (speed {top:g})")
+    if scheme == "rusanov":
+        half_alpha = np.maximum(speed[:-1], speed[1:])
+        half_alpha *= 0.5
+    else:
+        half_alpha = 0.5 * (dx / dt)
+    del speed  # freed before the flux buffers are allocated
+    lam = dt / dx
+    nu = eps * dt / (dx * dx)
+    work = np.empty(ue.size)  # scratch shared by both channels
+    new = []
+    for e in (ue, ve):
+        fw = np.multiply(e, pe, out=work)
+        flux = fw[:-1] + fw[1:]
+        flux *= 0.5
+        jump = np.subtract(e[1:], e[:-1], out=work[:-1])
+        jump *= half_alpha
+        flux -= jump
+        delta = np.subtract(flux[1:], flux[:-1], out=work[:-2])
+        delta *= lam
+        w = e[1:-1] - delta
+        if eps != 0.0:
+            lap = np.multiply(e[1:-1], 2.0, out=work[:-2])
+            np.subtract(e[2:], lap, out=lap)
+            lap += e[:-2]
+            lap *= nu
+            w += lap
+        new.append(w)
+    return new[0], new[1]
 
 
 def hyperbolic_substep(
@@ -182,39 +274,9 @@ def hyperbolic_substep(
     Rusanov face dissipation uses the local two-sided wave speed; the
     Lax-Friedrichs variant uses the global dx/dt. dt must satisfy the CFL
     constraint for the current data or CFLViolation is raised."""
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    if dt < 0:
-        raise ConfigError(f"dt must be nonnegative, got {dt}")
-    if dt == 0.0:
-        return f.copy()
-    dx = f.grid.dx
-    speed = max_wavespeed(f, phi)
-    if dt * speed > dx * (1.0 + 1e-9):
-        raise CFLViolation(
-            f"dt={dt:g} exceeds stable step {dx / speed:g} (speed {speed:g})"
-        )
-
-    ue = _pad(f.u, f.grid.boundary)
-    ve = _pad(f.v, f.grid.boundary)
-    re = np.hypot(ue, ve)
-    pe = np.asarray(phi.phi(re), dtype=float)
-    lam2e = pe + np.asarray(phi.r_dphi(re), dtype=float)
-    fu = ue * pe
-    fv = ve * pe
-
-    if scheme == "rusanov":
-        cell_speed = np.maximum(np.abs(pe), np.abs(lam2e))
-        alpha = np.maximum(cell_speed[:-1], cell_speed[1:])
-    else:
-        alpha = np.full(ue.size - 1, dx / dt)
-
-    flux_u = 0.5 * (fu[:-1] + fu[1:]) - 0.5 * alpha * (ue[1:] - ue[:-1])
-    flux_v = 0.5 * (fv[:-1] + fv[1:]) - 0.5 * alpha * (ve[1:] - ve[:-1])
-    lam = dt / dx
-    un = f.u - lam * (flux_u[1:] - flux_u[:-1])
-    vn = f.v - lam * (flux_v[1:] - flux_v[:-1])
-    return StateField(f.grid, un, vn, f.t + dt)
+    b = f.grid.boundary
+    u, v = _flux_update(_pad(f.u, b), _pad(f.v, b), dt, f.grid.dx, phi, scheme)
+    return StateField(f.grid, u, v, f.t + dt)
 
 
 def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
@@ -237,16 +299,23 @@ def step_once(
     dt: float,
     scheme: str = "rusanov",
     splitting: str = "strang",
+    eps: float = 0.0,
 ) -> StateField:
-    """One split step of size dt."""
+    """One split step of size dt: D(dt/2) H(dt) D(dt/2) (Strang) or
+    D(dt) H(dt) (Lie), where H is the flux update plus eps u_xx taken on
+    the damped data. The damping factors are those of damping_substep."""
+    if splitting not in SPLITTINGS:
+        raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {splitting!r}")
+    first = 0.5 * dt if splitting == "strang" else dt
+    decay_u, decay_v = np.exp(-d.a * first), np.exp(-d.b * first)
+    b = f.grid.boundary
+    u, v = _flux_update(
+        _pad(f.u, b, decay_u), _pad(f.v, b, decay_v), dt, f.grid.dx, phi, scheme, eps
+    )
     if splitting == "strang":
-        g = damping_substep(f, d, 0.5 * dt)
-        g = hyperbolic_substep(g, phi, dt, scheme)
-        return damping_substep(g, d, 0.5 * dt)
-    if splitting == "lie":
-        g = damping_substep(f, d, dt)
-        return hyperbolic_substep(g, phi, dt, scheme)
-    raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {splitting!r}")
+        u *= decay_u
+        v *= decay_v
+    return StateField(f.grid, u, v, f.t + dt)
 
 
 def simulate(
@@ -254,11 +323,12 @@ def simulate(
     phi: PhiModel,
     d: Damping,
     cfg: SolverConfig,
-    step_hook: Callable | None = None,
 ) -> Trajectory:
     """March from init.t to cfg.t_end, recording snapshots at the
     requested output times (hit exactly by truncating the final step of
-    each segment). dt is recomputed from the current data every step.
+    each segment). dt is recomputed from the current data every step, and
+    capped by the diffusion limit when cfg.eps > 0. Raises
+    StabilityViolation when dt is too small to advance t.
 
     The theory behind the continuous problem assumes r phi'(r) != 0;
     running with a model that fails that check (for example a constant
@@ -273,17 +343,18 @@ def simulate(
     targets = cfg.resolved_outputs()
     if targets[0] < init.t - 1e-12:
         raise ConfigError("output time precedes the initial time")
-    f = init.copy()
+    dx = init.grid.dx
+    dt_diffusion = cfg.diffusion_limit(dx)
+    f = init  # steps never write into their input
     out: list[StateField] = []
     n_steps = 0
     for target in targets:
         while f.t < target * (1.0 - 1e-15) - 1e-15:
-            speed = max_wavespeed(f, phi)
-            dt = min(cfg.cfl * f.grid.dx / speed, target - f.t)
-            f = step_once(f, phi, d, dt, cfg.scheme, cfg.splitting)
+            dt = min(cfg.cfl * dx / max_wavespeed(f, phi), dt_diffusion, target - f.t)
+            if f.t + dt == f.t:
+                raise StabilityViolation(f"dt={dt:.3g} no longer advances t={f.t:.17g}")
+            f = step_once(f, phi, d, dt, cfg.scheme, cfg.splitting, cfg.eps)
             n_steps += 1
-            if step_hook is not None:
-                step_hook(f)
         snap = f.copy()
         snap.t = target  # clamp away last-step rounding
         out.append(snap)

@@ -1,11 +1,14 @@
-"""Viscous regularization: the hyperbolic flux update plus explicit
-centered diffusion eps * w_xx on both channels.
+"""Viscous regularization eps * w_xx and the vanishing-viscosity sweep.
 
-The diffusion term is evaluated on the pre-step data, so one inner update
-is forward Euler for both pieces; with eps = 0 the added term is skipped
-entirely and the step is bit-identical to the inviscid solver, which makes
-the eps -> 0 sweep self-consistent (the last distance is exactly what the
-viscous path produces, not a reimplementation)."""
+The viscous step is the solver's own split step: `SolverConfig.eps` adds
+explicit centered diffusion, evaluated on the damped pre-flux data, to the
+flux update, and `simulate` caps dt by the diffusion limit. With eps = 0
+the added term is skipped entirely and the step is the inviscid one, which
+makes the eps -> 0 sweep self-consistent (the last distance is exactly
+what the viscous path produces, not a reimplementation).
+
+`ViscousConfig`, `viscous_step` and `viscous_simulate` keep the older
+names of the viscous path importable."""
 
 from __future__ import annotations
 
@@ -16,110 +19,32 @@ import numpy as np
 
 from .errors import ConfigError, StabilityViolation
 from .model import Damping, PhiModel
-from .solver import (
-    SolverConfig,
-    StateField,
-    Trajectory,
-    _pad,
-    damping_substep,
-    hyperbolic_substep,
-    max_wavespeed,
-)
+from .solver import SolverConfig, StateField, Trajectory, simulate, step_once
 
-
-@dataclass(frozen=True, kw_only=True)
-class ViscousConfig(SolverConfig):
-    eps: float = 0.0
-    diffusion_number: float = 0.4
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.eps < 0:
-            raise ConfigError(f"eps must be nonnegative, got {self.eps}")
-        if not 0.0 < self.diffusion_number <= 0.5:
-            raise ConfigError(
-                f"diffusion_number must lie in (0, 0.5], got {self.diffusion_number}"
-            )
-
-
-def _laplacian(arr: np.ndarray, boundary: str) -> np.ndarray:
-    e = _pad(arr, boundary)
-    return e[2:] - 2.0 * e[1:-1] + e[:-2]
-
-
-def stable_dt(f: StateField, phi: PhiModel, cfg: ViscousConfig) -> float:
-    """min of the advective CFL step and the explicit diffusion step
-    nu * dx^2 / eps."""
-    dx = f.grid.dx
-    dt = cfg.cfl * dx / max_wavespeed(f, phi)
-    if cfg.eps > 0:
-        dt = min(dt, cfg.diffusion_number * dx * dx / cfg.eps)
-    return dt
+ViscousConfig = SolverConfig
 
 
 def viscous_step(
     f: StateField,
     phi: PhiModel,
     d: Damping,
-    cfg: ViscousConfig,
+    cfg: SolverConfig,
     dt: float,
 ) -> StateField:
-    """One split step: damping halves around (flux + diffusion), or Lie
-    ordering when configured. Raises StabilityViolation when dt exceeds
-    the diffusion limit (the advective limit raises CFLViolation inside
-    the flux update)."""
-    dx = f.grid.dx
-    if cfg.eps > 0 and dt > cfg.diffusion_number * dx * dx / cfg.eps * (1.0 + 1e-9):
-        raise StabilityViolation(
-            f"dt={dt:g} exceeds diffusion limit "
-            f"{cfg.diffusion_number * dx * dx / cfg.eps:g}"
-        )
-
-    def inner(g: StateField, step: float) -> StateField:
-        h = hyperbolic_substep(g, phi, step, cfg.scheme)
-        if cfg.eps == 0.0:
-            return h
-        nu = cfg.eps * step / (dx * dx)
-        return StateField(
-            g.grid,
-            h.u + nu * _laplacian(g.u, g.grid.boundary),
-            h.v + nu * _laplacian(g.v, g.grid.boundary),
-            h.t,
-        )
-
-    if cfg.splitting == "strang":
-        g = damping_substep(f, d, 0.5 * dt)
-        g = inner(g, dt)
-        return damping_substep(g, d, 0.5 * dt)
-    g = damping_substep(f, d, dt)
-    return inner(g, dt)
+    """One split step with cfg's scheme, splitting and eps. Raises
+    StabilityViolation when dt exceeds the diffusion limit (the advective
+    limit raises CFLViolation inside the flux update)."""
+    limit = cfg.diffusion_limit(f.grid.dx)
+    if dt > limit * (1.0 + 1e-9):
+        raise StabilityViolation(f"dt={dt:g} exceeds diffusion limit {limit:g}")
+    return step_once(f, phi, d, dt, cfg.scheme, cfg.splitting, cfg.eps)
 
 
 def viscous_simulate(
-    init: StateField, phi: PhiModel, d: Damping, cfg: ViscousConfig
+    init: StateField, phi: PhiModel, d: Damping, cfg: SolverConfig
 ) -> Trajectory:
-    """Same marching loop as the inviscid simulate, with the step size
-    additionally capped by the diffusion limit."""
-    targets = cfg.resolved_outputs()
-    if targets[0] < init.t - 1e-12:
-        raise ConfigError("output time precedes the initial time")
-    f = init.copy()
-    out: list[StateField] = []
-    n_steps = 0
-    for target in targets:
-        while f.t < target * (1.0 - 1e-15) - 1e-15:
-            dt = min(stable_dt(f, phi, cfg), target - f.t)
-            f = viscous_step(f, phi, d, cfg, dt)
-            n_steps += 1
-        snap = f.copy()
-        snap.t = target
-        out.append(snap)
-    elapsed = targets[-1] - init.t
-    return Trajectory(
-        fields=out,
-        n_steps=n_steps,
-        avg_dt=elapsed / n_steps if n_steps else 0.0,
-    )
+    """The solver's march; cfg.eps sets the viscosity."""
+    return simulate(init, phi, d, cfg)
 
 
 @dataclass(frozen=True)
@@ -140,7 +65,7 @@ def vanishing_viscosity_sweep(
     init: StateField,
     phi: PhiModel,
     d: Damping,
-    cfg: ViscousConfig,
+    cfg: SolverConfig,
     eps_values: Sequence[float],
 ) -> SweepReport:
     """L1 distance between the viscous and inviscid solutions at the final
@@ -151,12 +76,12 @@ def vanishing_viscosity_sweep(
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ConfigError("eps values must be strictly decreasing")
 
-    reference = viscous_simulate(init, phi, d, replace(cfg, eps=0.0))
+    reference = simulate(init, phi, d, replace(cfg, eps=0.0))
     ref = reference[-1]
     dx = init.grid.dx
     rows = []
     for e in eps_values:
-        traj = viscous_simulate(init, phi, d, replace(cfg, eps=e))
+        traj = simulate(init, phi, d, replace(cfg, eps=e))
         fin = traj[-1]
         dist = float(dx * np.sum(np.abs(fin.u - ref.u) + np.abs(fin.v - ref.v)))
         rows.append(SweepRow(eps=e, l1_distance=dist, n_steps=traj.n_steps))

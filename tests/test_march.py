@@ -1,0 +1,208 @@
+"""The one marching loop: bit-identity against the unfused split step,
+discrete invariants, the stalled-march guard, and early validation of
+check values."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kkdamp import model as md
+from kkdamp import scenario as sn
+from kkdamp import solver as sv
+from kkdamp.cli import main
+from kkdamp.errors import ParseError, StabilityViolation
+
+
+def _laplacian(w, boundary):
+    if boundary == "periodic":
+        e = np.concatenate([w[-1:], w, w[:1]])
+    else:
+        e = np.concatenate([w[:1], w, w[-1:]])
+    return e[2:] - 2.0 * e[1:-1] + e[:-2]
+
+
+def reference_flux_update(f, phi, dt, scheme):
+    """The Rusanov / Lax-Friedrichs update written out in array form."""
+    b = f.grid.boundary
+    ue = np.concatenate([f.u[-1:], f.u, f.u[:1]] if b == "periodic" else [f.u[:1], f.u, f.u[-1:]])
+    ve = np.concatenate([f.v[-1:], f.v, f.v[:1]] if b == "periodic" else [f.v[:1], f.v, f.v[-1:]])
+    re = np.hypot(ue, ve)
+    pe = phi.phi(re)
+    lam2e = pe + phi.r_dphi(re)
+    if scheme == "rusanov":
+        speed = np.maximum(np.abs(pe), np.abs(lam2e))
+        alpha = np.maximum(speed[:-1], speed[1:])
+    else:
+        alpha = np.full(ue.size - 1, f.grid.dx / dt)
+    out = []
+    for e in (ue, ve):
+        fe = e * pe
+        flux = 0.5 * (fe[:-1] + fe[1:]) - 0.5 * alpha * (e[1:] - e[:-1])
+        out.append(e[1:-1] - dt / f.grid.dx * (flux[1:] - flux[:-1]))
+    return out
+
+
+@pytest.mark.parametrize("boundary", sv.BOUNDARIES)
+@pytest.mark.parametrize("scheme", sv.SCHEMES)
+def test_hyperbolic_substep_is_bit_identical_to_the_flux_formula(scheme, boundary):
+    grid = sv.Grid1D(0.0, 1.0, 64, boundary)
+    x = grid.centers
+    r0 = 0.6 + 0.2 * np.sin(2 * np.pi * x) + 0.15 * (x < 0.4)
+    init = sv.StateField(grid, r0 * np.cos(0.7 + 0.2 * x), r0 * np.sin(0.7 + 0.2 * x))
+    phi = md.PhiModel.shifted_power(0.3, 1.5)
+    dt = 0.4 * grid.dx / sv.max_wavespeed(init, phi)
+    got = sv.hyperbolic_substep(init, phi, dt, scheme)
+    want_u, want_v = reference_flux_update(init, phi, dt, scheme)
+    assert np.array_equal(got.u, want_u) and np.array_equal(got.v, want_v)
+    assert got.t == init.t + dt
+
+
+def reference_march(init, phi, d, cfg):
+    """The march written out from the public pieces, one substep at a time."""
+    dx = init.grid.dx
+    f = init
+    fields, n_steps = [], 0
+    for target in cfg.resolved_outputs():
+        while f.t < target * (1.0 - 1e-15) - 1e-15:
+            dt = cfg.cfl * dx / sv.max_wavespeed(f, phi)
+            if cfg.eps > 0:
+                dt = min(dt, cfg.diffusion_number * dx * dx / cfg.eps)
+            dt = min(dt, target - f.t)
+            strang = cfg.splitting == "strang"
+            g = sv.damping_substep(f, d, 0.5 * dt if strang else dt)
+            h = sv.hyperbolic_substep(g, phi, dt, cfg.scheme)
+            if cfg.eps > 0:
+                nu = cfg.eps * dt / (dx * dx)
+                b = g.grid.boundary
+                h = sv.StateField(
+                    g.grid, h.u + nu * _laplacian(g.u, b), h.v + nu * _laplacian(g.v, b), h.t
+                )
+            f = sv.damping_substep(h, d, 0.5 * dt) if strang else h
+            n_steps += 1
+        fields.append(f)
+    return fields, n_steps
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("boundary", sv.BOUNDARIES)
+@pytest.mark.parametrize("splitting", sv.SPLITTINGS)
+@pytest.mark.parametrize("scheme", sv.SCHEMES)
+def test_simulate_is_bit_identical_to_the_unfused_split_step(scheme, splitting, boundary, eps):
+    # 64 cells on [0, 1]: the diffusion limit binds when eps > 0. The data
+    # are smooth and the horizon short (13-15 steps) because Lax-Friedrichs
+    # plus explicit viscosity amplifies the grid-scale mode by 1 + 4 nu per
+    # step; on outflow grids that mode still reaches about 0.2 by t = 0.02.
+    grid = sv.Grid1D(0.0, 1.0, 64, boundary)
+    x = grid.centers
+    r0 = 0.6 + 0.2 * np.sin(2 * np.pi * x) + 0.1 * np.cos(6 * np.pi * x)
+    theta = np.pi / 4 + 0.3 * np.cos(2 * np.pi * x)
+    init = sv.StateField(grid, r0 * np.cos(theta), r0 * np.sin(theta))
+    phi = md.PhiModel.power(1.5)
+    d = md.Damping(0.7, 0.2)
+    cfg = sv.SolverConfig(
+        t_end=0.02, output_times=[0.008, 0.014, 0.02], scheme=scheme, splitting=splitting, eps=eps
+    )
+    traj = sv.simulate(init, phi, d, cfg)
+    ref, n_steps = reference_march(init, phi, d, cfg)
+    assert traj.n_steps == n_steps > 0
+    assert list(traj.times) == [0.008, 0.014, 0.02]
+    for got, want in zip(traj.fields, ref):
+        assert np.array_equal(got.u, want.u)
+        assert np.array_equal(got.v, want.v)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n_cells=st.integers(16, 64),
+    mean=st.floats(0.2, 1.0),
+    amp=st.floats(0.0, 0.6),
+    wavenumber=st.integers(1, 3),
+    angle=st.floats(0.3, 1.2),
+    angle_amp=st.floats(0.0, 0.25),
+    gamma=st.floats(0.5, 2.0),
+    a=st.floats(0.0, 1.0),
+    b_frac=st.floats(0.0, 1.0),
+    scheme=st.sampled_from(sv.SCHEMES),
+    splitting=st.sampled_from(sv.SPLITTINGS),
+)
+def test_march_keeps_damped_mass_positivity_and_r_max(
+    n_cells, mean, amp, wavenumber, angle, angle_amp, gamma, a, b_frac, scheme, splitting
+):
+    grid = sv.Grid1D(0.0, 2 * np.pi, n_cells, "periodic")
+    x = grid.centers
+    r0 = mean * (1.0 + amp * np.sin(wavenumber * x))
+    theta = angle + angle_amp * np.cos(x)
+    init = sv.StateField(grid, r0 * np.cos(theta), r0 * np.sin(theta))
+    # r_max just above the initial radius: the march checks r <= r_max on
+    # every evaluation, so any growth of the radius hull raises OutOfRange
+    phi = md.PhiModel.power(gamma, r_max=float(np.max(init.r)) * (1.0 + 1e-9))
+    d = md.Damping(a, a * b_frac)
+    cfg = sv.SolverConfig(t_end=0.3, output_times=[0.1, 0.3], scheme=scheme, splitting=splitting)
+    traj = sv.simulate(init, phi, d, cfg)
+    mass_u, mass_v = np.sum(init.u), np.sum(init.v)
+    for f in traj:
+        assert abs(math.exp(d.a * f.t) * np.sum(f.u) - mass_u) <= 1e-12 * mass_u
+        assert abs(math.exp(d.b * f.t) * np.sum(f.v) - mass_v) <= 1e-12 * mass_v
+        assert np.all(f.u > 0) and np.all(f.v > 0)
+        assert np.max(f.r) <= phi.r_max
+
+
+def test_stalled_march_raises_instead_of_spinning():
+    # speed ~ 21 * 8.5**20: dt ~ 1e-22 no longer moves t = 1.0
+    grid = sv.Grid1D(0.0, 1.0, 16)
+    init = sv.StateField(grid, np.full(16, 6.0), np.full(16, 6.0), t=1.0)
+    cfg = sv.SolverConfig(t_end=2.0)
+    with pytest.raises(StabilityViolation, match=r"dt=\S+ no longer advances t=1$"):
+        sv.simulate(init, md.PhiModel.power(20.0), md.Damping(0.1, 0.1), cfg)
+
+
+SCENARIO = """\
+name = checks
+phi = power:1
+a = 0.5
+b = 0.2
+x_lo = 0.0
+x_hi = 6.283185307179586
+n_cells = 32
+t_end = 0.1
+init = sine_radial
+init.mean = 0.5
+init.amplitude = 0.2
+check.decay = on
+check.containment = on
+snapshots = none
+"""
+
+
+@pytest.mark.parametrize(
+    "line", ["check.decay.p = foo", *(f"check.containment.{c} = abc" for c in ("c0", "c1", "c2"))]
+)
+def test_bad_check_values_are_parse_errors(line):
+    with pytest.raises(ParseError) as exc:
+        sn.parse_scenario_text(SCENARIO + line + "\n")
+    n_lines = SCENARIO.count("\n") + 1
+    assert (exc.value.line, exc.value.col) == (n_lines, line.index("=") + 3)
+    assert line.partition(" =")[0] in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["check.decay.p = inf", "check.decay.p = Inf", "check.decay.p = 4",
+     "check.containment.c0 = auto", "check.containment.c1 = 0", "check.containment.c2 = 2.5"],
+)
+def test_good_check_values_parse(line):
+    sn.parse_scenario_text(SCENARIO + line + "\n")
+
+
+def test_bad_check_value_exits_1_without_traceback(tmp_path, capsys):
+    path = tmp_path / "checks.cfg"
+    path.write_text(SCENARIO + "check.containment.c1 = abc\n")
+    code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "line 15, col 24" in err and "check.containment.c1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # rejected before anything ran
