@@ -1,7 +1,11 @@
 """Numerical laboratory for the symmetric Keyfitz-Kranzer system with
 linear damping: eigenstructure, radial entropy pairs, invariant regions,
 a split finite-volume solver with optional viscosity, and decay/entropy
-diagnostics."""
+diagnostics.
+
+scipy is imported inside the functions that call it (tabulated phi,
+`PhiModel.level_radius`, the characteristics oracle and cumulative
+quadrature), so importing the package and its CLI needs numpy alone."""
 
 __version__ = "0.1.0"
 

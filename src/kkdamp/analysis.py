@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .entropy import EntropyPair
 from .errors import (
@@ -156,6 +155,8 @@ def radial_characteristics_oracle(
 
     def forward_scalar(xi: float) -> float:
         return float(xi + delta(np.array([xi]))[0])
+
+    from scipy.optimize import brentq
 
     out = np.empty(x_arr.size)
     idx = np.searchsorted(forward, x_arr)

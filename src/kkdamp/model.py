@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .errors import (
     AxisState,
@@ -149,6 +147,8 @@ class PhiModel:
         i = int(sign_change[0])
         if vals[i + 1] == 0.0:
             return float(rs[i + 1])
+        from scipy.optimize import brentq
+
         return float(brentq(lambda r: float(self.phi(r)) - c, rs[i], rs[i + 1]))
 
     # -- structure condition --------------------------------------------
@@ -246,6 +246,8 @@ class PhiModel:
             raise ConfigError("tabulated radii must be nonnegative and increasing")
         if not (np.all(np.isfinite(rs)) and np.all(np.isfinite(vals))):
             raise ConfigError("tabulated samples must be finite")
+        from scipy.interpolate import PchipInterpolator
+
         interp = PchipInterpolator(rs, vals, extrapolate=True)
         d1 = interp.derivative(1)
         d2 = interp.derivative(2)
@@ -262,7 +264,10 @@ class PhiModel:
     @classmethod
     def from_file(cls, path) -> "PhiModel":
         """Two-column whitespace table (r, phi); '#' comment lines allowed."""
-        data = np.loadtxt(path, comments="#", ndmin=2)
+        try:
+            data = np.loadtxt(path, comments="#", ndmin=2)
+        except OSError as exc:
+            raise ConfigError(f"cannot read phi table: {exc}") from exc
         if data.shape[1] != 2:
             raise ConfigError(f"{path}: expected two columns (r, phi)")
         return cls.tabulated(data[:, 0], data[:, 1], label=f"tabulated:{path}")
@@ -287,6 +292,8 @@ class PhiModel:
                 return cls.constant(float(rest), r_max=r_max)
             if head == "tabulated":
                 return cls.from_file(rest)
+        except ConfigError:
+            raise
         except ValueError as exc:
             raise ConfigError(f"bad phi spec {spec!r}: {exc}") from exc
         raise ConfigError(f"unknown phi family {head!r}")
@@ -305,9 +312,6 @@ class State:
     @property
     def r(self) -> float:
         return float(np.hypot(self.u, self.v))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,6 @@ space-time test functions."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, QuadratureFailure
 
@@ -82,10 +80,15 @@ class CumulativeIntegral:
     def _direct(self, r: float) -> float:
         if r == 0.0:
             return 0.0
+        from scipy.integrate import quad
+
         val, _ = quad(self.f, 0.0, r, epsabs=self.abs_tol * 0.1, epsrel=1e-12, limit=400)
         return val
 
     def _build(self, n: int):
+        from scipy.integrate import quad
+        from scipy.interpolate import CubicSpline
+
         nodes = self.r_max * np.linspace(0.0, 1.0, n + 1) ** 2
         segs = np.empty(n)
         seg_tol = self.abs_tol * 0.1 / n

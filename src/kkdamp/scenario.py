@@ -42,7 +42,9 @@ from .solver import (
     Trajectory,
     _fmt,
     mollify_profile,
+    read_snapshot,
     simulate,
+    snapshot_path,
     write_snapshot,
 )
 
@@ -191,13 +193,9 @@ class Scenario:
 
     def phi_model(self) -> PhiModel:
         e = self._entry("phi")
-        spec = e.value
         r_max = self.get_float("r_max", 10.0)
-        family = spec.partition(":")[0].strip().lower()
-        if family not in ("power", "shifted", "const", "constant", "tabulated"):
-            raise ParseError(e.line, e.col, f"unknown phi family {family!r}")
         try:
-            return PhiModel.from_spec(spec, r_max=r_max)
+            return PhiModel.from_spec(e.value, r_max=r_max)
         except KKDampError as exc:
             raise ParseError(e.line, e.col, f"phi: {exc}")
 
@@ -256,9 +254,14 @@ class Scenario:
             u = np.where(left, self.get_float("init.u_left"), self.get_float("init.u_right"))
             v = np.where(left, self.get_float("init.v_left"), self.get_float("init.v_right"))
         elif kind == "from_file":
-            from .solver import read_snapshot
-
-            data = read_snapshot(self.get_str("init.file"))
+            e = self._entry("init.file")
+            try:
+                data = read_snapshot(e.value)
+            except (OSError, ValueError) as exc:
+                reason = getattr(exc, "strerror", None) or exc
+                raise ParseError(
+                    e.line, e.col, f"init.file: cannot read {e.value!r}: {reason}"
+                ) from exc
             if data["u"].size != grid.n_cells:
                 raise ValidationError(
                     "init.file", f"file has {data['u'].size} cells, grid has {grid.n_cells}"
@@ -367,6 +370,33 @@ def _write_norm_series(traj: Trajectory, path: Path):
             )
 
 
+def _snapshot_selection(sc: Scenario, items: list) -> list:
+    """The entries the `snapshots` mode selects from a per-output list
+    that starts with the initial state."""
+    mode = sc.get_str("snapshots", "all")
+    if mode not in ("all", "final", "none"):
+        raise ValidationError("snapshots", f"expected all/final/none, got {mode!r}")
+    if mode == "all":
+        return list(items)
+    if mode == "final":
+        return items[-1:]
+    return []
+
+
+def _check_snapshot_names(sc: Scenario, times) -> None:
+    """Two different output times whose snapshot names coincide would
+    silently overwrite one file with the other: refuse them."""
+    seen: dict[str, float] = {}
+    for t in times:
+        name = snapshot_path(".", sc.name, t).name
+        if name in seen and seen[name] != t:
+            key = "output_times" if sc.has("output_times") else "n_outputs"
+            raise ValidationError(
+                key, f"t = {seen[name]!r} and t = {t!r} would both be written to {name}"
+            )
+        seen[name] = t
+
+
 def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunResult:
     """Simulate a scenario and run its enabled checks. Artifacts land in
     <output root>/<name>/."""
@@ -376,6 +406,9 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
     grid = sc.grid()
     cfg = sc.solver_config()
     init = sc.initial_field(grid)
+    if write_files:
+        times = [init.t, *cfg.resolved_outputs().tolist()]
+        _check_snapshot_names(sc, _snapshot_selection(sc, times))
 
     traj = simulate(init, phi, d, cfg)
     # prepend the initial state so checks see t = 0
@@ -439,15 +472,7 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
     if write_files:
         out_dir = output_root(out_root) / sc.name
         out_dir.mkdir(parents=True, exist_ok=True)
-        mode = sc.get_str("snapshots", "all")
-        if mode not in ("all", "final", "none"):
-            raise ValidationError("snapshots", f"expected all/final/none, got {mode!r}")
-        to_write = []
-        if mode == "all":
-            to_write = list(full.fields)
-        elif mode == "final":
-            to_write = [full.fields[-1]]
-        for f in to_write:
+        for f in _snapshot_selection(sc, full.fields):
             artifacts.append(write_snapshot(f, phi, sc.name, out_dir))
         norms_path = out_dir / f"{sc.name}_norms.tsv"
         _write_norm_series(full, norms_path)

@@ -221,3 +221,67 @@ def test_shipped_scenarios_parse():
         sc.damping()
         sc.grid()
         sc.solver_config()
+
+
+def _run_text(tmp_path, capsys, name, text):
+    """Run one scenario through the CLI; return (exit code, stderr)."""
+    path = write_scenario(tmp_path, name, text)
+    code = main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+def test_missing_init_file_is_a_parse_error(tmp_path, capsys):
+    text = SMALL.format(name="resume").replace(
+        "init = sine_radial", f"init = from_file\ninit.file = {tmp_path / 'nowhere.tsv'}"
+    )
+    code, err = _run_text(tmp_path, capsys, "resume", text)
+    assert code == 1
+    # init.file is on line 12, its value starts in column 13
+    assert err.startswith("error: line 12, col 13: init.file: cannot read")
+    assert "nowhere.tsv" in err and "Traceback" not in err
+
+
+def test_missing_tabulated_phi_file_is_a_parse_error(tmp_path, capsys):
+    text = SMALL.format(name="tab").replace(
+        "phi = power:1", f"phi = tabulated:{tmp_path / 'no_table.txt'}"
+    )
+    code, err = _run_text(tmp_path, capsys, "tab", text)
+    assert code == 1
+    assert err.startswith("error: line 2, col 7: phi: cannot read phi table")
+    assert "no_table.txt" in err and "Traceback" not in err
+
+
+def test_unknown_phi_family_is_a_parse_error_at_the_phi_value(tmp_path, capsys):
+    text = SMALL.format(name="fam").replace("phi = power:1", "phi = vortex:2")
+    code, err = _run_text(tmp_path, capsys, "fam", text)
+    assert code == 1
+    assert err.startswith("error: line 2, col 7: phi: unknown phi family 'vortex'")
+
+
+def test_lax_friedrichs_with_viscosity_is_refused(tmp_path, capsys):
+    text = SMALL.format(name="lfvisc") + "scheme = lax_friedrichs\nviscous.eps = 0.01\n"
+    code, err = _run_text(tmp_path, capsys, "lfvisc", text)
+    assert code == 1
+    assert "lax_friedrichs with viscosity" in err
+    assert not (tmp_path / "out" / "lfvisc").exists()
+
+
+def test_output_times_sharing_a_snapshot_name_are_refused(tmp_path, capsys):
+    text = (
+        SMALL.format(name="clash")
+        .replace("n_outputs = 9\n", "output_times = 0.2, 1.0000001, 1.0000002\n")
+        .replace("t_end = 0.4", "t_end = 1.0000002")
+        .replace("snapshots = final", "snapshots = all")
+        .replace("check.decay = on\ncheck.invariants = on\n", "")
+    )
+    code, err = _run_text(tmp_path, capsys, "clash", text)
+    assert code == 1
+    assert "t = 1.0000001 and t = 1.0000002 would both be written to clash_t1.tsv" in err
+    assert not (tmp_path / "out" / "clash").exists()  # refused before the march
+    # one snapshot of the same times is unambiguous
+    final_only = text.replace("snapshots = all", "snapshots = final")
+    code, _ = _run_text(tmp_path, capsys, "clash", final_only)
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "out" / "clash").glob("*.tsv")) == [
+        "clash_norms.tsv", "clash_t1.tsv"
+    ]

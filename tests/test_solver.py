@@ -235,3 +235,27 @@ def test_snapshot_time_in_name(tmp_path):
     f.t = 0.5
     path = sv.write_snapshot(f, md.PhiModel.power(1.0), "demo", tmp_path)
     assert path.name == "demo_t0.5.tsv"
+
+
+def test_snapshot_rows_match_the_per_cell_format(tmp_path):
+    # v = 0 puts inf, -inf and nan into the Z column; the vectorised writer
+    # must render every cell exactly as format(x, ".17e") does
+    f = make_field(n=32)
+    f.u[:3] = (0.4, -0.4, 0.0)
+    f.v[:3] = 0.0
+    f.u[3] = 5e-324  # subnormal
+    f.t = 0.25
+    phi = md.PhiModel.shifted_power(0.5, 1.5)
+    path = sv.write_snapshot(f, phi, "demo", tmp_path)
+    r = f.r
+    w = phi.phi(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = f.u / f.v
+    assert np.isposinf(z[0]) and np.isneginf(z[1]) and np.isnan(z[2])
+    cols = (f.grid.centers, f.u, f.v, r, w, z)
+    rows = ["\t".join(format(float(c[i]), ".17e") for c in cols) for i in range(32)]
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# run=demo t={sv._fmt(0.25)} n_cells=32"
+    assert lines[3:] == rows
+    data = sv.read_snapshot(path)
+    assert np.array_equal(data["u"], f.u) and np.array_equal(data["Z"], z, equal_nan=True)

@@ -1,0 +1,50 @@
+"""Start-up cost: scipy is imported only by the functions that call it, so
+the CLI and the commands that never need it run with numpy alone."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kkdamp
+
+SRC = Path(kkdamp.__file__).resolve().parent.parent
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _fresh_python(code: str, cwd) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("KKD_OUTPUT_DIR", None)
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_importing_the_cli_leaves_scipy_out(tmp_path):
+    proc = _fresh_python(
+        "import sys\n"
+        "import kkdamp.cli, kkdamp.scenario, kkdamp.viscous\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_eigen_region_check_and_shipped_scenarios_never_import_scipy(tmp_path):
+    cfgs = sorted(str(p) for p in SCENARIOS.glob("*.cfg"))
+    assert len(cfgs) >= 7
+    proc = _fresh_python(
+        "import sys\n"
+        "from kkdamp.cli import main\n"
+        "codes = [\n"
+        "    main(['eigen', '--phi', 'power:2', '--state', '3,4']),\n"
+        "    main(['region-check', '--phi', 'power:1', '--a', '0.6', '--b', '0.2', '--c1', '0']),\n"
+        f"    main(['run', *{cfgs!r}, '--output-dir', {str(tmp_path / 'out')!r}]),\n"
+        "]\n"
+        "print(codes, 'scipy' in sys.modules)\n",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
