@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .entropy import flux_bound, power_entropy_pair
-from .errors import KKDampError
+from .errors import KKDampError, ValidationError
 from .model import Damping, PhiModel, State, classify_field, eigenvalues, eigenvectors
 from .region import RegionSigma, boundary_flow_check
 from .scenario import output_root, parse_scenario, run_scenario
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent.add_argument("--m", type=float, required=True)
     p_ent.add_argument("--phi", required=True, help="e.g. power:1, shifted:1,1, const:1")
     p_ent.add_argument("--r-max", type=float, default=10.0)
-    p_ent.add_argument("--n", type=int, default=200, help="table rows")
+    p_ent.add_argument("--n", default="200", help="table rows")
     p_ent.add_argument("--out", default=None, help="output file (default under output root)")
     add_output_dir(p_ent)
 
@@ -102,13 +102,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class UsageError(Exception):
+    """An option value that cannot be used; `main` prints it and returns 2."""
+
+
+def _parse_values(option: str, text: str, kind=float, count=None, minimum=None) -> list:
+    """The comma-separated values of an option, converted by `kind`; one that
+    does not convert, a wrong `count` or one below `minimum` is a UsageError."""
+    try:
+        values = [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        values = []
+    if not values or count not in (None, len(values)):
+        noun = "integer" if kind is int else "number"
+        expected = f"one {noun}" if count == 1 else f"{count or 'comma-separated'} {noun}s"
+        raise UsageError(f"{option}: expected {expected}, got {text!r}")
+    if minimum is not None and min(values) < minimum:
+        raise UsageError(f"{option}: must be >= {minimum}, got {text!r}")
+    return values
+
+
 def _cmd_run(args) -> int:
-    paths = [Path(p) for p in args.scenarios]
-    if args.jobs > 1 and len(paths) > 1:
+    scenarios, paths = [], {}
+    for sc in map(parse_scenario, args.scenarios):
+        if sc.name in paths:
+            raise ValidationError("name", f"{sc.name!r} names both {paths[sc.name]} and "
+                                  f"{sc.path}; their artifacts would overwrite each other")
+        paths[sc.name] = sc.path
+        scenarios.append(sc)
+    roots = [args.output_dir] * len(scenarios)
+    if args.jobs > 1 and len(scenarios) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_run_one, [(str(p), args.output_dir) for p in paths]))
+            results = list(pool.map(_run_one, scenarios, roots))
     else:
-        results = [_run_one((str(p), args.output_dir)) for p in paths]
+        results = list(map(_run_one, scenarios, roots))
     all_passed = True
     for name, passed, checks, out_dir in results:
         verdict = "pass" if passed else "FAIL"
@@ -118,19 +145,14 @@ def _cmd_run(args) -> int:
     return 0 if all_passed else 1
 
 
-def _run_one(packed):
-    path, out_dir = packed
-    sc = parse_scenario(path)
+def _run_one(sc, out_dir):
     res = run_scenario(sc, out_root=out_dir)
     return res.name, res.passed, res.checks, str(res.out_dir)
 
 
 def _cmd_simulate(args) -> int:
     sc = parse_scenario(args.scenario)
-    for key in list(sc.entries):
-        if key.startswith("check."):
-            del sc.entries[key]
-            sc.order.remove(key)
+    sc.entries = {k: e for k, e in sc.entries.items() if not k.startswith("check.")}
     res = run_scenario(sc, out_root=args.output_dir)
     print(f"{res.name}: wrote {len(res.artifacts)} files -> {res.out_dir}")
     return 0
@@ -139,9 +161,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_decay(args) -> int:
     from .analysis import WeightFunction, decay_harness
 
+    (p,) = _parse_values("--p", args.p, count=1)
     sc = parse_scenario(args.scenario)
     res = run_scenario(sc, out_root=args.output_dir)
-    p = float("inf") if args.p.lower() == "inf" else float(args.p)
     weight = WeightFunction.default() if args.weighted else None
     rep = decay_harness(
         res.trajectory,
@@ -160,9 +182,10 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_entropy_pair(args) -> int:
+    (n_rows,) = _parse_values("--n", args.n, int, count=1, minimum=0)
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     pair = power_entropy_pair(args.m, phi)
-    rs = np.linspace(0.0, phi.r_max, args.n)
+    rs = np.linspace(0.0, phi.r_max, n_rows)
     qs = np.asarray(pair.q(rs), dtype=float)
     if args.out is not None:
         out_path = Path(args.out)
@@ -209,8 +232,8 @@ def _cmd_region_check(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    eps_values = _parse_values("--epsilons", args.epsilons)
     sc = parse_scenario(args.scenario)
-    eps_values = [float(tok) for tok in args.epsilons.split(",")]
     phi = sc.phi_model()
     d = sc.damping()
     grid = sc.grid()
@@ -232,12 +255,8 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
+    s = State(*_parse_values("--state", args.state, count=2))
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
-    parts = args.state.split(",")
-    if len(parts) != 2:
-        print("state must be 'u,v'", file=sys.stderr)
-        return 2
-    s = State(float(parts[0]), float(parts[1]))
     lam1, lam2 = eigenvalues(s, phi)
     basis = eigenvectors(s)
     print(f"state: u = {_fmt(s.u)}  v = {_fmt(s.v)}  r = {_fmt(s.r)}")
@@ -265,6 +284,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KKDampError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

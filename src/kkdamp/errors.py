@@ -42,8 +42,8 @@ class CFLViolation(KKDampError):
 
 
 class StabilityViolation(KKDampError):
-    """Requested viscous step exceeds the explicit diffusion limit, or the
-    time step has become too small to advance t."""
+    """Requested viscous step has diffusion number eps dt/dx^2 above 1/2,
+    or the time step has become too small to advance t."""
 
 
 class NonFinite(KKDampError):

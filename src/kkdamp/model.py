@@ -235,9 +235,9 @@ class PhiModel:
 
     @classmethod
     def tabulated(
-        cls, r_samples, phi_samples, label: str = "tabulated"
+        cls, r_samples, phi_samples, label: str = "tabulated", r_max: float | None = None
     ) -> "PhiModel":
-        """Monotone C^1 interpolant through (r_j, phi_j); r_max = r_samples[-1]."""
+        """Monotone C^1 interpolant through (r_j, phi_j); r_max is capped at r_samples[-1]."""
         rs = np.asarray(r_samples, dtype=float)
         vals = np.asarray(phi_samples, dtype=float)
         if rs.ndim != 1 or rs.size < 4 or rs.shape != vals.shape:
@@ -254,7 +254,7 @@ class PhiModel:
         return cls(
             family="tabulated",
             label=label,
-            r_max=float(rs[-1]),
+            r_max=min(float(rs[-1]), np.inf if r_max is None else r_max),
             phi_fn=lambda r: interp(r),
             dphi_fn=lambda r: d1(r),
             d2phi_fn=lambda r: d2(r),
@@ -262,7 +262,7 @@ class PhiModel:
         )
 
     @classmethod
-    def from_file(cls, path) -> "PhiModel":
+    def from_file(cls, path, r_max: float | None = None) -> "PhiModel":
         """Two-column whitespace table (r, phi); '#' comment lines allowed."""
         try:
             data = np.loadtxt(path, comments="#", ndmin=2)
@@ -270,7 +270,7 @@ class PhiModel:
             raise ConfigError(f"cannot read phi table: {exc}") from exc
         if data.shape[1] != 2:
             raise ConfigError(f"{path}: expected two columns (r, phi)")
-        return cls.tabulated(data[:, 0], data[:, 1], label=f"tabulated:{path}")
+        return cls.tabulated(data[:, 0], data[:, 1], label=f"tabulated:{path}", r_max=r_max)
 
     @classmethod
     def from_spec(cls, spec: str, r_max: float = R_MAX_DEFAULT) -> "PhiModel":
@@ -291,7 +291,7 @@ class PhiModel:
             if head in ("const", "constant"):
                 return cls.constant(float(rest), r_max=r_max)
             if head == "tabulated":
-                return cls.from_file(rest)
+                return cls.from_file(rest, r_max=r_max)
         except ConfigError:
             raise
         except ValueError as exc:

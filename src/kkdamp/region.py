@@ -112,8 +112,10 @@ def boundary_flow_check(
     r_star = phi.level_radius(sigma.c0)
     if r_star <= 0:
         raise ConfigError(f"level radius for C0={sigma.c0} degenerates to r = 0")
-    zs = np.linspace(sigma.c1, sigma.c2, n_samples)
+    zs = np.linspace(sigma.c1, sigma.c2, max(n_samples, 0))
     zs = zs[zs > 0] if sigma.c1 == 0 else zs  # v > 0, u = z v >= 0
+    if zs.size < 2:
+        raise ConfigError(f"boundary flow check needs >= 2 samples with v > 0, got {zs.size}")
     v = r_star / np.sqrt(1.0 + zs**2)
     u = zs * v
     dp = float(phi.dphi(r_star))

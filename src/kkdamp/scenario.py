@@ -100,9 +100,9 @@ _KNOWN_KEYS = {
     "check.invariants.tol",
 }
 
-# Keys whose value is a number or one of the listed words.
+# Keys whose value is a number ("inf" included) or one of the listed words.
 _NUMBER_OR_WORD = {
-    "check.decay.p": ("inf", "Inf"),
+    "check.decay.p": (),
     "check.containment.c0": ("auto",),
     "check.containment.c1": ("auto",),
     "check.containment.c2": ("auto",),
@@ -121,7 +121,6 @@ class Scenario:
     """Parsed scenario: raw entries in file order plus typed accessors."""
 
     entries: dict = field(default_factory=dict)
-    order: list = field(default_factory=list)
     path: str = "<memory>"
 
     # -- typed accessors ---------------------------------------------------
@@ -129,32 +128,24 @@ class Scenario:
     def has(self, key: str) -> bool:
         return key in self.entries
 
-    def raw(self, key: str, default: str | None = None) -> str | None:
-        e = self.entries.get(key)
-        return e.value if e is not None else default
-
     def _entry(self, key: str) -> Entry:
         if key not in self.entries:
             raise ValidationError(key, "required key is missing")
         return self.entries[key]
 
     def get_float(self, key: str, default: float | None = None) -> float:
-        if key not in self.entries:
-            if default is None:
-                raise ValidationError(key, "required key is missing")
+        if default is not None and key not in self.entries:
             return default
-        e = self.entries[key]
+        e = self._entry(key)
         try:
             return float(e.value)
         except ValueError:
             raise ParseError(e.line, e.col, f"{key}: expected a number, got {e.value!r}")
 
     def get_int(self, key: str, default: int | None = None) -> int:
-        if key not in self.entries:
-            if default is None:
-                raise ValidationError(key, "required key is missing")
+        if default is not None and key not in self.entries:
             return default
-        e = self.entries[key]
+        e = self._entry(key)
         try:
             return int(e.value)
         except ValueError:
@@ -172,11 +163,9 @@ class Scenario:
         raise ParseError(e.line, e.col, f"{key}: expected on/off, got {e.value!r}")
 
     def get_str(self, key: str, default: str | None = None) -> str:
-        if key not in self.entries:
-            if default is None:
-                raise ValidationError(key, "required key is missing")
+        if default is not None and key not in self.entries:
             return default
-        return self.entries[key].value
+        return self._entry(key).value
 
     def get_float_list(self, key: str) -> list[float]:
         e = self._entry(key)
@@ -303,16 +292,14 @@ def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
         col = raw_line.index(value, raw_line.index("=")) + 1
         if key in sc.entries:
             raise ParseError(ln, raw_line.index(key) + 1, f"duplicate key {key!r}")
-        words = _NUMBER_OR_WORD.get(key, ())
-        if words and value not in words:
+        words = _NUMBER_OR_WORD.get(key)
+        if words is not None and value not in words:
             try:
                 float(value)
             except ValueError:
-                raise ParseError(
-                    ln, col, f"{key}: expected a number or {'/'.join(words)}, got {value!r}"
-                )
+                expected = " or ".join(["a number", *words])
+                raise ParseError(ln, col, f"{key}: expected {expected}, got {value!r}")
         sc.entries[key] = Entry(value=value, line=ln, col=col)
-        sc.order.append(key)
     if "name" not in sc.entries:
         raise ValidationError("name", "required key is missing")
     return sc
@@ -422,8 +409,7 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
     details: list[str] = []
 
     if sc.get_bool("check.decay", False):
-        p_raw = sc.get_str("check.decay.p", "2")
-        p = float("inf") if p_raw in ("inf", "Inf") else float(p_raw)
+        p = sc.get_float("check.decay.p", 2.0)
         weighted = sc.get_bool("check.decay.weighted", False)
         rep = decay_harness(
             full,
@@ -484,7 +470,7 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
             fh.write(f"# generated by kkdamp {__version__}\n")
             fh.write(f"# timestamp_utc = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n")
             fh.write(f"# elapsed_seconds = {elapsed:.3f}\n")
-            for key in sc.order:
+            for key in sc.entries:
                 fh.write(f"{key} = {sc.entries[key].value}\n")
             fh.write(f"n_steps = {full.n_steps}\n")
             fh.write(f"avg_dt = {_fmt(full.avg_dt)}\n")

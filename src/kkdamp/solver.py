@@ -10,12 +10,11 @@ positive invariant region {phi(r) <= C0, C1 <= u/v <= C2} with C1 = 0 is
 preserved discretely. An optional explicit viscosity eps u_xx is added to
 the flux update, evaluated on the same (damped, pre-flux) data.
 
-`simulate` is the one marching loop, inviscid or viscous. Per step it
-evaluates the wave speeds twice: once on the current state for dt (through
-`max_wavespeed`), and once on the padded damped state, where a single
-hypot and phi/r phi' evaluation feeds the r <= r_max check, the CFL check
-and the face fluxes alike. Finiteness is validated once per step, when the
-new StateField is built.
+`simulate` is the one marching loop and `SolverConfig.stable_dt` its one
+step rule. Per step the wave speeds are evaluated on the current state for
+dt, and on the padded damped state, where one hypot and phi/r phi'
+evaluation feeds the r <= r_max check, both step guards (CFL, diffusion
+number) and the face fluxes. Finiteness is validated once per step.
 """
 
 from __future__ import annotations
@@ -156,11 +155,15 @@ class SolverConfig:
             return np.array([self.t_end])
         return np.asarray(list(self.output_times), dtype=float)
 
-    def diffusion_limit(self, dx: float) -> float:
-        """Largest stable explicit diffusion step; inf without viscosity."""
+    def stable_dt(self, dx: float, speed: float) -> float:
+        """cfl dx / speed; with viscosity also diffusion_number dx^2 / eps and
+        dx^2 / (speed dx + 2 eps), which keeps Rusanov's alpha dt / (2 dx)
+        plus eps dt / dx^2 <= 1/2 (past it the grid-scale mode grows)."""
+        dt = self.cfl * dx / speed
         if self.eps == 0.0:
-            return float("inf")
-        return self.diffusion_number * dx * dx / self.eps
+            return dt
+        diffusion = self.diffusion_number * dx * dx / self.eps
+        return min(dt, diffusion, dx * dx / (speed * dx + 2.0 * self.eps))
 
 
 @dataclass
@@ -245,6 +248,9 @@ def _flux_update(
         raise ConfigError(f"dt must be nonnegative, got {dt}")
     if dt == 0.0:
         return ue[1:-1].copy(), ve[1:-1].copy()
+    nu = eps * dt / (dx * dx)
+    if nu > 0.5 * (1.0 + 1e-9):
+        raise StabilityViolation(f"dt={dt:g} gives diffusion number eps dt/dx^2 = {nu:g} > 1/2")
     pe, speed = _cell_speeds(np.hypot(ue, ve), phi)
     top = max(float(speed.max()), WAVESPEED_FLOOR)
     if dt * top > dx * (1.0 + 1e-9):
@@ -256,7 +262,6 @@ def _flux_update(
         half_alpha = 0.5 * (dx / dt)
     del speed  # freed before the flux buffers are allocated
     lam = dt / dx
-    nu = eps * dt / (dx * dx)
     work = np.empty(ue.size)  # scratch shared by both channels
     new = []
     for e in (ue, ve):
@@ -339,9 +344,9 @@ def simulate(
 ) -> Trajectory:
     """March from init.t to cfg.t_end, recording snapshots at the
     requested output times (hit exactly by truncating the final step of
-    each segment). dt is recomputed from the current data every step, and
-    capped by the diffusion limit when cfg.eps > 0. Raises
-    StabilityViolation when dt is too small to advance t.
+    each segment). dt is cfg.stable_dt at the current data's wave speed,
+    recomputed every step. Raises StabilityViolation when dt is too small
+    to advance t.
 
     The theory behind the continuous problem assumes r phi'(r) != 0;
     running with a model that fails that check (for example a constant
@@ -357,13 +362,12 @@ def simulate(
     if targets[0] < init.t - 1e-12:
         raise ConfigError("output time precedes the initial time")
     dx = init.grid.dx
-    dt_diffusion = cfg.diffusion_limit(dx)
     f = init  # steps never write into their input
     out: list[StateField] = []
     n_steps = 0
     for target in targets:
         while f.t < target * (1.0 - 1e-15) - 1e-15:
-            dt = min(cfg.cfl * dx / max_wavespeed(f, phi), dt_diffusion, target - f.t)
+            dt = min(cfg.stable_dt(dx, max_wavespeed(f, phi)), target - f.t)
             if f.t + dt == f.t:
                 raise StabilityViolation(f"dt={dt:.3g} no longer advances t={f.t:.17g}")
             f = step_once(f, phi, d, dt, cfg.scheme, cfg.splitting, cfg.eps)

@@ -1,14 +1,15 @@
 """Viscous regularization eps * w_xx and the vanishing-viscosity sweep.
 
-The viscous step is the solver's own split step: `SolverConfig.eps` adds
-explicit centered diffusion, evaluated on the damped pre-flux data, to the
-flux update, and `simulate` caps dt by the diffusion limit. With eps = 0
-the added term is skipped entirely and the step is the inviscid one, which
-makes the eps -> 0 sweep self-consistent (the last distance is exactly
-what the viscous path produces, not a reimplementation).
+There is no separate viscous stepper: `SolverConfig.eps` adds explicit
+centered diffusion, evaluated on the damped pre-flux data, to the solver's
+flux update, `SolverConfig.stable_dt` takes the diffusion limits into dt,
+and `solver.simulate` and `solver.step_once` run it. With eps = 0 the added
+term is skipped entirely and the step is the inviscid one, which makes the
+eps -> 0 sweep self-consistent (the last distance is exactly what the
+viscous path produces, not a reimplementation).
 
-`ViscousConfig`, `viscous_step` and `viscous_simulate` keep the older
-names of the viscous path importable."""
+`ViscousConfig` is `SolverConfig` under its older name, kept because the
+benchmark workloads and the acceptance tests import it from here."""
 
 from __future__ import annotations
 
@@ -17,34 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, StabilityViolation
+from .errors import ConfigError
 from .model import Damping, PhiModel
-from .solver import SolverConfig, StateField, Trajectory, simulate, step_once
+from .solver import SolverConfig, StateField, simulate
 
 ViscousConfig = SolverConfig
-
-
-def viscous_step(
-    f: StateField,
-    phi: PhiModel,
-    d: Damping,
-    cfg: SolverConfig,
-    dt: float,
-) -> StateField:
-    """One split step with cfg's scheme, splitting and eps. Raises
-    StabilityViolation when dt exceeds the diffusion limit (the advective
-    limit raises CFLViolation inside the flux update)."""
-    limit = cfg.diffusion_limit(f.grid.dx)
-    if dt > limit * (1.0 + 1e-9):
-        raise StabilityViolation(f"dt={dt:g} exceeds diffusion limit {limit:g}")
-    return step_once(f, phi, d, dt, cfg.scheme, cfg.splitting, cfg.eps)
-
-
-def viscous_simulate(
-    init: StateField, phi: PhiModel, d: Damping, cfg: SolverConfig
-) -> Trajectory:
-    """The solver's march; cfg.eps sets the viscosity."""
-    return simulate(init, phi, d, cfg)
 
 
 @dataclass(frozen=True)

@@ -285,3 +285,50 @@ def test_output_times_sharing_a_snapshot_name_are_refused(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "out" / "clash").glob("*.tsv")) == [
         "clash_norms.tsv", "clash_t1.tsv"
     ]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_refuses_two_scenarios_with_one_name(tmp_path, capsys, jobs):
+    first = write_scenario(tmp_path, "first", SMALL.format(name="same"))
+    second_text = SMALL.format(name="same").replace("a = 0.5", "a = 0.2")
+    second = write_scenario(tmp_path, "second", second_text)
+    out = tmp_path / "out"
+    code = main(["run", str(first), str(second), "--jobs", jobs, "--output-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: name: 'same' names both")
+    assert str(first) in err and str(second) in err
+    assert not out.exists()  # refused before anything ran
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("decay {cfg} --p foo --output-dir {out}", "--p: expected one number, got 'foo'"),
+        ("convergence {cfg} --epsilons a,b --output-dir {out}",
+         "--epsilons: expected comma-separated numbers, got 'a,b'"),
+        ("eigen --phi power:1 --state a,b", "--state: expected 2 numbers, got 'a,b'"),
+        ("eigen --phi power:1 --state 1,2,3", "--state: expected 2 numbers, got '1,2,3'"),
+        ("entropy-pair --m 2 --phi power:1 --n -1 --output-dir {out}",
+         "--n: must be >= 0, got '-1'"),
+        ("entropy-pair --m 2 --phi power:1 --n 2.5 --output-dir {out}",
+         "--n: expected one integer, got '2.5'"),
+    ],
+    ids=["decay-p", "convergence-epsilons", "eigen-state", "eigen-state-count", "entropy-pair-n",
+         "entropy-pair-n-integer"],
+)
+def test_bad_option_values_exit_2_with_one_line(tmp_path, capsys, argv, message):
+    cfg, out = write_scenario(tmp_path), tmp_path / "out"
+    code = main(argv.format(cfg=cfg, out=out).split())
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()  # refused before anything ran
+
+
+@pytest.mark.parametrize("samples", ["1", "2"])
+def test_region_check_with_too_few_samples_exits_1(capsys, samples):
+    # C1 = 0 drops the Z = 0 sample, so one sample or none remains
+    code = main(["region-check", "--a", "0.6", "--b", "0.2", "--c1", "0", "--samples", samples])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: boundary flow check needs >= 2 samples with v > 0, got ")

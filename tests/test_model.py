@@ -212,6 +212,16 @@ def test_tabulated_matches_sampled_function(tmp_path):
         md.PhiModel.tabulated([0.0, 1.0, 0.5, 2.0], [0.0, 1.0, 2.0, 3.0])
 
 
+def test_tabulated_spec_honours_a_smaller_r_max(tmp_path):
+    path = tmp_path / "phi.txt"
+    rs = np.linspace(0.0, 4.0, 9)
+    np.savetxt(path, np.column_stack((rs, 0.5 + rs)))
+    assert md.PhiModel.from_spec(f"tabulated:{path}", r_max=2.0).r_max == 2.0
+    # a larger r_max stays capped at the table's last radius
+    assert md.PhiModel.from_spec(f"tabulated:{path}", r_max=10.0).r_max == 4.0
+    assert md.PhiModel.from_file(path).r_max == 4.0
+
+
 def test_structure_condition_report():
     assert md.PhiModel.power(1.0).c1_report.satisfied
     assert md.PhiModel.power(0.5).c1_report.satisfied

@@ -30,7 +30,7 @@ def test_zero_eps_is_bit_identical_to_inviscid():
     times = list(np.linspace(0.0, 0.6, 7)[1:])
     vcfg = vc.ViscousConfig(t_end=0.6, output_times=times, eps=0.0)
     scfg = sv.SolverConfig(t_end=0.6, output_times=times)
-    a = vc.viscous_simulate(f, phi, d, vcfg)
+    a = sv.simulate(f, phi, d, vcfg)
     b = sv.simulate(f, phi, d, scfg)
     assert a.n_steps == b.n_steps
     for fa, fb in zip(a.fields, b.fields):
@@ -46,7 +46,51 @@ def test_stability_violation_raised():
     dx = f.grid.dx
     too_big = 2.0 * cfg.diffusion_number * dx * dx / cfg.eps
     with pytest.raises(StabilityViolation):
-        vc.viscous_step(f, phi, d, cfg, too_big)
+        sv.step_once(f, phi, d, too_big, cfg.scheme, cfg.splitting, eps=cfg.eps)
+    # the step kernel's hard limit is nu = eps dt / dx^2 = 1/2
+    at_limit = 0.5 * dx * dx / cfg.eps
+    sv.step_once(f, phi, d, at_limit, eps=cfg.eps)
+    with pytest.raises(StabilityViolation, match="diffusion number"):
+        sv.step_once(f, phi, d, at_limit * (1.0 + 1e-6), eps=cfg.eps)
+
+
+def test_stable_dt_is_the_whole_step_rule():
+    dx, speed = 0.05, 1.7
+    inviscid = sv.SolverConfig(t_end=1.0, cfl=0.45)
+    assert inviscid.stable_dt(dx, speed) == 0.45 * dx / speed
+    for eps in (1e-4, 0.075, 1.0):
+        cfg = sv.SolverConfig(t_end=1.0, cfl=0.45, eps=eps)
+        want = min(0.45 * dx / speed, 0.4 * dx * dx / eps, dx * dx / (speed * dx + 2 * eps))
+        assert cfg.stable_dt(dx, speed) == want
+        # Rusanov's alpha dt / (2 dx) plus nu = eps dt / dx^2 stays <= 1/2
+        dt = cfg.stable_dt(dx, speed)
+        assert speed * dt / (2 * dx) + eps * dt / (dx * dx) <= 0.5 * (1 + 1e-15)
+
+
+def test_simulate_never_trips_the_diffusion_guard():
+    # diffusion_number = 1/2 and a zero wave speed put dt on the hard limit
+    grid = sv.Grid1D(0.0, 1.0, 16)
+    f = sv.StateField(grid, np.sin(2 * np.pi * grid.centers), np.zeros(16))
+    cfg = sv.SolverConfig(t_end=0.01, eps=0.3, diffusion_number=0.5)
+    with pytest.warns(UserWarning, match="structure condition"):
+        traj = sv.simulate(f, md.PhiModel.constant(0.0), md.Damping(0.0, 0.0), cfg)
+    assert traj.n_steps > 1
+
+
+def test_grid_mode_does_not_grow_when_eps_is_near_alpha_dx():
+    # Rusanov already dissipates alpha dt / (2 dx); with nu = eps dt / dx^2
+    # on top the alternating mode grows once their sum passes 1/2, which
+    # the diffusion limit alone allows for eps between about 0.61 and 2
+    # times alpha dx (here alpha dx = 0.083)
+    n = 128
+    grid = sv.Grid1D(0.0, 2 * np.pi, n)
+    amp0 = 1e-10
+    u = np.full(n, 0.6) + amp0 * (-1.0) ** np.arange(n)
+    f = sv.StateField(grid, u, np.full(n, 0.6))
+    cfg = sv.SolverConfig(t_end=1.0, eps=0.074)
+    g = sv.simulate(f, md.PhiModel.power(1.0), md.Damping(0.0, 0.0), cfg)[-1]
+    amp = 0.5 * max(np.ptp(g.u), np.ptp(g.v))
+    assert amp <= amp0
 
 
 def test_pure_diffusion_matches_discrete_heat_decay():
@@ -61,7 +105,7 @@ def test_pure_diffusion_matches_discrete_heat_decay():
     d = md.Damping(0.0, 0.0)
     eps = 0.05
     cfg = vc.ViscousConfig(t_end=1.0, eps=eps)
-    traj = vc.viscous_simulate(f, phi, d, cfg)
+    traj = sv.simulate(f, phi, d, cfg)
     g = traj[-1]
     dx = grid.dx
     kd2 = (2.0 - 2.0 * np.cos(dx)) / (dx * dx)
