@@ -38,12 +38,13 @@ class NonLipschitz(KKDampError):
 
 
 class CFLViolation(KKDampError):
-    """Requested hyperbolic step exceeds the stable step size."""
+    """Requested inviscid step exceeds the CFL limit dt <= dx / speed."""
 
 
 class StabilityViolation(KKDampError):
-    """Requested viscous step has diffusion number eps dt/dx^2 above 1/2,
-    or the time step has become too small to advance t."""
+    """Requested viscous step breaks speed dt/dx + 2 eps dt/dx^2 <= 1 (the
+    message names the diffusion number eps dt/dx^2), or the time step has
+    become too small to advance t."""
 
 
 class NonFinite(KKDampError):

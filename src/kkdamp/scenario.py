@@ -255,13 +255,24 @@ class Scenario:
                 raise ValidationError(
                     "init.file", f"file has {data['u'].size} cells, grid has {grid.n_cells}"
                 )
+            offset = float(np.max(np.abs(data["x"] - x)))
+            if not offset <= 1e-9 * grid.dx:
+                raise ValidationError(
+                    "init.file", f"cell centers differ from the grid's by up to {offset:g} "
+                    f"(dx = {grid.dx:g}): the file was written on another grid"
+                )
+            boundary = data["meta"].get("boundary", grid.boundary)
+            if boundary != grid.boundary:
+                raise ValidationError(
+                    "init.file", f"file has boundary {boundary}, grid has {grid.boundary}"
+                )
             u, v = data["u"], data["v"]
         else:
             e = self._entry("init")
             raise ParseError(e.line, e.col, f"unknown initial profile {kind!r}")
 
         eps = self.get_float("init.mollify_eps", 0.0)
-        if eps > 0.0:
+        if eps != 0.0:  # 0 is off; mollify_profile refuses nan and negatives
             u = mollify_profile(u, eps, grid)
             v = mollify_profile(v, eps, grid)
         return StateField(grid, u, v, 0.0)

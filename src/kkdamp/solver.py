@@ -11,14 +11,21 @@ preserved discretely. An optional explicit viscosity eps u_xx is added to
 the flux update, evaluated on the same (damped, pre-flux) data.
 
 `simulate` is the one marching loop and `SolverConfig.stable_dt` its one
-step rule. Per step the wave speeds are evaluated on the current state for
-dt, and on the padded damped state, where one hypot and phi/r phi'
-evaluation feeds the r <= r_max check, both step guards (CFL, diffusion
-number) and the face fluxes. Finiteness is validated once per step.
+step rule. One inequality bounds the explicit step: the flux update plus
+eps u_xx is a convex combination of neighbouring cells while
+speed dt/dx + 2 eps dt/dx^2 <= 1, i.e. dt <= `explicit_limit(dx, speed,
+eps)`, which is the CFL limit dx / speed when eps = 0. The step kernel
+guards that limit and `stable_dt` keeps dt at a fraction of it. Per step
+the wave speeds are evaluated on the current state for dt, and on the
+padded damped state, where one hypot and phi/r phi' evaluation feeds the
+r <= r_max check, the step guard and the face fluxes. Finiteness is
+validated once per step.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,12 +60,21 @@ class Grid1D:
     boundary: str = "periodic"
 
     def __post_init__(self):
+        if not (math.isfinite(self.x_lo) and math.isfinite(self.x_hi)):
+            raise ValidationError("grid", f"need finite bounds, got [{self.x_lo}, {self.x_hi}]")
         if not self.x_hi > self.x_lo:
             raise ValidationError("grid", f"need x_hi > x_lo, got [{self.x_lo}, {self.x_hi}]")
         if self.n_cells < 8:
             raise ValidationError("grid", f"need n_cells >= 8, got {self.n_cells}")
         if self.boundary not in BOUNDARIES:
             raise ValidationError("grid", f"boundary must be one of {BOUNDARIES}")
+        # explicit_limit and the diffusion number take dx^2, which must be a
+        # positive normal float (a zero one makes every step limit 0)
+        if not sys.float_info.min <= self.dx * self.dx < math.inf:
+            raise ValidationError(
+                "grid", f"cell width {self.dx:g} is out of range (its square must be a "
+                "positive normal float)"
+            )
 
     @property
     def dx(self) -> float:
@@ -123,7 +139,7 @@ class SolverConfig:
     splitting: str = "strang"
     cfl: float = 0.45
     eps: float = 0.0  # explicit viscosity eps u_xx; 0 is the inviscid solver
-    diffusion_number: float = 0.4  # dt <= diffusion_number dx^2 / eps
+    diffusion_number: float = 0.4  # speed dt/dx + 2 eps dt/dx^2 <= 2 diffusion_number
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -134,10 +150,10 @@ class SolverConfig:
             )
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end < 0:
-            raise ConfigError(f"t_end must be nonnegative, got {self.t_end}")
-        if self.eps < 0:
-            raise ConfigError(f"eps must be nonnegative, got {self.eps}")
+        if not 0.0 <= self.t_end < math.inf:
+            raise ConfigError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ConfigError(f"eps must be finite and nonnegative, got {self.eps}")
         _check_viscous_scheme(self.scheme, self.eps)
         if not 0.0 < self.diffusion_number <= 0.5:
             raise ConfigError(
@@ -145,7 +161,7 @@ class SolverConfig:
             )
         if self.output_times is not None:
             ts = np.asarray(list(self.output_times), dtype=float)
-            if ts.size == 0 or np.any(np.diff(ts) <= 0) or np.any(ts < 0):
+            if ts.size == 0 or not np.all(np.diff(ts) > 0) or not np.all(ts >= 0):
                 raise ConfigError("output_times must be strictly increasing and >= 0")
             if ts[-1] > self.t_end * (1 + 1e-12) + 1e-15:
                 raise ConfigError("output_times may not exceed t_end")
@@ -156,14 +172,14 @@ class SolverConfig:
         return np.asarray(list(self.output_times), dtype=float)
 
     def stable_dt(self, dx: float, speed: float) -> float:
-        """cfl dx / speed; with viscosity also diffusion_number dx^2 / eps and
-        dx^2 / (speed dx + 2 eps), which keeps Rusanov's alpha dt / (2 dx)
-        plus eps dt / dx^2 <= 1/2 (past it the grid-scale mode grows)."""
+        """cfl dx / speed; with viscosity also 2 diffusion_number times
+        explicit_limit, which holds speed dt/dx + 2 eps dt/dx^2 at
+        2 diffusion_number (0.8 by default), so the grid-scale mode is
+        damped and the step guard keeps slack for the damped state."""
         dt = self.cfl * dx / speed
         if self.eps == 0.0:
             return dt
-        diffusion = self.diffusion_number * dx * dx / self.eps
-        return min(dt, diffusion, dx * dx / (speed * dx + 2.0 * self.eps))
+        return min(dt, 2.0 * self.diffusion_number * explicit_limit(dx, speed, self.eps))
 
 
 @dataclass
@@ -223,6 +239,14 @@ def max_wavespeed(f: StateField, phi: PhiModel) -> float:
     return max(float(_cell_speeds(f.r, phi)[1].max()), WAVESPEED_FLOOR)
 
 
+def explicit_limit(dx: float, speed: float, eps: float) -> float:
+    """dx^2 / (speed dx + 2 eps): the largest dt for which the Rusanov update
+    plus centred diffusion eps w_xx is a convex combination of neighbouring
+    cells, i.e. speed dt/dx + 2 eps dt/dx^2 <= 1. With eps = 0 it is the
+    CFL limit dx / speed."""
+    return dx * dx / (speed * dx + 2.0 * eps)
+
+
 def _flux_update(
     ue: np.ndarray,
     ve: np.ndarray,
@@ -236,8 +260,9 @@ def _flux_update(
     of the padded cell data (ue, ve). Returns the new interior (u, v).
 
     hypot, phi and r phi' are evaluated once, on the padded data, and the
-    r <= r_max check, the CFL check and the Rusanov dissipation all read
-    those cell speeds. Every operation matches the unfused formulas
+    r <= r_max check, the one step guard dt <= explicit_limit (CFLViolation
+    when eps = 0, StabilityViolation otherwise) and the Rusanov dissipation
+    all read those cell speeds. Every operation matches the unfused formulas
     0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i) and
     w - dt/dx (flux_i+1/2 - flux_i-1/2) + nu (w_i+1 - 2 w_i + w_i-1)
     term by term, so results are bit-identical to them."""
@@ -248,13 +273,18 @@ def _flux_update(
         raise ConfigError(f"dt must be nonnegative, got {dt}")
     if dt == 0.0:
         return ue[1:-1].copy(), ve[1:-1].copy()
-    nu = eps * dt / (dx * dx)
-    if nu > 0.5 * (1.0 + 1e-9):
-        raise StabilityViolation(f"dt={dt:g} gives diffusion number eps dt/dx^2 = {nu:g} > 1/2")
     pe, speed = _cell_speeds(np.hypot(ue, ve), phi)
     top = max(float(speed.max()), WAVESPEED_FLOOR)
-    if dt * top > dx * (1.0 + 1e-9):
-        raise CFLViolation(f"dt={dt:g} exceeds stable step {dx / top:g} (speed {top:g})")
+    limit = explicit_limit(dx, top, eps)
+    nu = eps * dt / (dx * dx) if eps != 0.0 else 0.0
+    if dt > limit * (1.0 + 1e-9):
+        if eps == 0.0:
+            raise CFLViolation(f"dt={dt:g} exceeds stable step {limit:g} (speed {top:g})")
+        raise StabilityViolation(
+            f"dt={dt:g} exceeds stable step {limit:g}: speed dt/dx + 2 eps dt/dx^2 = "
+            f"{top * dt / dx + 2.0 * nu:g} > 1 (speed {top:g}, diffusion number "
+            f"eps dt/dx^2 = {nu:g})"
+        )
     if scheme == "rusanov":
         half_alpha = np.maximum(speed[:-1], speed[1:])
         half_alpha *= 0.5
@@ -291,7 +321,8 @@ def hyperbolic_substep(
 
     Rusanov face dissipation uses the local two-sided wave speed; the
     Lax-Friedrichs variant uses the global dx/dt. dt must satisfy the CFL
-    constraint for the current data or CFLViolation is raised."""
+    constraint dt <= dx / speed for the current data or CFLViolation is
+    raised."""
     b = f.grid.boundary
     u, v = _flux_update(_pad(f.u, b), _pad(f.v, b), dt, f.grid.dx, phi, scheme)
     return StateField(f.grid, u, v, f.t + dt)
@@ -386,9 +417,11 @@ def simulate(
 def mollify_profile(values: np.ndarray, eps: float, grid: Grid1D) -> np.ndarray:
     """Discrete mollification of cell values with the compact bump kernel
     of radius eps: weights w_k proportional to bump(k dx / eps), summed to
-    one. Warns when eps < dx (kernel degenerates to the identity)."""
-    if eps <= 0:
-        raise ConfigError(f"mollifier radius must be positive, got {eps}")
+    one. Warns when eps < dx (kernel degenerates to the identity). The
+    radius may not exceed the domain width x_hi - x_lo."""
+    width = grid.x_hi - grid.x_lo
+    if not 0 < eps <= width:
+        raise ConfigError(f"mollifier radius must lie in (0, x_hi - x_lo = {width:g}], got {eps}")
     values = np.asarray(values, dtype=float)
     dx = grid.dx
     if eps < dx:

@@ -2,11 +2,13 @@
 
 There is no separate viscous stepper: `SolverConfig.eps` adds explicit
 centered diffusion, evaluated on the damped pre-flux data, to the solver's
-flux update, `SolverConfig.stable_dt` takes the diffusion limits into dt,
-and `solver.simulate` and `solver.step_once` run it. With eps = 0 the added
-term is skipped entirely and the step is the inviscid one, which makes the
-eps -> 0 sweep self-consistent (the last distance is exactly what the
-viscous path produces, not a reimplementation).
+flux update, `SolverConfig.stable_dt` keeps speed dt/dx + 2 eps dt/dx^2 at
+2 diffusion_number (the step kernel refuses it above 1, see
+`solver.explicit_limit`), and `solver.simulate` and `solver.step_once` run
+it. With eps = 0 the added term is skipped entirely and the step is the
+inviscid one, which makes the eps -> 0 sweep self-consistent (the last
+distance is exactly what the viscous path produces, not a
+reimplementation).
 
 `ViscousConfig` is `SolverConfig` under its older name, kept because the
 benchmark workloads and the acceptance tests import it from here."""

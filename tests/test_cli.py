@@ -1,5 +1,12 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkdamp.cli import main
 
@@ -332,3 +339,60 @@ def test_region_check_with_too_few_samples_exits_1(capsys, samples):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: boundary flow check needs >= 2 samples with v > 0, got ")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("snapshots", "init.mollify_eps = inf\nsnapshots", "mollifier radius must lie in"),
+        ("snapshots", "init.mollify_eps = 1e300\nsnapshots", "mollifier radius must lie in"),
+        ("snapshots", "init.mollify_eps = nan\nsnapshots", "mollifier radius must lie in"),
+        ("x_hi = 6.283185307179586", "x_hi = 1e-308", "grid: cell width"),
+        ("x_hi = 6.283185307179586", "x_hi = inf", "grid: need finite bounds"),
+    ],
+    ids=["mollify-inf", "mollify-1e300", "mollify-nan", "subnormal-cell-width", "infinite-bound"],
+)
+def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, old, new, message):
+    text = SMALL.format(name="hostile").replace(old, new)
+    code, err = _run_text(tmp_path, capsys, "hostile", text)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+TINY = {
+    "name": "tiny", "phi": "power:1", "a": "0.5", "b": "0.2", "x_lo": "0.0", "x_hi": "1.0",
+    "n_cells": "16", "boundary": "periodic", "t_end": "0.05", "n_outputs": "3",
+    "init": "sine_radial", "init.mean": "0.5", "init.amplitude": "0.2",
+    "check.decay": "on", "check.containment": "on", "snapshots": "final",
+}
+HOSTILE_KEYS = sorted(set(TINY) - {"name"}) + [
+    "cfl", "viscous.eps", "viscous.diffusion_number", "init.mollify_eps", "output_times",
+    "r_max", "scheme", "check.decay.p", "check.containment.c0", "check.containment.tol",
+]
+HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-308", "abc", "auto", "1,2"]
+
+
+def _endless(overrides):
+    # A valid march with ~1e308 steps: a tiny positive cfl or diffusion
+    # number (so would x_hi - x_lo near 1e-30 or t_end = 1e308, which no
+    # value here gives). No step budget exists, so such runs are left out.
+    return any(overrides.get(k) == "1e-308" for k in ("cfl", "viscous.diffusion_number"))
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(HOSTILE_KEYS), st.sampled_from(HOSTILE_VALUES), max_size=2
+    ).filter(lambda o: not _endless(o))
+)
+def test_run_with_hostile_values_exits_0_or_1(overrides):
+    text = "".join(f"{k} = {v}\n" for k, v in {**TINY, **overrides}.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "tiny.cfg"
+        path.write_text(text)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["run", str(path), "--output-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1)

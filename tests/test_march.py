@@ -70,11 +70,9 @@ def reference_march(init, phi, d, cfg):
             speed = sv.max_wavespeed(f, phi)
             dt = cfg.cfl * dx / speed
             if cfg.eps > 0:
-                dt = min(
-                    dt,
-                    cfg.diffusion_number * dx * dx / cfg.eps,
-                    dx * dx / (speed * dx + 2.0 * cfg.eps),  # Rusanov plus diffusion <= 1/2
-                )
+                # speed dt/dx + 2 eps dt/dx^2 <= 2 diffusion_number
+                limit = dx * dx / (speed * dx + 2.0 * cfg.eps)
+                dt = min(dt, 2.0 * cfg.diffusion_number * limit)
             dt = min(dt, target - f.t)
             strang = cfg.splitting == "strang"
             g = sv.damping_substep(f, d, 0.5 * dt if strang else dt)
@@ -96,7 +94,8 @@ def reference_march(init, phi, d, cfg):
 @pytest.mark.parametrize("splitting", sv.SPLITTINGS)
 @pytest.mark.parametrize("scheme", sv.SCHEMES)
 def test_simulate_is_bit_identical_to_the_unfused_split_step(scheme, splitting, boundary, eps):
-    # 64 cells on [0, 1]: the Rusanov-plus-diffusion bound binds when eps > 0 (13 steps).
+    # 64 cells on [0, 1]: the 2 diffusion_number explicit_limit bound binds when eps > 0
+    # (15 steps).
     grid = sv.Grid1D(0.0, 1.0, 64, boundary)
     x = grid.centers
     r0 = 0.6 + 0.2 * np.sin(2 * np.pi * x) + 0.1 * np.cos(6 * np.pi * x)

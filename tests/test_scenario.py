@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kkdamp import model as md
 from kkdamp import scenario as sn
 from kkdamp import solver as sv
 from kkdamp.errors import ParseError, ValidationError
@@ -219,9 +222,64 @@ init.file = {snap_path}
     assert np.array_equal(f.u, res.trajectory[-1].u)
 
 
+@pytest.mark.parametrize(
+    "grid_lines, message",
+    [
+        ("x_hi = 1.0\nboundary = periodic", "cell centers differ"),
+        ("x_hi = 6.283185307179586\nboundary = outflow",
+         "file has boundary periodic, grid has outflow"),
+    ],
+    ids=["other-coordinates", "other-boundary"],
+)
+def test_init_from_file_refuses_a_snapshot_of_another_grid(tmp_path, grid_lines, message):
+    # a 64-cell [0, 2 pi] periodic snapshot, loaded into a 64-cell grid
+    # with other cell centers or another boundary
+    grid = sv.Grid1D(0.0, 2 * np.pi, 64, "periodic")
+    snap = sv.write_snapshot(
+        sv.StateField(grid, np.full(64, 0.3), np.full(64, 0.4)), md.PhiModel.power(1.0), "src",
+        tmp_path,
+    )
+    text = f"""\
+name = resumed
+phi = power:1
+a = 0.5
+b = 0.2
+x_lo = 0.0
+{grid_lines}
+n_cells = 64
+t_end = 0.1
+init = from_file
+init.file = {snap}
+"""
+    sc = sn.parse_scenario_text(text)
+    with pytest.raises(ValidationError, match=message) as exc:
+        sc.initial_field(sc.grid())
+    assert exc.value.field == "init.file"
+
+
 def test_mollified_initial_data():
     text = GOOD.replace("init.amplitude = 0.2", "init.amplitude = 0.2\ninit.mollify_eps = 0.5")
     sc = sn.parse_scenario_text(text)
     raw = sn.parse_scenario_text(GOOD).initial_field(sc.grid())
     smooth = sc.initial_field(sc.grid())
     assert float(np.max(np.abs(smooth.u))) < float(np.max(np.abs(raw.u)))
+
+
+_LINE = st.one_of(
+    st.text(max_size=30),
+    st.builds(
+        "{} = {}".format,
+        st.sampled_from(sorted(sn._KNOWN_KEYS) + ["bogus", "Name", "a b"]),
+        st.text(max_size=12),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(), st.lists(_LINE, max_size=12).map("\n".join)))
+def test_parser_returns_a_scenario_or_a_typed_error(text):
+    try:
+        sc = sn.parse_scenario_text(text)
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(sc, sn.Scenario)
