@@ -5,7 +5,8 @@ diagnostics.
 
 scipy is imported inside the functions that call it (tabulated phi,
 `PhiModel.level_radius`, the characteristics oracle and cumulative
-quadrature), so importing the package and its CLI needs numpy alone."""
+quadrature), and each CLI command imports the modules it runs, so
+importing the package and its CLI needs numpy alone."""
 
 __version__ = "0.1.0"
 
@@ -28,3 +29,8 @@ from .errors import (  # noqa: F401
     ValidationError,
 )
 from .model import Damping, PhiModel, State  # noqa: F401
+
+
+def _fmt(x: float) -> str:
+    """A float in full round-trip precision, as every artifact writes it."""
+    return format(float(x), ".17e")

@@ -15,11 +15,10 @@ Oracles used for cross-checks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .entropy import EntropyPair
 from .errors import (
     AxisState,
     ConfigError,
@@ -30,7 +29,10 @@ from .errors import (
 )
 from .model import Damping, PhiModel
 from .quadrature import bump, bump_derivative
-from .solver import StateField, Trajectory
+from .solver import StateField, Trajectory, lp_norm  # lp_norm is re-exported here
+
+if TYPE_CHECKING:
+    from .entropy import EntropyPair
 
 
 # -- weights ----------------------------------------------------------------
@@ -71,26 +73,6 @@ class WeightFunction:
         return bool(np.max(np.abs(self.dk(xs))) <= np.max(self.k(xs)) + 1e-15) and bool(
             np.all(np.abs(self.dk(xs)) <= self.k(xs) * (1.0 + 1e-12))
         )
-
-
-# -- norms ------------------------------------------------------------------
-
-
-def lp_norm(f: StateField, p: float, weight: WeightFunction | None = None) -> float:
-    """L^p norm of the radius field r = |(u, v)|, optionally weighted by
-    k(x): (integral of r^p k dx)^(1/p); p = inf gives the (weighted) sup."""
-    r = f.r
-    if weight is not None:
-        kx = np.asarray(weight.k(f.grid.centers), dtype=float)
-    else:
-        kx = None
-    if p == np.inf:
-        vals = r if kx is None else kx * r
-        return float(np.max(vals))
-    if p < 1:
-        raise ConfigError(f"p must be >= 1 or inf, got {p}")
-    vals = r**p if kx is None else kx * r**p
-    return float((f.grid.dx * np.sum(vals)) ** (1.0 / p))
 
 
 # -- closed-form oracles ----------------------------------------------------

@@ -13,25 +13,19 @@ Subcommands:
 Exit codes: 0 all requested checks pass, 1 a check failed or a model
 error was raised, 2 usage errors. The output root is --output-dir unless
 the environment variable KKD_OUTPUT_DIR is set, which takes precedence.
+
+Each handler imports the modules it runs, so a short command such as
+`eigen` loads only the model.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from .entropy import flux_bound, power_entropy_pair
+from . import __version__, _fmt
 from .errors import KKDampError, ValidationError
 from .model import Damping, PhiModel, State, classify_field, eigenvalues, eigenvectors
-from .region import RegionSigma, boundary_flow_check
-from .scenario import output_root, parse_scenario, run_scenario
-from .solver import _fmt
-from .viscous import vanishing_viscosity_sweep
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,6 +117,10 @@ def _parse_values(option: str, text: str, kind=float, count=None, minimum=None) 
 
 
 def _cmd_run(args) -> int:
+    from .scenario import parse_scenario
+
+    if args.jobs < 1:
+        raise UsageError(f"--jobs: must be >= 1, got {args.jobs}")
     scenarios, paths = [], {}
     for sc in map(parse_scenario, args.scenarios):
         if sc.name in paths:
@@ -132,7 +130,10 @@ def _cmd_run(args) -> int:
         scenarios.append(sc)
     roots = [args.output_dir] * len(scenarios)
     if args.jobs > 1 and len(scenarios) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # the pool starts every worker up front: no more than there are scenarios
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(scenarios))) as pool:
             results = list(pool.map(_run_one, scenarios, roots))
     else:
         results = list(map(_run_one, scenarios, roots))
@@ -146,11 +147,15 @@ def _cmd_run(args) -> int:
 
 
 def _run_one(sc, out_dir):
+    from .scenario import run_scenario
+
     res = run_scenario(sc, out_root=out_dir)
     return res.name, res.passed, res.checks, str(res.out_dir)
 
 
 def _cmd_simulate(args) -> int:
+    from .scenario import parse_scenario, run_scenario
+
     sc = parse_scenario(args.scenario)
     sc.entries = {k: e for k, e in sc.entries.items() if not k.startswith("check.")}
     res = run_scenario(sc, out_root=args.output_dir)
@@ -160,6 +165,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decay(args) -> int:
     from .analysis import WeightFunction, decay_harness
+    from .scenario import parse_scenario, run_scenario
 
     (p,) = _parse_values("--p", args.p, count=1)
     sc = parse_scenario(args.scenario)
@@ -182,6 +188,12 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_entropy_pair(args) -> int:
+    from pathlib import Path
+
+    import numpy as np
+
+    from .entropy import flux_bound, power_entropy_pair
+
     (n_rows,) = _parse_values("--n", args.n, int, count=1, minimum=0)
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     pair = power_entropy_pair(args.m, phi)
@@ -191,6 +203,8 @@ def _cmd_entropy_pair(args) -> int:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
     else:
+        from .scenario import output_root
+
         root = output_root(args.output_dir)
         root.mkdir(parents=True, exist_ok=True)
         safe_phi = args.phi.replace(":", "_").replace(",", "_").replace("/", "_")
@@ -209,6 +223,8 @@ def _cmd_entropy_pair(args) -> int:
 
 
 def _cmd_region_check(args) -> int:
+    from .region import RegionSigma, boundary_flow_check
+
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     c0 = args.c0 if args.c0 is not None else float(phi.phi(0.5 * phi.r_max))
     sigma = RegionSigma(c0=c0, c1=args.c1, c2=args.c2)
@@ -232,6 +248,9 @@ def _cmd_region_check(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
+    from .scenario import output_root, parse_scenario
+    from .viscous import vanishing_viscosity_sweep
+
     eps_values = _parse_values("--epsilons", args.epsilons)
     sc = parse_scenario(args.scenario)
     phi = sc.phi_model()

@@ -38,13 +38,23 @@ class NonLipschitz(KKDampError):
 
 
 class CFLViolation(KKDampError):
-    """Requested inviscid step exceeds the CFL limit dt <= dx / speed."""
+    """Requested inviscid step exceeds the CFL limit dt <= dx / speed;
+    `speed` is the top wave speed the step guard measured."""
+
+    def __init__(self, message: str, speed: float | None = None):
+        self.speed = speed
+        super().__init__(message)
 
 
 class StabilityViolation(KKDampError):
     """Requested viscous step breaks speed dt/dx + 2 eps dt/dx^2 <= 1 (the
-    message names the diffusion number eps dt/dx^2), or the time step has
-    become too small to advance t."""
+    message names the diffusion number eps dt/dx^2, and `speed` is the top
+    wave speed the step guard measured), or a march has stopped advancing t
+    or reached its step cap (`speed` is None)."""
+
+    def __init__(self, message: str, speed: float | None = None):
+        self.speed = speed
+        super().__init__(message)
 
 
 class NonFinite(KKDampError):

@@ -25,22 +25,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
-from .analysis import (
-    WeightFunction,
-    decay_harness,
-    lp_norm,
-    riemann_invariant_diagnostics,
-)
+from . import __version__, _fmt
 from .errors import KKDampError, ParseError, ValidationError
 from .model import Damping, PhiModel
-from .region import RegionSigma, trajectory_containment
 from .solver import (
     Grid1D,
     SolverConfig,
     StateField,
     Trajectory,
-    _fmt,
+    lp_norm,
     mollify_profile,
     read_snapshot,
     simulate,
@@ -419,7 +412,11 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
     checks: dict[str, bool] = {}
     details: list[str] = []
 
+    # each check imports the harness it runs, so parsing and the march
+    # load neither analysis nor region
     if sc.get_bool("check.decay", False):
+        from .analysis import WeightFunction, decay_harness
+
         p = sc.get_float("check.decay.p", 2.0)
         weighted = sc.get_bool("check.decay.weighted", False)
         rep = decay_harness(
@@ -435,6 +432,8 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
         details.append(f"check.decay.passed = {str(rep.passed).lower()}")
 
     if sc.get_bool("check.containment", False):
+        from .region import RegionSigma, trajectory_containment
+
         r0_max = float(np.max(init.r))
         z0 = init.u / init.v
         c0_raw = sc.get_str("check.containment.c0", "auto")
@@ -455,6 +454,8 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
         details.append(f"check.containment.passed = {str(rep.passed).lower()}")
 
     if sc.get_bool("check.invariants", False):
+        from .analysis import riemann_invariant_diagnostics
+
         rep = riemann_invariant_diagnostics(
             full, phi, d, tol=sc.get_float("check.invariants.tol", 5e-2)
         )

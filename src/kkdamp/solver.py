@@ -30,10 +30,11 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from . import _fmt
 from .errors import (
     CFLViolation,
     ConfigError,
@@ -45,11 +46,18 @@ from .errors import (
 from .model import Damping, PhiModel
 from .quadrature import bump
 
+if TYPE_CHECKING:
+    from .analysis import WeightFunction
+
 SCHEMES = ("rusanov", "lax_friedrichs")
 SPLITTINGS = ("strang", "lie")
 BOUNDARIES = ("periodic", "outflow")
 
 WAVESPEED_FLOOR = 1e-14
+
+# The most steps one march may take. `simulate` refuses a march whose first
+# step predicts more, and stops one that reaches it.
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -118,6 +126,23 @@ class StateField:
         u = np.broadcast_to(np.asarray(u0(x), dtype=float), x.shape).copy()
         v = np.broadcast_to(np.asarray(v0(x), dtype=float), x.shape).copy()
         return cls(grid, u, v, t)
+
+
+def lp_norm(f: StateField, p: float, weight: WeightFunction | None = None) -> float:
+    """L^p norm of the radius field r = |(u, v)|, optionally weighted by
+    k(x): (integral of r^p k dx)^(1/p); p = inf gives the (weighted) sup."""
+    r = f.r
+    if weight is not None:
+        kx = np.asarray(weight.k(f.grid.centers), dtype=float)
+    else:
+        kx = None
+    if p == np.inf:
+        vals = r if kx is None else kx * r
+        return float(np.max(vals))
+    if p < 1:
+        raise ConfigError(f"p must be >= 1 or inf, got {p}")
+    vals = r**p if kx is None else kx * r**p
+    return float((f.grid.dx * np.sum(vals)) ** (1.0 / p))
 
 
 def _check_viscous_scheme(scheme: str, eps: float):
@@ -279,11 +304,14 @@ def _flux_update(
     nu = eps * dt / (dx * dx) if eps != 0.0 else 0.0
     if dt > limit * (1.0 + 1e-9):
         if eps == 0.0:
-            raise CFLViolation(f"dt={dt:g} exceeds stable step {limit:g} (speed {top:g})")
+            raise CFLViolation(
+                f"dt={dt:g} exceeds stable step {limit:g} (speed {top:g})", speed=top
+            )
         raise StabilityViolation(
             f"dt={dt:g} exceeds stable step {limit:g}: speed dt/dx + 2 eps dt/dx^2 = "
             f"{top * dt / dx + 2.0 * nu:g} > 1 (speed {top:g}, diffusion number "
-            f"eps dt/dx^2 = {nu:g})"
+            f"eps dt/dx^2 = {nu:g})",
+            speed=top,
         )
     if scheme == "rusanov":
         half_alpha = np.maximum(speed[:-1], speed[1:])
@@ -376,7 +404,13 @@ def simulate(
     """March from init.t to cfg.t_end, recording snapshots at the
     requested output times (hit exactly by truncating the final step of
     each segment). dt is cfg.stable_dt at the current data's wave speed,
-    recomputed every step. Raises StabilityViolation when dt is too small
+    recomputed every step. Damping can make the damped state the kernel
+    sees faster than the current one; a step whose guard trips is redone
+    once at cfg.stable_dt of the kernel's own top speed.
+
+    Raises ValidationError, naming the config field that sets dt, when the
+    first step predicts more than MAX_STEPS steps to t_end, and
+    StabilityViolation when a march reaches MAX_STEPS or dt is too small
     to advance t.
 
     The theory behind the continuous problem assumes r phi'(r) != 0;
@@ -393,20 +427,38 @@ def simulate(
     if targets[0] < init.t - 1e-12:
         raise ConfigError("output time precedes the initial time")
     dx = init.grid.dx
+    elapsed = targets[-1] - init.t
     f = init  # steps never write into their input
     out: list[StateField] = []
     n_steps = 0
     for target in targets:
         while f.t < target * (1.0 - 1e-15) - 1e-15:
-            dt = min(cfg.stable_dt(dx, max_wavespeed(f, phi)), target - f.t)
+            speed = max_wavespeed(f, phi)
+            stable = cfg.stable_dt(dx, speed)
+            dt = min(stable, target - f.t)
             if f.t + dt == f.t:
                 raise StabilityViolation(f"dt={dt:.3g} no longer advances t={f.t:.17g}")
-            f = step_once(f, phi, d, dt, cfg.scheme, cfg.splitting, cfg.eps)
+            if n_steps == 0 and elapsed > MAX_STEPS * stable:
+                key = "cfl" if stable == cfg.cfl * dx / speed else "diffusion_number"
+                raise ValidationError(
+                    key, f"dt = {stable:.3g} needs more than {MAX_STEPS} steps to cover "
+                    f"t = {init.t:g} to {targets[-1]:g}"
+                )
+            if n_steps >= MAX_STEPS:
+                raise StabilityViolation(f"march reached {MAX_STEPS} steps at t={f.t:.17g}")
+            try:
+                f = step_once(f, phi, d, dt, cfg.scheme, cfg.splitting, cfg.eps)
+            except (CFLViolation, StabilityViolation) as exc:
+                if exc.speed is None:
+                    raise
+                # stable_dt at the guard's speed is below the limit that
+                # tripped, so it is also below dt and target - f.t
+                redo = cfg.stable_dt(dx, exc.speed)
+                f = step_once(f, phi, d, redo, cfg.scheme, cfg.splitting, cfg.eps)
             n_steps += 1
         snap = f.copy()
         snap.t = target  # clamp away last-step rounding
         out.append(snap)
-    elapsed = targets[-1] - init.t
     return Trajectory(
         fields=out,
         n_steps=n_steps,
@@ -457,10 +509,6 @@ def mollify_initial_data(
         mollify_profile(raw.v, eps, grid),
         t,
     )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17e")
 
 
 def snapshot_path(out_dir, run_name: str, t: float) -> Path:

@@ -79,6 +79,39 @@ def test_run_parallel_jobs(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "out" / "job_two").exists()
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs
+    the scenarios in this process."""
+
+    workers = []
+
+    def __init__(self, max_workers):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, workers", [("64", 2), ("2", 2)])
+def test_run_jobs_starts_no_more_workers_than_scenarios(tmp_path, capsys, monkeypatch,
+                                                        jobs, workers):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    paths = [str(write_scenario(tmp_path, n, SMALL.format(name=n))) for n in ("one", "two")]
+    code = main(["run", *paths, "--jobs", jobs, "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert _RecordingPool.workers == [workers]
+    assert "one: pass" in capsys.readouterr().out
+
+
 def test_run_reports_failing_check(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
     # claim a decay rate the data cannot deliver by damping far slower
@@ -320,9 +353,10 @@ def test_run_refuses_two_scenarios_with_one_name(tmp_path, capsys, jobs):
          "--n: must be >= 0, got '-1'"),
         ("entropy-pair --m 2 --phi power:1 --n 2.5 --output-dir {out}",
          "--n: expected one integer, got '2.5'"),
+        ("run {cfg} --jobs 0 --output-dir {out}", "--jobs: must be >= 1, got 0"),
     ],
     ids=["decay-p", "convergence-epsilons", "eigen-state", "eigen-state-count", "entropy-pair-n",
-         "entropy-pair-n-integer"],
+         "entropy-pair-n-integer", "run-jobs"],
 )
 def test_bad_option_values_exit_2_with_one_line(tmp_path, capsys, argv, message):
     cfg, out = write_scenario(tmp_path), tmp_path / "out"
@@ -373,19 +407,12 @@ HOSTILE_KEYS = sorted(set(TINY) - {"name"}) + [
 HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-308", "abc", "auto", "1,2"]
 
 
-def _endless(overrides):
-    # A valid march with ~1e308 steps: a tiny positive cfl or diffusion
-    # number (so would x_hi - x_lo near 1e-30 or t_end = 1e308, which no
-    # value here gives). No step budget exists, so such runs are left out.
-    return any(overrides.get(k) == "1e-308" for k in ("cfl", "viscous.diffusion_number"))
-
-
 @pytest.mark.filterwarnings("ignore")
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(
     st.dictionaries(
         st.sampled_from(HOSTILE_KEYS), st.sampled_from(HOSTILE_VALUES), max_size=2
-    ).filter(lambda o: not _endless(o))
+    )
 )
 def test_run_with_hostile_values_exits_0_or_1(overrides):
     text = "".join(f"{k} = {v}\n" for k, v in {**TINY, **overrides}.items())

@@ -1,6 +1,6 @@
 """The one marching loop: bit-identity against the unfused split step,
-discrete invariants, the stalled-march guard, and early validation of
-check values."""
+discrete invariants, the stalled-march guard, step rejection, the step
+budget, and early validation of check values."""
 
 import math
 
@@ -13,7 +13,13 @@ from kkdamp import model as md
 from kkdamp import scenario as sn
 from kkdamp import solver as sv
 from kkdamp.cli import main
-from kkdamp.errors import ConfigError, ParseError, StabilityViolation
+from kkdamp.errors import (
+    CFLViolation,
+    ConfigError,
+    ParseError,
+    StabilityViolation,
+    ValidationError,
+)
 
 
 def _laplacian(w, boundary):
@@ -167,6 +173,65 @@ def test_stalled_march_raises_instead_of_spinning():
     cfg = sv.SolverConfig(t_end=2.0)
     with pytest.raises(StabilityViolation, match=r"dt=\S+ no longer advances t=1$"):
         sv.simulate(init, md.PhiModel.power(20.0), md.Damping(0.1, 0.1), cfg)
+
+
+def _damping_speeds_up_case():
+    """phi = 2 - r on [0, 1.5]: damping shrinks r and so raises the wave
+    speed, and the kernel sees the damped state."""
+    rs = np.linspace(0.0, 1.5, 61)
+    phi = md.PhiModel.tabulated(rs, 2.0 - rs)
+    grid = sv.Grid1D(0.0, 2 * np.pi, 64, "periodic")
+    r0 = 0.6 + 0.25 * np.sin(grid.centers)
+    init = sv.StateField(grid, r0 * np.cos(np.pi / 4), r0 * np.sin(np.pi / 4))
+    return phi, init
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 1.0), (5.0, 5.0)])
+@pytest.mark.parametrize(
+    "step_rule, guard",
+    [({"cfl": 1.0}, CFLViolation),
+     ({"cfl": 0.9, "eps": 0.3, "diffusion_number": 0.5}, StabilityViolation)],
+    ids=["cfl-1", "diffusion-number-0.5"],
+)
+def test_march_redoes_a_step_whose_guard_trips(a, b, step_rule, guard):
+    # the step rule leaves no slack, so the first step trips the guard
+    phi, init = _damping_speeds_up_case()
+    d = md.Damping(a, b)
+    cfg = sv.SolverConfig(t_end=0.2, **step_rule)
+    speed = sv.max_wavespeed(init, phi)
+    with pytest.raises(guard) as exc:  # a direct step still raises
+        sv.step_once(init, phi, d, cfg.stable_dt(init.grid.dx, speed), eps=cfg.eps)
+    assert exc.value.speed > speed  # the damped state is faster
+    traj = sv.simulate(init, phi, d, cfg)
+    assert traj[-1].t == 0.2
+    r_top = float(np.max(init.r))
+    assert all(np.all(f.u > 0) and np.all(f.v > 0) and np.max(f.r) <= r_top for f in traj)
+
+
+@pytest.mark.parametrize(
+    "step_rule, key",
+    [({"cfl": 1e-308}, "cfl"),
+     ({"eps": 0.01, "diffusion_number": 1e-308}, "diffusion_number")],
+)
+def test_march_past_the_step_budget_is_refused_before_it_starts(step_rule, key):
+    grid = sv.Grid1D(0.0, 1.0, 16)
+    init = sv.StateField(grid, np.full(16, 0.5), np.full(16, 0.5))
+    cfg = sv.SolverConfig(t_end=0.05, **step_rule)
+    with pytest.raises(ValidationError, match=f"needs more than {sv.MAX_STEPS} steps") as exc:
+        sv.simulate(init, md.PhiModel.power(1.0), md.Damping(0.5, 0.2), cfg)
+    assert exc.value.field == key
+
+
+def test_march_stops_at_the_step_cap(monkeypatch):
+    # the first step predicts under 3 steps, but ten output times need ten
+    monkeypatch.setattr(sv, "MAX_STEPS", 5)
+    grid = sv.Grid1D(0.0, 1.0, 16)
+    init = sv.StateField(grid, np.full(16, 0.5), np.full(16, 0.5))
+    outputs = [0.001 * k for k in range(1, 10)] + [0.05]
+    cfg = sv.SolverConfig(t_end=0.05, output_times=outputs)
+    with pytest.raises(StabilityViolation, match="march reached 5 steps") as exc:
+        sv.simulate(init, md.PhiModel.power(1.0), md.Damping(0.5, 0.2), cfg)
+    assert exc.value.speed is None
 
 
 SCENARIO = """\

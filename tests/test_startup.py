@@ -1,6 +1,8 @@
 """Start-up cost: scipy is imported only by the functions that call it, so
-the CLI and the commands that never need it run with numpy alone."""
+the CLI and the commands that never need it run with numpy alone, and each
+command loads only the kkdamp modules it runs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +50,47 @@ def test_eigen_region_check_and_shipped_scenarios_never_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+def _loaded_after(code: str, cwd) -> set:
+    """The kkdamp and concurrent.futures modules a fresh process holds after
+    running `code`."""
+    proc = _fresh_python(
+        "import json, sys\n" + code + "\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith(('kkdamp', 'concurrent'))]))\n",
+        cwd,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+CLI_BASE = {"kkdamp", "kkdamp.errors", "kkdamp.model", "kkdamp.cli"}
+
+
+def _kkdamp_only(modules: set) -> set:
+    return {m for m in modules if m.startswith("kkdamp")}
+
+
+def test_eigen_loads_only_the_model(tmp_path):
+    loaded = _loaded_after(
+        "from kkdamp.cli import main\nmain(['eigen', '--phi', 'power:2', '--state', '3,4'])",
+        tmp_path,
+    )
+    assert _kkdamp_only(loaded) == CLI_BASE
+    assert "concurrent.futures.process" not in loaded
+
+
+def test_region_check_adds_only_region(tmp_path):
+    loaded = _loaded_after(
+        "from kkdamp.cli import main\n"
+        "main(['region-check', '--phi', 'power:1', '--a', '0.6', '--b', '0.2', '--c1', '0'])",
+        tmp_path,
+    )
+    assert _kkdamp_only(loaded) == CLI_BASE | {"kkdamp.region"}
+
+
+def test_importing_the_scenario_module_leaves_the_checks_out(tmp_path):
+    loaded = _loaded_after("import kkdamp.scenario", tmp_path)
+    assert "kkdamp.solver" in loaded
+    assert not loaded & {"kkdamp.analysis", "kkdamp.region", "kkdamp.entropy",
+                         "kkdamp.viscous"}
