@@ -4,7 +4,7 @@ Subcommands:
 
     run           scenario file(s): simulate + enabled checks (--jobs N)
     simulate      scenario file: snapshots only, checks skipped
-    decay         scenario file: norm series + decay verdict
+    decay         scenario file: norm series + decay verdict, its checks skipped
     entropy-pair  tabulate q(r) for a power entropy and a phi model
     region-check  boundary flow signs for a region Sigma
     convergence   vanishing-viscosity sweep for a scenario
@@ -153,23 +153,27 @@ def _run_one(sc, out_dir):
     return res.name, res.passed, res.checks, str(res.out_dir)
 
 
-def _cmd_simulate(args) -> int:
+def _run_without_checks(args):
+    """Parse `args.scenario`, drop its `check.*` keys and run it; return the
+    scenario and the RunResult."""
     from .scenario import parse_scenario, run_scenario
 
     sc = parse_scenario(args.scenario)
     sc.entries = {k: e for k, e in sc.entries.items() if not k.startswith("check.")}
-    res = run_scenario(sc, out_root=args.output_dir)
+    return sc, run_scenario(sc, out_root=args.output_dir)
+
+
+def _cmd_simulate(args) -> int:
+    _, res = _run_without_checks(args)
     print(f"{res.name}: wrote {len(res.artifacts)} files -> {res.out_dir}")
     return 0
 
 
 def _cmd_decay(args) -> int:
     from .analysis import WeightFunction, decay_harness
-    from .scenario import parse_scenario, run_scenario
 
     (p,) = _parse_values("--p", args.p, count=1)
-    sc = parse_scenario(args.scenario)
-    res = run_scenario(sc, out_root=args.output_dir)
+    sc, res = _run_without_checks(args)
     weight = WeightFunction.default() if args.weighted else None
     rep = decay_harness(
         res.trajectory,

@@ -1,9 +1,13 @@
 """Flat key=value scenario files and the run orchestration behind the CLI.
 
 Format: one `key = value` per line, '#' comments and blank lines ignored.
-Keys are dotted lowercase identifiers. Unknown keys, malformed lines, and
-unparseable values raise ParseError with 1-based line and column;
-semantically invalid combinations raise ValidationError naming the field.
+Keys are dotted lowercase identifiers, each with one value type in
+`_KNOWN_KEYS`. Every value is typed when the file is parsed: unknown keys,
+malformed lines, and malformed values raise ParseError with 1-based line
+and column, so a `run` refuses its whole batch before any march.
+Semantically invalid values and combinations (a missing required key,
+a < b, an unknown phi family or word choice) raise when they are used,
+as ValidationError naming the field or ParseError at the value.
 
 A run writes, under <output root>/<name>/:
 
@@ -45,78 +49,62 @@ DEFAULT_OUTPUT_ROOT = "kkd_out"
 
 _KEY_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_.")
 
-_KNOWN_KEYS = {
-    "name",
-    "phi",
-    "r_max",
-    "a",
-    "b",
-    "x_lo",
-    "x_hi",
-    "n_cells",
-    "boundary",
-    "t_end",
-    "n_outputs",
-    "output_times",
-    "scheme",
-    "splitting",
-    "cfl",
-    "seed",
-    "snapshots",
-    "viscous.eps",
-    "viscous.diffusion_number",
-    "init",
-    "init.u",
-    "init.v",
-    "init.mean",
-    "init.amplitude",
-    "init.wavenumber",
-    "init.angle",
-    "init.angle_amplitude",
-    "init.angle_wavenumber",
-    "init.u_left",
-    "init.v_left",
-    "init.u_right",
-    "init.v_right",
-    "init.x_jump",
-    "init.file",
-    "init.mollify_eps",
-    "check.decay",
-    "check.decay.p",
-    "check.decay.weighted",
-    "check.containment",
-    "check.containment.c0",
-    "check.containment.c1",
-    "check.containment.c2",
-    "check.containment.tol",
-    "check.invariants",
-    "check.invariants.tol",
-}
 
-# Keys whose value is a number ("inf" included) or one of the listed words.
-_NUMBER_OR_WORD = {
-    "check.decay.p": (),
-    "check.containment.c0": ("auto",),
-    "check.containment.c1": ("auto",),
-    "check.containment.c2": ("auto",),
+def _on_off(text: str) -> bool:
+    low = text.lower()
+    if low in ("on", "true", "yes", "1"):
+        return True
+    if low in ("off", "false", "no", "0"):
+        return False
+    raise ValueError(text)
+
+
+# value types: (converter, noun for the error message); a converter raises
+# ValueError on a malformed value
+_NUMBER = (float, "a number")  # "inf" and "nan" included
+_INTEGER = (int, "an integer")
+_ON_OFF = (_on_off, "on/off")
+_NUMBERS = (lambda text: [float(tok) for tok in text.split(",")], "comma-separated numbers")
+_NUMBER_OR_AUTO = (lambda text: text if text == "auto" else float(text), "a number or auto")
+_TEXT = (str, "text")
+
+# every key a scenario may set, and the type of its value
+_KNOWN_KEYS = {
+    **dict.fromkeys(
+        "r_max a b x_lo x_hi t_end cfl viscous.eps viscous.diffusion_number init.u init.v "
+        "init.mean init.amplitude init.wavenumber init.angle init.angle_amplitude "
+        "init.angle_wavenumber init.u_left init.v_left init.u_right init.v_right init.x_jump "
+        "init.mollify_eps check.decay.p check.containment.tol check.invariants.tol".split(),
+        _NUMBER,
+    ),
+    **dict.fromkeys("n_cells n_outputs".split(), _INTEGER),
+    **dict.fromkeys(
+        "check.decay check.decay.weighted check.containment check.invariants".split(), _ON_OFF
+    ),
+    "output_times": _NUMBERS,
+    **dict.fromkeys(
+        "check.containment.c0 check.containment.c1 check.containment.c2".split(), _NUMBER_OR_AUTO
+    ),
+    **dict.fromkeys(
+        "name phi boundary scheme splitting snapshots init init.file".split(), _TEXT
+    ),
 }
 
 
 @dataclass
 class Entry:
-    value: str
+    text: str  # the value as written, which the manifest echoes
+    value: object  # the text converted by the key's type
     line: int
     col: int  # 1-based column where the value starts
 
 
 @dataclass
 class Scenario:
-    """Parsed scenario: raw entries in file order plus typed accessors."""
+    """Parsed scenario: typed entries in file order."""
 
     entries: dict = field(default_factory=dict)
     path: str = "<memory>"
-
-    # -- typed accessors ---------------------------------------------------
 
     def has(self, key: str) -> bool:
         return key in self.entries
@@ -126,104 +114,79 @@ class Scenario:
             raise ValidationError(key, "required key is missing")
         return self.entries[key]
 
-    def get_float(self, key: str, default: float | None = None) -> float:
-        if default is not None and key not in self.entries:
-            return default
-        e = self._entry(key)
-        try:
-            return float(e.value)
-        except ValueError:
-            raise ParseError(e.line, e.col, f"{key}: expected a number, got {e.value!r}")
-
-    def get_int(self, key: str, default: int | None = None) -> int:
-        if default is not None and key not in self.entries:
-            return default
-        e = self._entry(key)
-        try:
-            return int(e.value)
-        except ValueError:
-            raise ParseError(e.line, e.col, f"{key}: expected an integer, got {e.value!r}")
-
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        if key not in self.entries:
-            return default
-        e = self.entries[key]
-        low = e.value.lower()
-        if low in ("on", "true", "yes", "1"):
-            return True
-        if low in ("off", "false", "no", "0"):
-            return False
-        raise ParseError(e.line, e.col, f"{key}: expected on/off, got {e.value!r}")
-
-    def get_str(self, key: str, default: str | None = None) -> str:
+    def get(self, key: str, default=None):
+        """The typed value of `key`; `default` when the file does not set
+        it, and a required key when `default` is None."""
         if default is not None and key not in self.entries:
             return default
         return self._entry(key).value
 
-    def get_float_list(self, key: str) -> list[float]:
-        e = self._entry(key)
-        try:
-            return [float(tok) for tok in e.value.split(",")]
-        except ValueError:
-            raise ParseError(e.line, e.col, f"{key}: expected comma-separated numbers")
+    # older names of `get`, still called from outside the package
+    get_str = get_float = get_bool = get
+
+    def _set_values(self, **keys) -> dict:
+        """{argument: value} for each scenario key in `keys` that the file
+        sets, so an unset key takes the default of the callee."""
+        return {arg: self.entries[key].value for arg, key in keys.items() if key in self.entries}
 
     # -- model construction --------------------------------------------------
 
     @property
     def name(self) -> str:
-        return self.get_str("name")
+        return self.get("name")
 
     def phi_model(self) -> PhiModel:
         e = self._entry("phi")
-        r_max = self.get_float("r_max", 10.0)
         try:
-            return PhiModel.from_spec(e.value, r_max=r_max)
+            return PhiModel.from_spec(e.value, **self._set_values(r_max="r_max"))
         except KKDampError as exc:
             raise ParseError(e.line, e.col, f"phi: {exc}")
 
     def damping(self) -> Damping:
-        return Damping(self.get_float("a"), self.get_float("b"))
+        return Damping(self.get("a"), self.get("b"))
 
     def grid(self) -> Grid1D:
         return Grid1D(
-            x_lo=self.get_float("x_lo"),
-            x_hi=self.get_float("x_hi"),
-            n_cells=self.get_int("n_cells"),
-            boundary=self.get_str("boundary", "periodic"),
+            x_lo=self.get("x_lo"),
+            x_hi=self.get("x_hi"),
+            n_cells=self.get("n_cells"),
+            **self._set_values(boundary="boundary"),
         )
 
     def solver_config(self) -> SolverConfig:
-        t_end = self.get_float("t_end")
+        t_end = self.get("t_end")
         if self.has("output_times"):
-            outputs = self.get_float_list("output_times")
+            outputs = self.get("output_times")
         else:
-            n_out = self.get_int("n_outputs", 2)
+            n_out = self.get("n_outputs", 2)
             if n_out < 2:
                 raise ValidationError("n_outputs", f"need >= 2, got {n_out}")
             outputs = list(np.linspace(0.0, t_end, n_out))[1:]
         return SolverConfig(
             t_end=t_end,
             output_times=outputs,
-            scheme=self.get_str("scheme", "rusanov"),
-            splitting=self.get_str("splitting", "strang"),
-            cfl=self.get_float("cfl", 0.45),
-            eps=self.get_float("viscous.eps", 0.0),
-            diffusion_number=self.get_float("viscous.diffusion_number", 0.4),
+            **self._set_values(
+                scheme="scheme",
+                splitting="splitting",
+                cfl="cfl",
+                eps="viscous.eps",
+                diffusion_number="viscous.diffusion_number",
+            ),
         )
 
     def initial_field(self, grid: Grid1D) -> StateField:
-        kind = self.get_str("init")
+        kind = self.get("init")
         x = grid.centers
         if kind == "constant":
-            u = np.full(grid.n_cells, self.get_float("init.u"))
-            v = np.full(grid.n_cells, self.get_float("init.v"))
+            u = np.full(grid.n_cells, self.get("init.u"))
+            v = np.full(grid.n_cells, self.get("init.v"))
         elif kind == "sine_radial":
-            mean = self.get_float("init.mean")
-            amp = self.get_float("init.amplitude")
-            wav = self.get_float("init.wavenumber", 1.0)
-            angle = self.get_float("init.angle", np.pi / 4.0)
-            aamp = self.get_float("init.angle_amplitude", 0.0)
-            awav = self.get_float("init.angle_wavenumber", 1.0)
+            mean = self.get("init.mean")
+            amp = self.get("init.amplitude")
+            wav = self.get("init.wavenumber", 1.0)
+            angle = self.get("init.angle", np.pi / 4.0)
+            aamp = self.get("init.angle_amplitude", 0.0)
+            awav = self.get("init.angle_wavenumber", 1.0)
             r0 = mean + amp * np.sin(wav * x)
             if np.any(r0 < 0):
                 raise ValidationError("init.amplitude", "radius profile dips below 0")
@@ -231,10 +194,10 @@ class Scenario:
             u = r0 * np.cos(theta)
             v = r0 * np.sin(theta)
         elif kind == "riemann_step":
-            xj = self.get_float("init.x_jump")
+            xj = self.get("init.x_jump")
             left = x < xj
-            u = np.where(left, self.get_float("init.u_left"), self.get_float("init.u_right"))
-            v = np.where(left, self.get_float("init.v_left"), self.get_float("init.v_right"))
+            u = np.where(left, self.get("init.u_left"), self.get("init.u_right"))
+            v = np.where(left, self.get("init.v_left"), self.get("init.v_right"))
         elif kind == "from_file":
             e = self._entry("init.file")
             try:
@@ -264,7 +227,7 @@ class Scenario:
             e = self._entry("init")
             raise ParseError(e.line, e.col, f"unknown initial profile {kind!r}")
 
-        eps = self.get_float("init.mollify_eps", 0.0)
+        eps = self.get("init.mollify_eps", 0.0)
         if eps != 0.0:  # 0 is off; mollify_profile refuses nan and negatives
             u = mollify_profile(u, eps, grid)
             v = mollify_profile(v, eps, grid)
@@ -296,14 +259,12 @@ def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
         col = raw_line.index(value, raw_line.index("=")) + 1
         if key in sc.entries:
             raise ParseError(ln, raw_line.index(key) + 1, f"duplicate key {key!r}")
-        words = _NUMBER_OR_WORD.get(key)
-        if words is not None and value not in words:
-            try:
-                float(value)
-            except ValueError:
-                expected = " or ".join(["a number", *words])
-                raise ParseError(ln, col, f"{key}: expected {expected}, got {value!r}")
-        sc.entries[key] = Entry(value=value, line=ln, col=col)
+        convert, noun = _KNOWN_KEYS[key]
+        try:
+            typed = convert(value)
+        except ValueError:
+            raise ParseError(ln, col, f"{key}: expected {noun}, got {value!r}")
+        sc.entries[key] = Entry(text=value, value=typed, line=ln, col=col)
     if "name" not in sc.entries:
         raise ValidationError("name", "required key is missing")
     return sc
@@ -364,7 +325,7 @@ def _write_norm_series(traj: Trajectory, path: Path):
 def _snapshot_selection(sc: Scenario, items: list) -> list:
     """The entries the `snapshots` mode selects from a per-output list
     that starts with the initial state."""
-    mode = sc.get_str("snapshots", "all")
+    mode = sc.get("snapshots", "all")
     if mode not in ("all", "final", "none"):
         raise ValidationError("snapshots", f"expected all/final/none, got {mode!r}")
     if mode == "all":
@@ -414,11 +375,11 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
 
     # each check imports the harness it runs, so parsing and the march
     # load neither analysis nor region
-    if sc.get_bool("check.decay", False):
+    if sc.get("check.decay", False):
         from .analysis import WeightFunction, decay_harness
 
-        p = sc.get_float("check.decay.p", 2.0)
-        weighted = sc.get_bool("check.decay.weighted", False)
+        p = sc.get("check.decay.p", 2.0)
+        weighted = sc.get("check.decay.weighted", False)
         rep = decay_harness(
             full,
             p,
@@ -431,20 +392,23 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
         details.append(f"check.decay.theorem_rate = {_fmt(rep.theorem_rate)}")
         details.append(f"check.decay.passed = {str(rep.passed).lower()}")
 
-    if sc.get_bool("check.containment", False):
+    if sc.get("check.containment", False):
         from .region import RegionSigma, trajectory_containment
 
         r0_max = float(np.max(init.r))
         z0 = init.u / init.v
-        c0_raw = sc.get_str("check.containment.c0", "auto")
-        c1_raw = sc.get_str("check.containment.c1", "0")
-        c2_raw = sc.get_str("check.containment.c2", "auto")
-        c0 = float(np.max(phi.phi(r0_max))) if c0_raw == "auto" else float(c0_raw)
-        c1 = float(np.min(z0)) if c1_raw == "auto" else float(c1_raw)
-        c2 = float(np.max(z0)) if c2_raw == "auto" else float(c2_raw)
+        c0 = sc.get("check.containment.c0", "auto")
+        c1 = sc.get("check.containment.c1", 0.0)
+        c2 = sc.get("check.containment.c2", "auto")
+        if c0 == "auto":
+            c0 = float(np.max(phi.phi(r0_max)))
+        if c1 == "auto":
+            c1 = float(np.min(z0))
+        if c2 == "auto":
+            c2 = float(np.max(z0))
         sigma = RegionSigma(c0=c0, c1=c1, c2=c2)
         rep = trajectory_containment(
-            full, sigma, phi, tol=sc.get_float("check.containment.tol", 1e-8)
+            full, sigma, phi, tol=sc.get("check.containment.tol", 1e-8)
         )
         checks["containment"] = rep.passed
         details.append(f"check.containment.c0 = {_fmt(c0)}")
@@ -453,11 +417,11 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
         details.append(f"check.containment.max_violation = {_fmt(rep.max_violation)}")
         details.append(f"check.containment.passed = {str(rep.passed).lower()}")
 
-    if sc.get_bool("check.invariants", False):
+    if sc.get("check.invariants", False):
         from .analysis import riemann_invariant_diagnostics
 
         rep = riemann_invariant_diagnostics(
-            full, phi, d, tol=sc.get_float("check.invariants.tol", 5e-2)
+            full, phi, d, tol=sc.get("check.invariants.tol", 5e-2)
         )
         checks["invariants"] = rep.passed
         details.append(f"check.invariants.fitted_z_rate = {_fmt(rep.fitted_z_rate)}")
@@ -483,7 +447,7 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
             fh.write(f"# timestamp_utc = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n")
             fh.write(f"# elapsed_seconds = {elapsed:.3f}\n")
             for key in sc.entries:
-                fh.write(f"{key} = {sc.entries[key].value}\n")
+                fh.write(f"{key} = {sc.entries[key].text}\n")
             fh.write(f"n_steps = {full.n_steps}\n")
             fh.write(f"avg_dt = {_fmt(full.avg_dt)}\n")
             for line in details:

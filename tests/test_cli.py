@@ -149,6 +149,30 @@ def test_decay_subcommand(tmp_path, capsys, monkeypatch):
     assert "fitted_rate" in out and "passed = True" in out
 
 
+def test_decay_runs_no_scenario_check_and_fits_once(tmp_path, capsys, monkeypatch):
+    # SMALL enables check.decay and check.invariants; add containment too
+    from kkdamp import analysis, region
+
+    calls = {}
+    for module, name in ((analysis, "decay_harness"), (region, "trajectory_containment"),
+                         (analysis, "riemann_invariant_diagnostics")):
+        calls[name] = 0
+
+        def counted(*a, _fn=getattr(module, name), _name=name, **k):
+            calls[_name] += 1
+            return _fn(*a, **k)
+
+        monkeypatch.setattr(module, name, counted)
+    text = SMALL.format(name="counted") + "check.containment = on\n"
+    path = write_scenario(tmp_path, "counted", text)
+    code = main(["decay", str(path), "--p", "2", "--output-dir", str(tmp_path / "out")])
+    assert code == 0
+    assert calls == {"decay_harness": 1, "trajectory_containment": 0,
+                     "riemann_invariant_diagnostics": 0}
+    manifest = (tmp_path / "out" / "counted" / "counted_manifest.txt").read_text()
+    assert "check." not in manifest
+
+
 def test_eigen_subcommand(capsys):
     code = main(["eigen", "--phi", "power:1", "--state", "3,4"])
     assert code == 0
@@ -339,6 +363,26 @@ def test_run_refuses_two_scenarios_with_one_name(tmp_path, capsys, jobs):
     assert err.startswith("error: name: 'same' names both")
     assert str(first) in err and str(second) in err
     assert not out.exists()  # refused before anything ran
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("a = 0.5", "a = abc", "line 3, col 5: a: expected a number, got 'abc'"),
+        ("snapshots = final", "snapshots = final\ncheck.containment.tol = lots",
+         "line 17, col 25: check.containment.tol: expected a number, got 'lots'"),
+    ],
+    ids=["damping", "containment-tol"],
+)
+def test_run_refuses_a_batch_with_a_malformed_value_before_any_march(tmp_path, capsys,
+                                                                     old, new, message):
+    good = write_scenario(tmp_path, "good")
+    bad = write_scenario(tmp_path, "bad", SMALL.format(name="bad").replace(old, new))
+    out = tmp_path / "out"
+    code = main(["run", str(good), str(bad), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()  # not even the good scenario ran
 
 
 @pytest.mark.parametrize(

@@ -58,19 +58,17 @@ def test_parse_errors_carry_position():
 
 
 def test_parse_value_errors():
-    sc = sn.parse_scenario_text("name = x\na = nope\n")
+    # values are typed when the file is parsed, not when they are used
     with pytest.raises(ParseError) as exc:
-        sc.get_float("a")
+        sn.parse_scenario_text("name = x\na = nope\n")
     assert exc.value.line == 2
     assert exc.value.col == 5
 
-    sc = sn.parse_scenario_text("name = x\nn_cells = 1.5\n")
     with pytest.raises(ParseError):
-        sc.get_int("n_cells")
+        sn.parse_scenario_text("name = x\nn_cells = 1.5\n")
 
-    sc = sn.parse_scenario_text("name = x\ncheck.decay = maybe\n")
     with pytest.raises(ParseError):
-        sc.get_bool("check.decay")
+        sn.parse_scenario_text("name = x\ncheck.decay = maybe\n")
 
 
 def test_parse_rejects_bad_keys_and_duplicates():
@@ -82,6 +80,8 @@ def test_parse_rejects_bad_keys_and_duplicates():
         sn.parse_scenario_text("name = x\na =\n")
     with pytest.raises(ValidationError):
         sn.parse_scenario_text("a = 1\n")  # missing name
+    with pytest.raises(ParseError, match="unknown key 'seed'"):
+        sn.parse_scenario_text("name = x\nseed = 1\n")  # nothing reads a seed
 
 
 def test_unknown_phi_family_is_a_parse_error():
@@ -274,12 +274,22 @@ _LINE = st.one_of(
     ),
 )
 
+# a named scenario of distinct known keys, so that some inputs parse
+_SCENARIO = st.dictionaries(
+    st.sampled_from(sorted(sn._KNOWN_KEYS)),
+    st.sampled_from(["1", "-2", "0.5", "inf", "nan", "on", "off", "auto", "1,2", "abc"]),
+    max_size=4,
+).map(lambda d: "".join(f"{k} = {v}\n" for k, v in {"name": "demo", **d}.items()))
+
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.text(), st.lists(_LINE, max_size=12).map("\n".join)))
+@given(st.one_of(st.text(), st.lists(_LINE, max_size=12).map("\n".join), _SCENARIO))
 def test_parser_returns_a_scenario_or_a_typed_error(text):
     try:
         sc = sn.parse_scenario_text(text)
     except (ParseError, ValidationError):
         return
     assert isinstance(sc, sn.Scenario)
+    for key, entry in sc.entries.items():  # every value was typed by the parser
+        convert, _ = sn._KNOWN_KEYS[key]
+        assert repr(sc.get(key)) == repr(convert(entry.text))
