@@ -10,9 +10,9 @@ Subcommands:
     convergence   vanishing-viscosity sweep for a scenario
     eigen         eigenstructure at a single state
 
-Exit codes: 0 all requested checks pass, 1 a check failed or a model
-error was raised, 2 usage errors. The output root is --output-dir unless
-the environment variable KKD_OUTPUT_DIR is set, which takes precedence.
+Exit codes: 0 all requested checks pass, 1 a check failed, a model error
+was raised or a file could not be read or written, 2 usage errors. The
+output root is --output-dir unless KKD_OUTPUT_DIR is set.
 
 Each handler imports the modules it runs, so a short command such as
 `eigen` loads only the model.
@@ -197,27 +197,21 @@ def _cmd_entropy_pair(args) -> int:
     import numpy as np
 
     from .entropy import flux_bound, power_entropy_pair
+    from .scenario import output_dir
+    from .solver import write_table
 
     (n_rows,) = _parse_values("--n", args.n, int, count=1, minimum=0)
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     pair = power_entropy_pair(args.m, phi)
     rs = np.linspace(0.0, phi.r_max, n_rows)
-    qs = np.asarray(pair.q(rs), dtype=float)
     if args.out is not None:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
     else:
-        from .scenario import output_root
-
-        root = output_root(args.output_dir)
-        root.mkdir(parents=True, exist_ok=True)
         safe_phi = args.phi.replace(":", "_").replace(",", "_").replace("/", "_")
-        out_path = root / f"entropy_pair_m{args.m:g}_{safe_phi}.tsv"
-    with open(out_path, "w") as fh:
-        fh.write(f"# entropy flux table: eta = r**{args.m:g}, phi = {phi.label}\n")
-        fh.write("# r\tq\n")
-        for r, q in zip(rs, qs):
-            fh.write(f"{_fmt(r)}\t{_fmt(q)}\n")
+        out_path = output_dir(args.output_dir) / f"entropy_pair_m{args.m:g}_{safe_phi}.tsv"
+    write_table(out_path, ("r", "q"), (rs, np.asarray(pair.q(rs), dtype=float)),
+                comments=(f"entropy flux table: eta = r**{args.m:g}, phi = {phi.label}",))
     m_sup = phi.sup_phi()
     bound = flux_bound(pair, m_sup, phi.r_max)
     print(f"wrote {out_path}")
@@ -252,7 +246,8 @@ def _cmd_region_check(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    from .scenario import output_root, parse_scenario
+    from .scenario import output_dir, parse_scenario
+    from .solver import write_table
     from .viscous import vanishing_viscosity_sweep
 
     eps_values = _parse_values("--epsilons", args.epsilons)
@@ -263,14 +258,13 @@ def _cmd_convergence(args) -> int:
     cfg = sc.solver_config()
     init = sc.initial_field(grid)
     report = vanishing_viscosity_sweep(init, phi, d, cfg, eps_values)
-    root = output_root(args.output_dir) / sc.name
-    root.mkdir(parents=True, exist_ok=True)
-    out_path = root / f"{sc.name}_viscosity_sweep.tsv"
-    with open(out_path, "w") as fh:
-        fh.write("# eps\tl1_distance\tn_steps\n")
-        for row in report.rows:
-            fh.write(f"{_fmt(row.eps)}\t{_fmt(row.l1_distance)}\t{row.n_steps}\n")
-    for row in report.rows:
+    rows = report.rows
+    out_path = write_table(
+        output_dir(args.output_dir, sc.name) / f"{sc.name}_viscosity_sweep.tsv",
+        ("eps", "l1_distance", "n_steps"),
+        ([r.eps for r in rows], report.distances, [r.n_steps for r in rows]),
+    )
+    for row in rows:
         print(f"eps = {row.eps:<10g} l1_distance = {row.l1_distance:.6e}")
     print(f"strictly_decreasing = {report.strictly_decreasing}")
     print(f"wrote {out_path}")
@@ -312,6 +306,10 @@ def main(argv=None) -> int:
         return 2
     except KKDampError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a file or directory that cannot be read, written or made
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
         return 1
 
 

@@ -80,9 +80,11 @@ class TestFunctionSupport(KKDampError):
 
 
 class ParseError(KKDampError, ValueError):
-    """Scenario text could not be parsed; carries line and column (1-based)."""
+    """Scenario text could not be parsed; carries line and column (1-based)
+    and the path of the file the text was read from, if any."""
 
-    def __init__(self, line: int, col: int, message: str):
+    def __init__(self, line: int, col: int, message: str, path: str | None = None):
         self.line = line
         self.col = col
-        super().__init__(f"line {line}, col {col}: {message}")
+        self.path = path
+        super().__init__(f"{path + ': ' if path else ''}line {line}, col {col}: {message}")

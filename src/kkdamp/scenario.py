@@ -4,20 +4,21 @@ Format: one `key = value` per line, '#' comments and blank lines ignored.
 Keys are dotted lowercase identifiers, each with one value type in
 `_KNOWN_KEYS`. Every value is typed when the file is parsed: unknown keys,
 malformed lines, and malformed values raise ParseError with 1-based line
-and column, so a `run` refuses its whole batch before any march.
+and column (and the file's path), so a `run` refuses its whole batch
+before any march. `name` must be one file-name component.
 Semantically invalid values and combinations (a missing required key,
 a < b, an unknown phi family or word choice) raise when they are used,
 as ValidationError naming the field or ParseError at the value.
 
-A run writes, under <output root>/<name>/:
+A run writes, under `output_dir(root, name)` = <output root>/<name>/:
 
     <name>_t<time>.tsv      snapshots (x, u, v, r, W, Z), '#' headers
     <name>_norms.tsv        norm series per output time
     <name>_manifest.txt     echo of the scenario plus check verdicts
 
-All floats are full-precision scientific notation, so files round-trip
-exactly and reruns are byte-identical (manifest comment lines carry the
-wall-clock data and are excluded from that guarantee).
+`solver.write_table` writes the tables in full precision, so files
+round-trip exactly and reruns are byte-identical (manifest comment lines
+carry the wall-clock data and are excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .solver import (
     simulate,
     snapshot_path,
     write_snapshot,
+    write_table,
 )
 
 DEFAULT_OUTPUT_ROOT = "kkd_out"
@@ -59,6 +61,14 @@ def _on_off(text: str) -> bool:
     raise ValueError(text)
 
 
+def _file_name(text: str) -> str:
+    """`text` if it is one file-name component, which keeps a scenario's
+    artifacts inside the output root."""
+    if text in (".", "..") or not {"/", "\0", os.sep, os.altsep}.isdisjoint(text):
+        raise ValueError(text)
+    return text
+
+
 # value types: (converter, noun for the error message); a converter raises
 # ValueError on a malformed value
 _NUMBER = (float, "a number")  # "inf" and "nan" included
@@ -67,6 +77,7 @@ _ON_OFF = (_on_off, "on/off")
 _NUMBERS = (lambda text: [float(tok) for tok in text.split(",")], "comma-separated numbers")
 _NUMBER_OR_AUTO = (lambda text: text if text == "auto" else float(text), "a number or auto")
 _TEXT = (str, "text")
+_FILE_NAME = (_file_name, "one file-name component")
 
 # every key a scenario may set, and the type of its value
 _KNOWN_KEYS = {
@@ -85,9 +96,8 @@ _KNOWN_KEYS = {
     **dict.fromkeys(
         "check.containment.c0 check.containment.c1 check.containment.c2".split(), _NUMBER_OR_AUTO
     ),
-    **dict.fromkeys(
-        "name phi boundary scheme splitting snapshots init init.file".split(), _TEXT
-    ),
+    **dict.fromkeys("phi boundary scheme splitting snapshots init init.file".split(), _TEXT),
+    "name": _FILE_NAME,
 }
 
 
@@ -104,7 +114,7 @@ class Scenario:
     """Parsed scenario: typed entries in file order."""
 
     entries: dict = field(default_factory=dict)
-    path: str = "<memory>"
+    path: str | None = None  # the file the text was read from
 
     def has(self, key: str) -> bool:
         return key in self.entries
@@ -122,7 +132,7 @@ class Scenario:
         return self._entry(key).value
 
     # older names of `get`, still called from outside the package
-    get_str = get_float = get_bool = get
+    get_str = get_float = get
 
     def _set_values(self, **keys) -> dict:
         """{argument: value} for each scenario key in `keys` that the file
@@ -140,7 +150,7 @@ class Scenario:
         try:
             return PhiModel.from_spec(e.value, **self._set_values(r_max="r_max"))
         except KKDampError as exc:
-            raise ParseError(e.line, e.col, f"phi: {exc}")
+            raise ParseError(e.line, e.col, f"phi: {exc}", self.path)
 
     def damping(self) -> Damping:
         return Damping(self.get("a"), self.get("b"))
@@ -205,7 +215,7 @@ class Scenario:
             except (OSError, ValueError) as exc:
                 reason = getattr(exc, "strerror", None) or exc
                 raise ParseError(
-                    e.line, e.col, f"init.file: cannot read {e.value!r}: {reason}"
+                    e.line, e.col, f"init.file: cannot read {e.value!r}: {reason}", self.path
                 ) from exc
             if data["u"].size != grid.n_cells:
                 raise ValidationError(
@@ -225,7 +235,7 @@ class Scenario:
             u, v = data["u"], data["v"]
         else:
             e = self._entry("init")
-            raise ParseError(e.line, e.col, f"unknown initial profile {kind!r}")
+            raise ParseError(e.line, e.col, f"unknown initial profile {kind!r}", self.path)
 
         eps = self.get("init.mollify_eps", 0.0)
         if eps != 0.0:  # 0 is off; mollify_profile refuses nan and negatives
@@ -234,36 +244,36 @@ class Scenario:
         return StateField(grid, u, v, 0.0)
 
 
-def parse_scenario_text(text: str, path: str = "<memory>") -> Scenario:
+def parse_scenario_text(text: str, path: str | None = None) -> Scenario:
     sc = Scenario(path=path)
     for ln, raw_line in enumerate(text.splitlines(), start=1):
         stripped = raw_line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ParseError(ln, 1, "expected 'key = value'")
+            raise ParseError(ln, 1, "expected 'key = value'", path)
         key_part, _, value_part = raw_line.partition("=")
         key = key_part.strip()
         if not key:
-            raise ParseError(ln, 1, "empty key")
+            raise ParseError(ln, 1, "empty key", path)
         for off, ch in enumerate(key):
             if ch not in _KEY_CHARS:
                 raise ParseError(
-                    ln, raw_line.index(key) + off + 1, f"bad character {ch!r} in key"
+                    ln, raw_line.index(key) + off + 1, f"bad character {ch!r} in key", path
                 )
         if key not in _KNOWN_KEYS:
-            raise ParseError(ln, raw_line.index(key) + 1, f"unknown key {key!r}")
+            raise ParseError(ln, raw_line.index(key) + 1, f"unknown key {key!r}", path)
         value = value_part.strip()
         if not value:
-            raise ParseError(ln, len(raw_line.rstrip()) + 1, f"{key}: empty value")
+            raise ParseError(ln, len(raw_line.rstrip()) + 1, f"{key}: empty value", path)
         col = raw_line.index(value, raw_line.index("=")) + 1
         if key in sc.entries:
-            raise ParseError(ln, raw_line.index(key) + 1, f"duplicate key {key!r}")
+            raise ParseError(ln, raw_line.index(key) + 1, f"duplicate key {key!r}", path)
         convert, noun = _KNOWN_KEYS[key]
         try:
             typed = convert(value)
         except ValueError:
-            raise ParseError(ln, col, f"{key}: expected {noun}, got {value!r}")
+            raise ParseError(ln, col, f"{key}: expected {noun}, got {value!r}", path)
         sc.entries[key] = Entry(text=value, value=typed, line=ln, col=col)
     if "name" not in sc.entries:
         raise ValidationError("name", "required key is missing")
@@ -275,13 +285,13 @@ def parse_scenario(path) -> Scenario:
         return parse_scenario_text(fh.read(), path=str(path))
 
 
-def output_root(explicit=None) -> Path:
+def output_dir(explicit=None, name: str = "") -> Path:
+    """<output root>/<name>, created if missing. The root is KKD_OUTPUT_DIR
+    when set, else `explicit`, else ./kkd_out."""
     env = os.environ.get("KKD_OUTPUT_DIR")
-    if env:
-        return Path(env)
-    if explicit is not None:
-        return Path(explicit)
-    return Path(DEFAULT_OUTPUT_ROOT)
+    out = Path(env or (DEFAULT_OUTPUT_ROOT if explicit is None else explicit)) / name
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 @dataclass
@@ -294,32 +304,21 @@ class RunResult:
     trajectory: Trajectory
 
 
-def _write_norm_series(traj: Trajectory, path: Path):
-    with open(path, "w") as fh:
-        fh.write("# t\tl1\tl2\tl4\tlinf\tsup_abs_z\tsup_r_ratio\n")
-        w0 = None
-        for f in traj.fields:
-            r = f.r
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = np.abs(f.u / f.v)
-            sup_z = float(np.max(z)) if np.all(f.v != 0.0) else float("nan")
-            w_now = float(np.max(r))
-            if w0 is None:
-                w0 = max(w_now, 1e-300)
-            fh.write(
-                "\t".join(
-                    (
-                        _fmt(f.t),
-                        _fmt(lp_norm(f, 1)),
-                        _fmt(lp_norm(f, 2)),
-                        _fmt(lp_norm(f, 4)),
-                        _fmt(lp_norm(f, np.inf)),
-                        _fmt(sup_z),
-                        _fmt(w_now / w0),
-                    )
-                )
-                + "\n"
-            )
+def _write_norm_series(traj: Trajectory, path: Path) -> Path:
+    fields = traj.fields
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sup_z = [np.max(np.abs(f.u / f.v)) if np.all(f.v != 0.0) else np.nan for f in fields]
+    sup_r = np.array([np.max(f.r) for f in fields])
+    return write_table(
+        path,
+        ("t", "l1", "l2", "l4", "linf", "sup_abs_z", "sup_r_ratio"),
+        (
+            [f.t for f in fields],
+            *([lp_norm(f, p) for f in fields] for p in (1, 2, 4, np.inf)),
+            sup_z,
+            sup_r / max(sup_r[0], 1e-300),
+        ),
+    )
 
 
 def _snapshot_selection(sc: Scenario, items: list) -> list:
@@ -349,7 +348,7 @@ def _check_snapshot_names(sc: Scenario, times) -> None:
         seen[name] = t
 
 
-def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunResult:
+def run_scenario(sc: Scenario, out_root=None) -> RunResult:
     """Simulate a scenario and run its enabled checks. Artifacts land in
     <output root>/<name>/."""
     t_wall = time.perf_counter()
@@ -358,9 +357,8 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
     grid = sc.grid()
     cfg = sc.solver_config()
     init = sc.initial_field(grid)
-    if write_files:
-        times = [init.t, *cfg.resolved_outputs().tolist()]
-        _check_snapshot_names(sc, _snapshot_selection(sc, times))
+    times = [init.t, *cfg.resolved_outputs().tolist()]
+    _check_snapshot_names(sc, _snapshot_selection(sc, times))
 
     traj = simulate(init, phi, d, cfg)
     # prepend the initial state so checks see t = 0
@@ -429,33 +427,26 @@ def run_scenario(sc: Scenario, out_root=None, write_files: bool = True) -> RunRe
         details.append(f"check.invariants.passed = {str(rep.passed).lower()}")
 
     passed = all(checks.values()) if checks else True
-    artifacts: list[Path] = []
 
-    if write_files:
-        out_dir = output_root(out_root) / sc.name
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for f in _snapshot_selection(sc, full.fields):
-            artifacts.append(write_snapshot(f, phi, sc.name, out_dir))
-        norms_path = out_dir / f"{sc.name}_norms.tsv"
-        _write_norm_series(full, norms_path)
-        artifacts.append(norms_path)
+    out_dir = output_dir(out_root, sc.name)
+    artifacts = [write_snapshot(f, phi, sc.name, out_dir)
+                 for f in _snapshot_selection(sc, full.fields)]
+    artifacts.append(_write_norm_series(full, out_dir / f"{sc.name}_norms.tsv"))
 
-        manifest = out_dir / f"{sc.name}_manifest.txt"
-        elapsed = time.perf_counter() - t_wall
-        with open(manifest, "w") as fh:
-            fh.write(f"# generated by kkdamp {__version__}\n")
-            fh.write(f"# timestamp_utc = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n")
-            fh.write(f"# elapsed_seconds = {elapsed:.3f}\n")
-            for key in sc.entries:
-                fh.write(f"{key} = {sc.entries[key].text}\n")
-            fh.write(f"n_steps = {full.n_steps}\n")
-            fh.write(f"avg_dt = {_fmt(full.avg_dt)}\n")
-            for line in details:
-                fh.write(line + "\n")
-            fh.write(f"passed = {str(passed).lower()}\n")
-        artifacts.append(manifest)
-    else:
-        out_dir = output_root(out_root)
+    manifest = out_dir / f"{sc.name}_manifest.txt"
+    elapsed = time.perf_counter() - t_wall
+    with open(manifest, "w") as fh:
+        fh.write(f"# generated by kkdamp {__version__}\n")
+        fh.write(f"# timestamp_utc = {time.strftime('%Y-%m-%dT%H:%M:%SZ', time.gmtime())}\n")
+        fh.write(f"# elapsed_seconds = {elapsed:.3f}\n")
+        for key in sc.entries:
+            fh.write(f"{key} = {sc.entries[key].text}\n")
+        fh.write(f"n_steps = {full.n_steps}\n")
+        fh.write(f"avg_dt = {_fmt(full.avg_dt)}\n")
+        for line in details:
+            fh.write(line + "\n")
+        fh.write(f"passed = {str(passed).lower()}\n")
+    artifacts.append(manifest)
 
     return RunResult(
         name=sc.name,

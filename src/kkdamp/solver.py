@@ -19,7 +19,8 @@ guards that limit and `stable_dt` keeps dt at a fraction of it. Per step
 the wave speeds are evaluated on the current state for dt, and on the
 padded damped state, where one hypot and phi/r phi' evaluation feeds the
 r <= r_max check, the step guard and the face fluxes. Finiteness is
-validated once per step.
+validated once per step. `write_table` owns the format of every artifact
+table: snapshots, norm series, the viscosity sweep and entropy-flux tables.
 """
 
 from __future__ import annotations
@@ -497,47 +498,41 @@ def mollify_profile(values: np.ndarray, eps: float, grid: Grid1D) -> np.ndarray:
     return np.convolve(padded, w, mode="valid")
 
 
-def mollify_initial_data(
-    u0: Callable, v0: Callable, eps: float, grid: Grid1D, t: float = 0.0
-) -> StateField:
-    """Sample the profiles at cell centers, then smooth each channel with
-    the bump kernel of radius eps."""
-    raw = StateField.from_profiles(grid, u0, v0, t)
-    return StateField(
-        grid,
-        mollify_profile(raw.u, eps, grid),
-        mollify_profile(raw.v, eps, grid),
-        t,
-    )
-
-
 def snapshot_path(out_dir, run_name: str, t: float) -> Path:
     return Path(out_dir) / f"{run_name}_t{format(float(t), 'g')}.tsv"
 
 
-def write_snapshot(
-    f: StateField, phi: PhiModel, run_name: str, out_dir
-) -> Path:
-    """Tab-separated snapshot with columns x, u, v, r, W, Z. Header lines
-    start with '#'; floats are written in full-precision scientific
-    notation so files round-trip exactly."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = snapshot_path(out_dir, run_name, f.t)
+def write_table(path, names: Sequence[str], columns: Sequence, comments=()) -> Path:
+    """Write '# ' comment lines, a '# ' line of tab-separated column names,
+    then one tab-separated row per entry. An integer column is written with
+    %d, any other with %.17e, which renders exactly as `_fmt` does (inf,
+    -inf and nan included), so tables round-trip and reruns are identical."""
+    cols = [np.asarray(c) for c in columns]
+    row = "\t".join("%d" if c.dtype.kind in "iu" else "%.17e" for c in cols) + "\n"
+    # one %-format over every row, the values taken row by row
+    values = tuple(v for entry in zip(*(c.tolist() for c in cols)) for v in entry)
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        fh.write("# " + "\t".join(names) + "\n")
+        fh.write(row * len(cols[0]) % values)
+    return Path(path)
+
+
+def write_snapshot(f: StateField, phi: PhiModel, run_name: str, out_dir) -> Path:
+    """Snapshot table with columns x, u, v, r, W, Z under two comment lines
+    that name the run, the time, the grid and the phi model."""
     r = f.r
-    w = np.asarray(phi.phi(r), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = f.u / f.v
-    cols = np.column_stack((f.grid.centers, f.u, f.v, r, w, z))
-    # one %-format over every cell; "%.17e" renders exactly as _fmt does,
-    # inf, -inf and nan included
-    row = "\t".join(["%.17e"] * cols.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        fh.write(f"# run={run_name} t={_fmt(f.t)} n_cells={f.grid.n_cells}\n")
-        fh.write(f"# phi={phi.label} boundary={f.grid.boundary}\n")
-        fh.write("# x\tu\tv\tr\tW\tZ\n")
-        fh.write(row * len(cols) % tuple(cols.ravel().tolist()))
-    return path
+    return write_table(
+        snapshot_path(out_dir, run_name, f.t),
+        ("x", "u", "v", "r", "W", "Z"),
+        (f.grid.centers, f.u, f.v, r, phi.phi(r), z),
+        comments=(
+            f"run={run_name} t={_fmt(f.t)} n_cells={f.grid.n_cells}",
+            f"phi={phi.label} boundary={f.grid.boundary}",
+        ),
+    )
 
 
 def read_snapshot(path) -> dict:

@@ -48,14 +48,15 @@ def _with_initial(init: StateField, traj: Trajectory) -> Trajectory:
 
 
 @pytest.fixture(scope="module")
-def scenario_runs():
-    """Shared cache of shipped-scenario runs (no files written)."""
+def scenario_runs(tmp_path_factory):
+    """Shared cache of shipped-scenario runs (artifacts under a temporary root)."""
     cache = {}
+    out_root = tmp_path_factory.mktemp("out")
 
     def load(name: str):
         if name not in cache:
             sc = parse_scenario(SCENARIO_DIR / f"{name}.cfg")
-            cache[name] = run_scenario(sc, write_files=False)
+            cache[name] = run_scenario(sc, out_root=out_root)
         return cache[name]
 
     return load
@@ -468,11 +469,11 @@ def test_criterion_9_eigenstructure_suite(rng):
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_shipped_scenarios_all_pass():
+def test_shipped_scenarios_all_pass(tmp_path):
     # every published scenario must run clean end to end with its checks
     failures = []
     for cfg_path in sorted(SCENARIO_DIR.glob("*.cfg")):
-        res = run_scenario(parse_scenario(cfg_path), write_files=False)
+        res = run_scenario(parse_scenario(cfg_path), out_root=tmp_path)
         if not res.passed:
             failures.append(f"{res.name}: {res.checks}")
     assert not failures, "; ".join(failures)

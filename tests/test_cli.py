@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kkdamp.cli import main
@@ -261,7 +261,11 @@ init.x_jump = 0.0
     out = capsys.readouterr().out
     assert "strictly_decreasing = True" in out
     sweep = tmp_path / "out" / "sweep_demo" / "sweep_demo_viscosity_sweep.tsv"
-    assert sweep.exists()
+    lines = sweep.read_text().splitlines()
+    assert lines[0] == "# eps\tl1_distance\tn_steps"
+    assert [float(line.split("\t")[0]) for line in lines[1:]] == [0.06, 0.03, 0.015]
+    # n_steps is an integer column, written without a decimal point
+    assert all(line.split("\t")[2].isdigit() for line in lines[1:])
 
 
 def test_version_flag(capsys):
@@ -301,7 +305,8 @@ def test_missing_init_file_is_a_parse_error(tmp_path, capsys):
     code, err = _run_text(tmp_path, capsys, "resume", text)
     assert code == 1
     # init.file is on line 12, its value starts in column 13
-    assert err.startswith("error: line 12, col 13: init.file: cannot read")
+    assert err.startswith(f"error: {tmp_path / 'resume.cfg'}: line 12, col 13: init.file: "
+                          "cannot read")
     assert "nowhere.tsv" in err and "Traceback" not in err
 
 
@@ -311,7 +316,8 @@ def test_missing_tabulated_phi_file_is_a_parse_error(tmp_path, capsys):
     )
     code, err = _run_text(tmp_path, capsys, "tab", text)
     assert code == 1
-    assert err.startswith("error: line 2, col 7: phi: cannot read phi table")
+    assert err.startswith(f"error: {tmp_path / 'tab.cfg'}: line 2, col 7: phi: "
+                          "cannot read phi table")
     assert "no_table.txt" in err and "Traceback" not in err
 
 
@@ -319,7 +325,8 @@ def test_unknown_phi_family_is_a_parse_error_at_the_phi_value(tmp_path, capsys):
     text = SMALL.format(name="fam").replace("phi = power:1", "phi = vortex:2")
     code, err = _run_text(tmp_path, capsys, "fam", text)
     assert code == 1
-    assert err.startswith("error: line 2, col 7: phi: unknown phi family 'vortex'")
+    assert err.startswith(f"error: {tmp_path / 'fam.cfg'}: line 2, col 7: phi: "
+                          "unknown phi family 'vortex'")
 
 
 def test_lax_friedrichs_with_viscosity_is_refused(tmp_path, capsys):
@@ -381,7 +388,7 @@ def test_run_refuses_a_batch_with_a_malformed_value_before_any_march(tmp_path, c
     out = tmp_path / "out"
     code = main(["run", str(good), str(bad), "--output-dir", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not out.exists()  # not even the good scenario ran
 
 
@@ -408,6 +415,39 @@ def test_bad_option_values_exit_2_with_one_line(tmp_path, capsys, argv, message)
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()  # refused before anything ran
+
+
+@pytest.mark.parametrize(
+    "argv, culprit",
+    [
+        ("run {cfg} --output-dir {afile}", "{afile}/cli_demo"),
+        ("run {cfg} {two} --jobs 2 --output-dir {afile}", "{afile}/cli_demo"),
+        ("convergence {cfg} --epsilons 0.1,0.05 --output-dir {afile}", "{afile}/cli_demo"),
+        ("entropy-pair --m 2 --phi power:1 --output-dir {afile}", "{afile}"),
+        ("entropy-pair --m 2 --phi power:1 --out {afile}/x.tsv", "{afile}"),
+        ("run {long} --output-dir {out}", "{out}/" + "n" * 300),
+        ("run {tmp}/nowhere.cfg --output-dir {out}", "{tmp}/nowhere.cfg"),
+    ],
+    ids=["run-root-is-a-file", "run-jobs-root-is-a-file", "convergence-root-is-a-file",
+         "entropy-pair-root-is-a-file", "entropy-pair-out-under-a-file", "name-too-long",
+         "missing-scenario-file"],
+)
+def test_os_errors_exit_1_with_one_line_naming_the_path(tmp_path, capsys, monkeypatch, argv,
+                                                        culprit):
+    monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    paths = dict(
+        cfg=write_scenario(tmp_path),
+        two=write_scenario(tmp_path, "two", SMALL.format(name="two")),
+        long=write_scenario(tmp_path, "long", SMALL.format(name="n" * 300)),
+        afile=afile, out=tmp_path / "out", tmp=tmp_path,
+    )
+    code = main(argv.format(**paths).split())
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {culprit.format(**paths)}: ") and err.count("\n") == 1
+    assert afile.read_text() == ""
 
 
 @pytest.mark.parametrize("samples", ["1", "2"])
@@ -444,11 +484,12 @@ TINY = {
     "init": "sine_radial", "init.mean": "0.5", "init.amplitude": "0.2",
     "check.decay": "on", "check.containment": "on", "snapshots": "final",
 }
-HOSTILE_KEYS = sorted(set(TINY) - {"name"}) + [
+HOSTILE_KEYS = sorted(TINY) + [
     "cfl", "viscous.eps", "viscous.diffusion_number", "init.mollify_eps", "output_times",
     "r_max", "scheme", "check.decay.p", "check.containment.c0", "check.containment.tol",
 ]
-HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-308", "abc", "auto", "1,2"]
+HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-308", "abc", "auto", "1,2", "../x",
+                  "a/b", "."]
 
 
 @pytest.mark.filterwarnings("ignore")
@@ -458,6 +499,10 @@ HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-308", "abc", "auto", "1,2
         st.sampled_from(HOSTILE_KEYS), st.sampled_from(HOSTILE_VALUES), max_size=2
     )
 )
+# TINY's decay check fails on three outputs; off, the run reaches its writes
+@example({"name": "../x", "check.decay": "off"})
+@example({"name": "a/b", "check.decay": "off"})
+@example({"name": ".", "check.decay": "off"})
 def test_run_with_hostile_values_exits_0_or_1(overrides):
     text = "".join(f"{k} = {v}\n" for k, v in {**TINY, **overrides}.items())
     with tempfile.TemporaryDirectory() as tmp:
@@ -466,4 +511,6 @@ def test_run_with_hostile_values_exits_0_or_1(overrides):
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main(["run", str(path), "--output-dir", str(Path(tmp) / "out")])
-    assert code in (0, 1)
+        assert code in (0, 1)
+        # whatever the name, nothing is written outside the output root
+        assert sorted(p.name for p in Path(tmp).iterdir()) in (["tiny.cfg"], ["out", "tiny.cfg"])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,8 +37,8 @@ def test_parse_good_scenario():
     sc = sn.parse_scenario_text(GOOD)
     assert sc.name == "demo"
     assert sc.get_float("a") == 0.5
-    assert sc.get_bool("check.decay") is True
-    assert sc.get_bool("check.decay.weighted", False) is False
+    assert sc.get("check.decay") is True
+    assert sc.get("check.decay.weighted", False) is False
     phi = sc.phi_model()
     assert phi.label == "power:1"
     grid = sc.grid()
@@ -150,6 +152,17 @@ def test_reruns_are_byte_identical(tmp_path):
             assert strip(b1) == strip(b2)
         else:
             assert b1 == b2
+
+
+@pytest.mark.parametrize("name", [".", "..", "../x", "a/b", "/abs", "a\0b"])
+def test_name_must_be_one_file_name_component(name):
+    text = f"phi = power:1\nname = {name}\n"
+    message = f"line 2, col 8: name: expected one file-name component, got {name!r}"
+    with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
+        sn.parse_scenario_text(text)
+    with pytest.raises(ParseError, match="^" + re.escape(f"demo.cfg: {message}") + "$") as exc:
+        sn.parse_scenario_text(text, path="demo.cfg")
+    assert (exc.value.line, exc.value.col, exc.value.path) == (2, 8, "demo.cfg")
 
 
 def test_env_var_overrides_output_root(tmp_path, monkeypatch):

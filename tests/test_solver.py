@@ -205,14 +205,15 @@ def test_mollifier_warns_when_under_resolved():
     assert np.array_equal(out, np.arange(16.0))
 
 
-def test_mollify_initial_data_wraps_channels():
-    grid = sv.Grid1D(0.0, 2 * np.pi, 128)
-    f = sv.mollify_initial_data(np.sin, np.cos, 0.3, grid)
-    assert f.u.shape == (128,)
-    assert float(np.max(np.abs(f.u))) < 1.0  # smoothing shrinks the peak
-
-
 # -- snapshot io -----------------------------------------------------------------
+
+
+def test_write_table_formats_each_column_by_its_dtype(tmp_path):
+    path = sv.write_table(tmp_path / "t.tsv", ("a", "n"), ([0.1, -np.inf, np.nan], [1, 20, 300]),
+                          comments=("made by a test",))
+    assert path.read_text() == (
+        "# made by a test\n# a\tn\n1.00000000000000006e-01\t1\n-inf\t20\nnan\t300\n"
+    )
 
 
 def test_snapshot_round_trip(tmp_path):
