@@ -187,6 +187,8 @@ def fit_exponential_rate(times, values, window=None) -> tuple[float, float, int]
         )
     tt = times[mask]
     yy = np.log(values[mask])
+    if not np.sum(tt * tt) > 0.0:  # polyfit divides the t column by its norm
+        raise InsufficientData(f"decay fit cannot resolve a rate over t = {tt[0]:g} to {tt[-1]:g}")
     slope, intercept = np.polyfit(tt, yy, 1)
     return -float(slope), float(np.exp(intercept)), int(np.sum(mask))
 

@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    run           scenario file(s): simulate + enabled checks (--jobs N)
+    run           scenario file(s): set up all, then simulate + checks (--jobs N)
     simulate      scenario file: snapshots only, checks skipped
     decay         scenario file: norm series + decay verdict, its checks skipped
     entropy-pair  tabulate q(r) for a power entropy and a phi model
@@ -117,7 +117,7 @@ def _parse_values(option: str, text: str, kind=float, count=None, minimum=None) 
 
 
 def _cmd_run(args) -> int:
-    from .scenario import parse_scenario
+    from .scenario import parse_scenario, run_scenario, run_set_up, set_up
 
     if args.jobs < 1:
         raise UsageError(f"--jobs: must be >= 1, got {args.jobs}")
@@ -128,39 +128,32 @@ def _cmd_run(args) -> int:
                                   f"{sc.path}; their artifacts would overwrite each other")
         paths[sc.name] = sc.path
         scenarios.append(sc)
-    roots = [args.output_dir] * len(scenarios)
+    setups = [set_up(sc, args.output_dir) for sc in scenarios]  # every error before a march
     if args.jobs > 1 and len(scenarios) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # the pool starts every worker up front: no more than there are scenarios
+        # phi models do not pickle, so workers set up again; at most one per scenario
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(scenarios))) as pool:
-            results = list(pool.map(_run_one, scenarios, roots))
+            results = list(pool.map(run_scenario, scenarios, [args.output_dir] * len(scenarios)))
     else:
-        results = list(map(_run_one, scenarios, roots))
+        results = list(map(run_set_up, setups))
     all_passed = True
-    for name, passed, checks, out_dir in results:
-        verdict = "pass" if passed else "FAIL"
-        enabled = ",".join(f"{k}={'pass' if ok else 'FAIL'}" for k, ok in checks.items())
-        print(f"{name}: {verdict}" + (f" [{enabled}]" if enabled else "") + f" -> {out_dir}")
-        all_passed &= passed
+    for res in results:
+        enabled = ",".join(f"{k}={'pass' if ok else 'FAIL'}" for k, ok in res.checks.items())
+        print(f"{res.name}: {'pass' if res.passed else 'FAIL'}"
+              + (f" [{enabled}]" if enabled else "") + f" -> {res.out_dir}")
+        all_passed &= res.passed
     return 0 if all_passed else 1
 
 
-def _run_one(sc, out_dir):
-    from .scenario import run_scenario
-
-    res = run_scenario(sc, out_root=out_dir)
-    return res.name, res.passed, res.checks, str(res.out_dir)
-
-
 def _run_without_checks(args):
-    """Parse `args.scenario`, drop its `check.*` keys and run it; return the
-    scenario and the RunResult."""
-    from .scenario import parse_scenario, run_scenario
+    """Set up and run `args.scenario` without its `check.*` keys: (SetUp, RunResult)."""
+    from .scenario import parse_scenario, run_set_up, set_up
 
     sc = parse_scenario(args.scenario)
     sc.entries = {k: e for k, e in sc.entries.items() if not k.startswith("check.")}
-    return sc, run_scenario(sc, out_root=args.output_dir)
+    s = set_up(sc, args.output_dir)
+    return s, run_set_up(s)
 
 
 def _cmd_simulate(args) -> int:
@@ -173,14 +166,13 @@ def _cmd_decay(args) -> int:
     from .analysis import WeightFunction, decay_harness
 
     (p,) = _parse_values("--p", args.p, count=1)
-    sc, res = _run_without_checks(args)
-    weight = WeightFunction.default() if args.weighted else None
+    s, res = _run_without_checks(args)
     rep = decay_harness(
         res.trajectory,
         p,
-        sc.damping(),
-        weight=weight,
-        phi=sc.phi_model() if args.weighted else None,
+        s.damping,
+        weight=WeightFunction.default() if args.weighted else None,
+        phi=s.phi if args.weighted else None,
     )
     print(f"p = {args.p} weighted = {args.weighted}")
     print(f"fitted_rate = {_fmt(rep.fitted_rate)}")
@@ -246,21 +238,16 @@ def _cmd_region_check(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    from .scenario import output_dir, parse_scenario
+    from .scenario import parse_scenario, set_up
     from .solver import write_table
     from .viscous import vanishing_viscosity_sweep
 
     eps_values = _parse_values("--epsilons", args.epsilons)
-    sc = parse_scenario(args.scenario)
-    phi = sc.phi_model()
-    d = sc.damping()
-    grid = sc.grid()
-    cfg = sc.solver_config()
-    init = sc.initial_field(grid)
-    report = vanishing_viscosity_sweep(init, phi, d, cfg, eps_values)
+    s = set_up(parse_scenario(args.scenario), args.output_dir)
+    report = vanishing_viscosity_sweep(s.init, s.phi, s.damping, s.config, eps_values)
     rows = report.rows
     out_path = write_table(
-        output_dir(args.output_dir, sc.name) / f"{sc.name}_viscosity_sweep.tsv",
+        s.out_dir / f"{s.scenario.name}_viscosity_sweep.tsv",
         ("eps", "l1_distance", "n_steps"),
         ([r.eps for r in rows], report.distances, [r.n_steps for r in rows]),
     )

@@ -1,8 +1,16 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class KKDampError(Exception):
     """Base class for all package-specific errors."""
+
+    def __reduce__(self):
+        # args holds the formatted message, not the arguments of __init__:
+        # unpickle without calling it, so an error raised in a `run --jobs`
+        # worker reaches the parent with its type, message and attributes
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(KKDampError, ValueError):

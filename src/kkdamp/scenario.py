@@ -7,10 +7,9 @@ malformed lines, and malformed values raise ParseError with 1-based line
 and column (and the file's path), so a `run` refuses its whole batch
 before any march. `name` must be one file-name component.
 Semantically invalid values and combinations (a missing required key,
-a < b, an unknown phi family or word choice) raise when they are used,
-as ValidationError naming the field or ParseError at the value.
-
-A run writes, under `output_dir(root, name)` = <output root>/<name>/:
+a < b, an unknown phi family or word choice) raise in `set_up`, which
+builds a scenario's models and initial field once, before any march.
+`run_set_up` marches, checks and writes under <output root>/<name>/:
 
     <name>_t<time>.tsv      snapshots (x, u, v, r, W, Z), '#' headers
     <name>_norms.tsv        norm series per output time
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _fmt
-from .errors import KKDampError, ParseError, ValidationError
+from .errors import AxisState, KKDampError, ParseError, ValidationError
 from .model import Damping, PhiModel
 from .solver import (
     Grid1D,
@@ -348,10 +347,21 @@ def _check_snapshot_names(sc: Scenario, times) -> None:
         seen[name] = t
 
 
-def run_scenario(sc: Scenario, out_root=None) -> RunResult:
-    """Simulate a scenario and run its enabled checks. Artifacts land in
-    <output root>/<name>/."""
-    t_wall = time.perf_counter()
+@dataclass
+class SetUp:
+    """A scenario ready to march: what `set_up` built from it."""
+
+    scenario: Scenario
+    phi: PhiModel
+    damping: Damping
+    init: StateField
+    config: SolverConfig
+    out_dir: Path
+
+
+def set_up(sc: Scenario, out_root=None) -> SetUp:
+    """Build the scenario's models, config and initial field, check its
+    snapshot names and create <output root>/<name>/: all before a march."""
     phi = sc.phi_model()
     d = sc.damping()
     grid = sc.grid()
@@ -359,14 +369,19 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
     init = sc.initial_field(grid)
     times = [init.t, *cfg.resolved_outputs().tolist()]
     _check_snapshot_names(sc, _snapshot_selection(sc, times))
+    return SetUp(sc, phi, d, init, cfg, output_dir(out_root, sc.name))
 
-    traj = simulate(init, phi, d, cfg)
-    # prepend the initial state so checks see t = 0
-    full = Trajectory(
-        fields=[init.copy()] + list(traj.fields),
-        n_steps=traj.n_steps,
-        avg_dt=traj.avg_dt,
-    )
+
+def run_scenario(sc: Scenario, out_root=None) -> RunResult:
+    """Set the scenario up and run it (`run_set_up`)."""
+    return run_set_up(set_up(sc, out_root))
+
+
+def run_set_up(s: SetUp) -> RunResult:
+    """March a set-up scenario, run its enabled checks, write its artifacts."""
+    t_wall = time.perf_counter()
+    sc, phi, d, init, out_dir = s.scenario, s.phi, s.damping, s.init, s.out_dir
+    traj = simulate(init, phi, d, s.config)
 
     checks: dict[str, bool] = {}
     details: list[str] = []
@@ -379,7 +394,7 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
         p = sc.get("check.decay.p", 2.0)
         weighted = sc.get("check.decay.weighted", False)
         rep = decay_harness(
-            full,
+            traj,
             p,
             d,
             weight=WeightFunction.default() if weighted else None,
@@ -393,6 +408,8 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
     if sc.get("check.containment", False):
         from .region import RegionSigma, trajectory_containment
 
+        if np.any(init.v == 0.0):  # before the auto bounds divide by it
+            raise AxisState("Z = u/v undefined where v = 0")
         r0_max = float(np.max(init.r))
         z0 = init.u / init.v
         c0 = sc.get("check.containment.c0", "auto")
@@ -406,7 +423,7 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
             c2 = float(np.max(z0))
         sigma = RegionSigma(c0=c0, c1=c1, c2=c2)
         rep = trajectory_containment(
-            full, sigma, phi, tol=sc.get("check.containment.tol", 1e-8)
+            traj, sigma, phi, tol=sc.get("check.containment.tol", 1e-8)
         )
         checks["containment"] = rep.passed
         details.append(f"check.containment.c0 = {_fmt(c0)}")
@@ -419,7 +436,7 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
         from .analysis import riemann_invariant_diagnostics
 
         rep = riemann_invariant_diagnostics(
-            full, phi, d, tol=sc.get("check.invariants.tol", 5e-2)
+            traj, phi, d, tol=sc.get("check.invariants.tol", 5e-2)
         )
         checks["invariants"] = rep.passed
         details.append(f"check.invariants.fitted_z_rate = {_fmt(rep.fitted_z_rate)}")
@@ -428,10 +445,9 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
 
     passed = all(checks.values()) if checks else True
 
-    out_dir = output_dir(out_root, sc.name)
     artifacts = [write_snapshot(f, phi, sc.name, out_dir)
-                 for f in _snapshot_selection(sc, full.fields)]
-    artifacts.append(_write_norm_series(full, out_dir / f"{sc.name}_norms.tsv"))
+                 for f in _snapshot_selection(sc, traj.fields)]
+    artifacts.append(_write_norm_series(traj, out_dir / f"{sc.name}_norms.tsv"))
 
     manifest = out_dir / f"{sc.name}_manifest.txt"
     elapsed = time.perf_counter() - t_wall
@@ -441,8 +457,8 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
         fh.write(f"# elapsed_seconds = {elapsed:.3f}\n")
         for key in sc.entries:
             fh.write(f"{key} = {sc.entries[key].text}\n")
-        fh.write(f"n_steps = {full.n_steps}\n")
-        fh.write(f"avg_dt = {_fmt(full.avg_dt)}\n")
+        fh.write(f"n_steps = {traj.n_steps}\n")
+        fh.write(f"avg_dt = {_fmt(traj.avg_dt)}\n")
         for line in details:
             fh.write(line + "\n")
         fh.write(f"passed = {str(passed).lower()}\n")
@@ -454,5 +470,5 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
         passed=passed,
         checks=checks,
         artifacts=artifacts,
-        trajectory=full,
+        trajectory=traj,
     )

@@ -210,7 +210,7 @@ class SolverConfig:
 
 @dataclass
 class Trajectory:
-    """Snapshots produced by a simulation, in time order."""
+    """Snapshots produced by a simulation, in time order, init first."""
 
     fields: list
     n_steps: int = 0
@@ -402,10 +402,10 @@ def simulate(
     d: Damping,
     cfg: SolverConfig,
 ) -> Trajectory:
-    """March from init.t to cfg.t_end, recording snapshots at the
-    requested output times (hit exactly by truncating the final step of
-    each segment). dt is cfg.stable_dt at the current data's wave speed,
-    recomputed every step. Damping can make the damped state the kernel
+    """March from init.t to cfg.t_end; the trajectory is a copy of init,
+    then one snapshot per requested output time (hit exactly by truncating
+    the final step of each segment). dt is cfg.stable_dt at the current
+    data's wave speed, recomputed every step. Damping can make the damped state the kernel
     sees faster than the current one; a step whose guard trips is redone
     once at cfg.stable_dt of the kernel's own top speed.
 
@@ -430,7 +430,7 @@ def simulate(
     dx = init.grid.dx
     elapsed = targets[-1] - init.t
     f = init  # steps never write into their input
-    out: list[StateField] = []
+    out = [init.copy()]
     n_steps = 0
     for target in targets:
         while f.t < target * (1.0 - 1e-15) - 1e-15:

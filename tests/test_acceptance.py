@@ -43,10 +43,6 @@ def _verdict(n: int, label: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _with_initial(init: StateField, traj: Trajectory) -> Trajectory:
-    return Trajectory([init.copy()] + list(traj.fields), traj.n_steps, traj.avg_dt)
-
-
 @pytest.fixture(scope="module")
 def scenario_runs(tmp_path_factory):
     """Shared cache of shipped-scenario runs (artifacts under a temporary root)."""
@@ -212,7 +208,7 @@ def test_criterion_5_weak_entropy_inequality(scenario_runs):
             lambda x: r0(x) / np.sqrt(2.0),
         )
         cfg = SolverConfig(t_end=1.0, output_times=np.linspace(0.0, 1.0, 513)[1:])
-        return _with_initial(init, simulate(init, phi, d, cfg))
+        return simulate(init, phi, d, cfg)
 
     smooth_512 = smooth_run(512)
     smooth_1024 = smooth_run(1024)
@@ -276,7 +272,7 @@ def test_criterion_6_invariant_region(scenario_runs):
 
         init = StateField.from_profiles(grid, u0, v0)
         cfg = SolverConfig(t_end=0.5, output_times=np.linspace(0.0, 0.5, 11)[1:])
-        return _with_initial(init, simulate(init, phi, d, cfg))
+        return simulate(init, phi, d, cfg)
 
     phi_sq = PhiModel.power(2.0)
     containment_of(

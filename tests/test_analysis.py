@@ -140,6 +140,9 @@ def test_fit_exponential_rate_exact():
     assert n_used < 31  # default window drops the initial 10%
     with pytest.raises(InsufficientData):
         an.fit_exponential_rate(t[:4], vals[:4])
+    # a time span whose squares underflow: a typed error, no LAPACK failure
+    with pytest.raises(InsufficientData, match="cannot resolve a rate"):
+        an.fit_exponential_rate(t * 1e-300, vals)
 
 
 def test_decay_harness_exact_equal_rates():
@@ -322,9 +325,7 @@ def test_balance_dissipates_on_computed_solution():
     r0 = 0.5 + 0.2 * np.sin(x)
     init = sv.StateField(grid, r0 * np.cos(0.8), r0 * np.sin(0.8))
     cfg = sv.SolverConfig(t_end=1.0, output_times=np.linspace(0.0, 1.0, 101)[1:])
-    traj = sv.simulate(init, phi, d, cfg)
-    full = sv.Trajectory([init] + list(traj.fields), traj.n_steps, traj.avg_dt)
-    rep = an.weighted_entropy_balance(full, pair, d)
+    rep = an.weighted_entropy_balance(sv.simulate(init, phi, d, cfg), pair, d)
     # scheme dissipation keeps the residual at or below truncation noise
     rhs_scale = 2 * 0.4 * float(an.lp_norm(init, 2)) ** 2
     assert rep.max_residual <= 0.05 * rhs_scale

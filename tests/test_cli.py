@@ -67,14 +67,21 @@ def test_run_respects_env_root(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "flag_root" / "cli_demo").exists()
 
 
-def test_run_parallel_jobs(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "extra, code, error",
+    [("", 0, ""), ("cfl = 1e-8\n", 1, "error: cfl: dt = ")],
+    ids=["pass", "march-error-in-a-worker"],
+)
+def test_run_parallel_jobs(tmp_path, capsys, monkeypatch, extra, code, error):
     monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
     p1 = write_scenario(tmp_path, "job_one", SMALL.format(name="job_one"))
-    p2 = write_scenario(tmp_path, "job_two", SMALL.format(name="job_two"))
-    code = main(
+    p2 = write_scenario(tmp_path, "job_two", SMALL.format(name="job_two") + extra)
+    assert main(
         ["run", str(p1), str(p2), "--jobs", "2", "--output-dir", str(tmp_path / "out")]
-    )
-    assert code == 0
+    ) == code
+    # a typed error raised in a worker crosses back and is reported on one line
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == (1 if error else 0)
     assert (tmp_path / "out" / "job_one").exists()
     assert (tmp_path / "out" / "job_two").exists()
 
@@ -149,11 +156,20 @@ def test_decay_subcommand(tmp_path, capsys, monkeypatch):
     assert "fitted_rate" in out and "passed = True" in out
 
 
-def test_decay_runs_no_scenario_check_and_fits_once(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("weighted", [[], ["--weighted"]], ids=["plain", "weighted"])
+def test_decay_runs_no_scenario_check_and_fits_once(tmp_path, capsys, monkeypatch, weighted):
     # SMALL enables check.decay and check.invariants; add containment too
     from kkdamp import analysis, region
+    from kkdamp.model import PhiModel
 
-    calls = {}
+    calls = {"from_spec": 0}
+    from_spec = PhiModel.from_spec
+
+    def counted_from_spec(cls, *a, **k):
+        calls["from_spec"] += 1
+        return from_spec(*a, **k)
+
+    monkeypatch.setattr(PhiModel, "from_spec", classmethod(counted_from_spec))
     for module, name in ((analysis, "decay_harness"), (region, "trajectory_containment"),
                          (analysis, "riemann_invariant_diagnostics")):
         calls[name] = 0
@@ -165,9 +181,10 @@ def test_decay_runs_no_scenario_check_and_fits_once(tmp_path, capsys, monkeypatc
         monkeypatch.setattr(module, name, counted)
     text = SMALL.format(name="counted") + "check.containment = on\n"
     path = write_scenario(tmp_path, "counted", text)
-    code = main(["decay", str(path), "--p", "2", "--output-dir", str(tmp_path / "out")])
+    code = main(["decay", str(path), "--p", "2", *weighted, "--output-dir", str(tmp_path / "out")])
     assert code == 0
-    assert calls == {"decay_harness": 1, "trajectory_containment": 0,
+    # one phi model: the weighted fit takes the one the run was set up with
+    assert calls == {"from_spec": 1, "decay_harness": 1, "trajectory_containment": 0,
                      "riemann_invariant_diagnostics": 0}
     manifest = (tmp_path / "out" / "counted" / "counted_manifest.txt").read_text()
     assert "check." not in manifest
@@ -392,6 +409,22 @@ def test_run_refuses_a_batch_with_a_malformed_value_before_any_march(tmp_path, c
     assert not out.exists()  # not even the good scenario ran
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_refuses_a_batch_whose_set_up_fails_before_any_march(tmp_path, capsys, jobs):
+    good = write_scenario(tmp_path, "good")
+    bad = write_scenario(
+        tmp_path, "bad", SMALL.format(name="bad").replace("init = sine_radial", "init = bogus")
+    )
+    out = tmp_path / "out"
+    code = main(["run", str(good), str(bad), "--jobs", jobs, "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 11, col 8: unknown initial profile 'bogus'\n"
+    )
+    # every scenario is set up before any marches: at most empty directories
+    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -434,7 +467,13 @@ def test_bad_option_values_exit_2_with_one_line(tmp_path, capsys, argv, message)
 )
 def test_os_errors_exit_1_with_one_line_naming_the_path(tmp_path, capsys, monkeypatch, argv,
                                                         culprit):
+    from kkdamp import scenario, viscous
+
     monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
+    marches = []
+    for module in (scenario, viscous):
+        monkeypatch.setattr(module, "simulate",
+                            lambda *a, _fn=module.simulate: marches.append(a) or _fn(*a))
     afile = tmp_path / "afile"
     afile.write_text("")
     paths = dict(
@@ -448,6 +487,7 @@ def test_os_errors_exit_1_with_one_line_naming_the_path(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.startswith(f"error: {culprit.format(**paths)}: ") and err.count("\n") == 1
     assert afile.read_text() == ""
+    assert marches == []  # the output directory is made before the march
 
 
 @pytest.mark.parametrize("samples", ["1", "2"])
@@ -467,8 +507,11 @@ def test_region_check_with_too_few_samples_exits_1(capsys, samples):
         ("snapshots", "init.mollify_eps = nan\nsnapshots", "mollifier radius must lie in"),
         ("x_hi = 6.283185307179586", "x_hi = 1e-308", "grid: cell width"),
         ("x_hi = 6.283185307179586", "x_hi = inf", "grid: need finite bounds"),
+        ("snapshots", "init.angle = 0\ncheck.containment = on\nsnapshots",
+         "Z = u/v undefined where v = 0"),
     ],
-    ids=["mollify-inf", "mollify-1e300", "mollify-nan", "subnormal-cell-width", "infinite-bound"],
+    ids=["mollify-inf", "mollify-1e300", "mollify-nan", "subnormal-cell-width", "infinite-bound",
+         "containment-auto-on-the-axis"],
 )
 def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, old, new, message):
     text = SMALL.format(name="hostile").replace(old, new)
@@ -480,7 +523,7 @@ def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, old, n
 
 TINY = {
     "name": "tiny", "phi": "power:1", "a": "0.5", "b": "0.2", "x_lo": "0.0", "x_hi": "1.0",
-    "n_cells": "16", "boundary": "periodic", "t_end": "0.05", "n_outputs": "3",
+    "n_cells": "16", "boundary": "periodic", "t_end": "0.05", "n_outputs": "6",
     "init": "sine_radial", "init.mean": "0.5", "init.amplitude": "0.2",
     "check.decay": "on", "check.containment": "on", "snapshots": "final",
 }
@@ -499,10 +542,10 @@ HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-308", "abc", "auto", "1,2
         st.sampled_from(HOSTILE_KEYS), st.sampled_from(HOSTILE_VALUES), max_size=2
     )
 )
-# TINY's decay check fails on three outputs; off, the run reaches its writes
-@example({"name": "../x", "check.decay": "off"})
-@example({"name": "a/b", "check.decay": "off"})
-@example({"name": ".", "check.decay": "off"})
+@example({})
+@example({"name": "../x"})
+@example({"name": "a/b"})
+@example({"name": "."})
 def test_run_with_hostile_values_exits_0_or_1(overrides):
     text = "".join(f"{k} = {v}\n" for k, v in {**TINY, **overrides}.items())
     with tempfile.TemporaryDirectory() as tmp:
@@ -512,5 +555,7 @@ def test_run_with_hostile_values_exits_0_or_1(overrides):
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main(["run", str(path), "--output-dir", str(Path(tmp) / "out")])
         assert code in (0, 1)
+        if not overrides:  # TINY itself passes every check and reaches its writes
+            assert code == 0, sink.getvalue()
         # whatever the name, nothing is written outside the output root
         assert sorted(p.name for p in Path(tmp).iterdir()) in (["tiny.cfg"], ["out", "tiny.cfg"])

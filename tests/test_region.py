@@ -77,8 +77,7 @@ def _small_run(phi, d, n=128, t_end=0.8):
     theta = np.pi / 4 + 0.3 * np.sin(x)
     init = sv.StateField(grid, r0 * np.cos(theta), r0 * np.sin(theta))
     cfg = sv.SolverConfig(t_end=t_end, output_times=np.linspace(0.0, t_end, 9)[1:])
-    traj = sv.simulate(init, phi, d, cfg)
-    return sv.Trajectory([init] + list(traj.fields), traj.n_steps, traj.avg_dt)
+    return sv.simulate(init, phi, d, cfg)
 
 
 def test_trajectory_containment_clean_run():

@@ -155,7 +155,7 @@ def test_simulate_hits_output_times_exactly():
     times = [0.11, 0.4, 0.53]
     cfg = sv.SolverConfig(t_end=0.53, output_times=times)
     traj = sv.simulate(f, phi, d, cfg)
-    assert list(traj.times) == times
+    assert list(traj.times) == [0.0, *times]
     assert traj.n_steps > 0 and traj.avg_dt > 0
 
 
