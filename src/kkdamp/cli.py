@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from . import __version__, _fmt
 from .errors import KKDampError, ValidationError
@@ -116,8 +117,22 @@ def _parse_values(option: str, text: str, kind=float, count=None, minimum=None) 
     return values
 
 
+def _verdict(res) -> tuple[bool, str]:
+    """A run's verdict and its `run` line: name, verdict, checks, output dir."""
+    enabled = ",".join(f"{k}={'pass' if ok else 'FAIL'}" for k, ok in res.checks.items())
+    return res.passed, (f"{res.name}: {'pass' if res.passed else 'FAIL'}"
+                        + (f" [{enabled}]" if enabled else "") + f" -> {res.out_dir}")
+
+
+def _run_verdict(sc, out_root) -> tuple[bool, str]:
+    """A `run --jobs` worker: only the verdict crosses back, not the trajectory."""
+    from .scenario import run_scenario
+
+    return _verdict(run_scenario(sc, out_root))
+
+
 def _cmd_run(args) -> int:
-    from .scenario import parse_scenario, run_scenario, run_set_up, set_up
+    from .scenario import parse_scenario, run_set_up, set_up
 
     if args.jobs < 1:
         raise UsageError(f"--jobs: must be >= 1, got {args.jobs}")
@@ -134,16 +149,12 @@ def _cmd_run(args) -> int:
 
         # phi models do not pickle, so workers set up again; at most one per scenario
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(scenarios))) as pool:
-            results = list(pool.map(run_scenario, scenarios, [args.output_dir] * len(scenarios)))
+            verdicts = list(pool.map(_run_verdict, scenarios, [args.output_dir] * len(scenarios)))
     else:
-        results = list(map(run_set_up, setups))
-    all_passed = True
-    for res in results:
-        enabled = ",".join(f"{k}={'pass' if ok else 'FAIL'}" for k, ok in res.checks.items())
-        print(f"{res.name}: {'pass' if res.passed else 'FAIL'}"
-              + (f" [{enabled}]" if enabled else "") + f" -> {res.out_dir}")
-        all_passed &= res.passed
-    return 0 if all_passed else 1
+        verdicts = [_verdict(run_set_up(s)) for s in setups]
+    for _, line in verdicts:
+        print(line)
+    return 0 if all(passed for passed, _ in verdicts) else 1
 
 
 def _run_without_checks(args):
@@ -274,6 +285,12 @@ def _cmd_eigen(args) -> int:
     return 0
 
 
+def _show_warning(message, *_):
+    """A warning is one `warning: <message>` line on stderr, without the
+    source path and line of the kkdamp code that raised it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -287,7 +304,9 @@ def main(argv=None) -> int:
         "eigen": _cmd_eigen,
     }
     try:
-        return handlers[args.command](args)
+        with warnings.catch_warnings():  # forked --jobs workers inherit it
+            warnings.showwarning = _show_warning
+            return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -124,6 +124,13 @@ class PhiModel:
     def lambda2(self, r):
         return self.phi(r) + self.r_dphi(r)
 
+    def check_radius(self, r: float) -> float:
+        """r, after checking r <= r_max (to 1e-12 relative); OutOfRange if not.
+        The one owner of that rule, for point states and for whole grids."""
+        if r > self.r_max * (1.0 + 1e-12):
+            raise OutOfRange(f"state radius {r:g} exceeds r_max={self.r_max:g}")
+        return r
+
     def sup_phi(self, r_hi: float | None = None, n_samples: int = 4096) -> float:
         """sup |phi| over [0, r_hi] by dense sampling."""
         hi = self.r_max if r_hi is None else float(r_hi)
@@ -340,16 +347,9 @@ class EigenBasis(NamedTuple):
     axis_state: bool        # True when u = 0 or v = 0 (basis aligns with axes)
 
 
-def _checked_radius(s: State, phi: PhiModel) -> float:
-    r = s.r
-    if r > phi.r_max * (1.0 + 1e-12):
-        raise OutOfRange(f"state radius {r:g} exceeds r_max={phi.r_max:g}")
-    return r
-
-
 def flux(s: State, phi: PhiModel) -> np.ndarray:
     """F(u, v) = (u phi(r), v phi(r))."""
-    r = _checked_radius(s, phi)
+    r = phi.check_radius(s.r)
     p = float(phi.phi(r))
     return np.array([s.u * p, s.v * p], dtype=float)
 
@@ -357,7 +357,7 @@ def flux(s: State, phi: PhiModel) -> np.ndarray:
 def jacobian(s: State, phi: PhiModel) -> np.ndarray:
     """dF/d(u,v) = phi I + (phi'/r) w w^T. At r = 0 the limit phi(0) I is
     returned when phi(0) is finite; otherwise the state is degenerate."""
-    r = _checked_radius(s, phi)
+    r = phi.check_radius(s.r)
     if r == 0.0:
         if not np.isfinite(phi.phi0):
             raise DegenerateState("jacobian limit at r = 0 is not finite")
@@ -375,7 +375,7 @@ def jacobian(s: State, phi: PhiModel) -> np.ndarray:
 
 def eigenvalues(s: State, phi: PhiModel) -> tuple[float, float]:
     """(lambda_1, lambda_2) = (phi(r), phi(r) + r phi'(r)); r = 0 is degenerate."""
-    r = _checked_radius(s, phi)
+    r = phi.check_radius(s.r)
     if r == 0.0:
         raise DegenerateState("eigenvalues coincide at r = 0")
     p = float(phi.phi(r))
@@ -395,7 +395,7 @@ def eigenvectors(s: State) -> EigenBasis:
 
 def riemann_invariants(s: State, phi: PhiModel) -> tuple[float, float]:
     """(W, Z) = (phi(r), u/v). W is constant along field 1, Z along field 2."""
-    r = _checked_radius(s, phi)
+    r = phi.check_radius(s.r)
     if s.v == 0.0:
         raise AxisState("Z = u/v undefined where v = 0")
     return float(phi.phi(r)), s.u / s.v
@@ -408,7 +408,7 @@ def classify_field(s: State, phi: PhiModel, field_index: int) -> FieldClassifica
     gives 2 phi'(r) + r phi''(r)."""
     if field_index not in (1, 2):
         raise ConfigError(f"field_index must be 1 or 2, got {field_index}")
-    r = _checked_radius(s, phi)
+    r = phi.check_radius(s.r)
     if r == 0.0:
         raise DegenerateState("classification undefined at r = 0")
     if field_index == 1:

@@ -10,11 +10,13 @@ positive invariant region {phi(r) <= C0, C1 <= u/v <= C2} with C1 = 0 is
 preserved discretely. An optional explicit viscosity eps u_xx is added to
 the flux update, evaluated on the same (damped, pre-flux) data.
 
-`simulate` is the one marching loop and `SolverConfig.stable_dt` its one
-step rule. One inequality bounds the explicit step: the flux update plus
-eps u_xx is a convex combination of neighbouring cells while
+`step_once` is the one split step and the only function that applies the
+flux update (`hyperbolic_substep` is its undamped case), `simulate` the
+one marching loop and `SolverConfig.stable_dt` its one step rule. One
+inequality bounds the explicit step: the flux update plus eps u_xx is a
+convex combination of neighbouring cells while
 speed dt/dx + 2 eps dt/dx^2 <= 1, i.e. dt <= `explicit_limit(dx, speed,
-eps)`, which is the CFL limit dx / speed when eps = 0. The step kernel
+eps)`, which is the CFL limit dx / speed when eps = 0. `step_once`
 guards that limit and `stable_dt` keeps dt at a fraction of it. Per step
 the wave speeds are evaluated on the current state for dt, and on the
 padded damped state, where one hypot and phi/r phi' evaluation feeds the
@@ -40,7 +42,6 @@ from .errors import (
     CFLViolation,
     ConfigError,
     NonFinite,
-    OutOfRange,
     StabilityViolation,
     ValidationError,
 )
@@ -234,7 +235,7 @@ class Trajectory:
         return iter(self.fields)
 
 
-def _pad(arr: np.ndarray, boundary: str, factor=1.0) -> np.ndarray:
+def _pad(arr: np.ndarray, boundary: str, factor: float) -> np.ndarray:
     """arr * factor with one ghost cell on each side: the opposite edge cell
     on periodic grids, the same edge cell on outflow grids."""
     out = np.empty(arr.size + 2)
@@ -249,9 +250,7 @@ def _pad(arr: np.ndarray, boundary: str, factor=1.0) -> np.ndarray:
 def _cell_speeds(r: np.ndarray, phi: PhiModel) -> tuple[np.ndarray, np.ndarray]:
     """phi(r) and max(|lambda_1|, |lambda_2|) per cell, after checking
     r <= r_max."""
-    r_top = float(r.max())
-    if r_top > phi.r_max * (1.0 + 1e-12):
-        raise OutOfRange(f"state radius {r_top:g} exceeds r_max={phi.r_max:g}")
+    phi.check_radius(float(r.max()))
     p = np.asarray(phi.phi(r), dtype=float)
     speed = p + np.asarray(phi.r_dphi(r), dtype=float)  # lambda_2
     np.abs(speed, out=speed)
@@ -273,33 +272,65 @@ def explicit_limit(dx: float, speed: float, eps: float) -> float:
     return dx * dx / (speed * dx + 2.0 * eps)
 
 
-def _flux_update(
-    ue: np.ndarray,
-    ve: np.ndarray,
-    dt: float,
-    dx: float,
-    phi: PhiModel,
-    scheme: str,
-    eps: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The step kernel: conservative flux update of size dt, plus eps w_xx,
-    of the padded cell data (ue, ve). Returns the new interior (u, v).
+def hyperbolic_substep(
+    f: StateField, phi: PhiModel, dt: float, scheme: str = "rusanov"
+) -> StateField:
+    """One conservative flux update of size dt, no damping: step_once with
+    zero rates (exp(-0 dt) = 1, so the data enter the kernel unchanged).
+    Advances t."""
+    return step_once(f, phi, Damping(0.0, 0.0), dt, scheme, "lie")
 
-    hypot, phi and r phi' are evaluated once, on the padded data, and the
-    r <= r_max check, the one step guard dt <= explicit_limit (CFLViolation
-    when eps = 0, StabilityViolation otherwise) and the Rusanov dissipation
-    all read those cell speeds. Every operation matches the unfused formulas
+
+def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
+    """Exact integration of u_t = -a u, v_t = -b v over dt. Leaves t
+    unchanged; the flux update owns the clock."""
+    if dt < 0:
+        raise ConfigError(f"dt must be nonnegative, got {dt}")
+    return StateField(
+        f.grid,
+        f.u * np.exp(-d.a * dt),
+        f.v * np.exp(-d.b * dt),
+        f.t,
+    )
+
+
+def step_once(
+    f: StateField,
+    phi: PhiModel,
+    d: Damping,
+    dt: float,
+    scheme: str = "rusanov",
+    splitting: str = "strang",
+    eps: float = 0.0,
+) -> StateField:
+    """One split step of size dt: D(dt/2) H(dt) D(dt/2) (Strang) or
+    D(dt) H(dt) (Lie). D multiplies u and v by damping_substep's factors;
+    H is the conservative flux update plus eps w_xx, taken on the damped
+    data with one ghost cell per side. Rusanov face dissipation uses the
+    local two-sided wave speed, Lax-Friedrichs the global dx/dt.
+
+    hypot, phi and r phi' are evaluated once, on the padded damped data,
+    and the r <= r_max check, the one step guard dt <= explicit_limit
+    (CFLViolation when eps = 0, StabilityViolation otherwise, both carrying
+    the top speed) and the Rusanov dissipation all read those cell speeds.
+    Every operation matches the unfused formulas
     0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i) and
     w - dt/dx (flux_i+1/2 - flux_i-1/2) + nu (w_i+1 - 2 w_i + w_i-1)
     term by term, so results are bit-identical to them."""
+    if splitting not in SPLITTINGS:
+        raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {splitting!r}")
     if scheme not in SCHEMES:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     _check_viscous_scheme(scheme, eps)
     if dt < 0:
         raise ConfigError(f"dt must be nonnegative, got {dt}")
     if dt == 0.0:
-        return ue[1:-1].copy(), ve[1:-1].copy()
+        return StateField(f.grid, f.u.copy(), f.v.copy(), f.t + dt)
+    first = 0.5 * dt if splitting == "strang" else dt
+    decay = (np.exp(-d.a * first), np.exp(-d.b * first))
+    ue, ve = (_pad(c, f.grid.boundary, k) for c, k in zip((f.u, f.v), decay))
     pe, speed = _cell_speeds(np.hypot(ue, ve), phi)
+    dx = f.grid.dx
     top = max(float(speed.max()), WAVESPEED_FLOOR)
     limit = explicit_limit(dx, top, eps)
     nu = eps * dt / (dx * dx) if eps != 0.0 else 0.0
@@ -323,7 +354,7 @@ def _flux_update(
     lam = dt / dx
     work = np.empty(ue.size)  # scratch shared by both channels
     new = []
-    for e in (ue, ve):
+    for e, k in zip((ue, ve), decay):
         fw = np.multiply(e, pe, out=work)
         flux = fw[:-1] + fw[1:]
         flux *= 0.5
@@ -339,61 +370,10 @@ def _flux_update(
             lap += e[:-2]
             lap *= nu
             w += lap
+        if splitting == "strang":
+            w *= k  # the second damping half
         new.append(w)
-    return new[0], new[1]
-
-
-def hyperbolic_substep(
-    f: StateField, phi: PhiModel, dt: float, scheme: str = "rusanov"
-) -> StateField:
-    """One conservative flux update of size dt (no damping). Advances t.
-
-    Rusanov face dissipation uses the local two-sided wave speed; the
-    Lax-Friedrichs variant uses the global dx/dt. dt must satisfy the CFL
-    constraint dt <= dx / speed for the current data or CFLViolation is
-    raised."""
-    b = f.grid.boundary
-    u, v = _flux_update(_pad(f.u, b), _pad(f.v, b), dt, f.grid.dx, phi, scheme)
-    return StateField(f.grid, u, v, f.t + dt)
-
-
-def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
-    """Exact integration of u_t = -a u, v_t = -b v over dt. Leaves t
-    unchanged; the hyperbolic substep owns the clock."""
-    if dt < 0:
-        raise ConfigError(f"dt must be nonnegative, got {dt}")
-    return StateField(
-        f.grid,
-        f.u * np.exp(-d.a * dt),
-        f.v * np.exp(-d.b * dt),
-        f.t,
-    )
-
-
-def step_once(
-    f: StateField,
-    phi: PhiModel,
-    d: Damping,
-    dt: float,
-    scheme: str = "rusanov",
-    splitting: str = "strang",
-    eps: float = 0.0,
-) -> StateField:
-    """One split step of size dt: D(dt/2) H(dt) D(dt/2) (Strang) or
-    D(dt) H(dt) (Lie), where H is the flux update plus eps u_xx taken on
-    the damped data. The damping factors are those of damping_substep."""
-    if splitting not in SPLITTINGS:
-        raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {splitting!r}")
-    first = 0.5 * dt if splitting == "strang" else dt
-    decay_u, decay_v = np.exp(-d.a * first), np.exp(-d.b * first)
-    b = f.grid.boundary
-    u, v = _flux_update(
-        _pad(f.u, b, decay_u), _pad(f.v, b, decay_v), dt, f.grid.dx, phi, scheme, eps
-    )
-    if splitting == "strang":
-        u *= decay_u
-        v *= decay_v
-    return StateField(f.grid, u, v, f.t + dt)
+    return StateField(f.grid, new[0], new[1], f.t + dt)
 
 
 def simulate(
@@ -484,17 +464,9 @@ def mollify_profile(values: np.ndarray, eps: float, grid: Grid1D) -> np.ndarray:
             stacklevel=2,
         )
     half = int(np.ceil(eps / dx))
-    offsets = np.arange(-half, half + 1)
-    w = bump(offsets * dx / eps)
+    w = bump(np.arange(-half, half + 1) * dx / eps)
     w = w / np.sum(w)
-    if grid.boundary == "periodic":
-        out = np.zeros_like(values)
-        for k, wk in zip(offsets, w):
-            out += wk * np.roll(values, k)
-        return out
-    padded = np.concatenate(
-        [np.full(half, values[0]), values, np.full(half, values[-1])]
-    )
+    padded = np.pad(values, half, mode="wrap" if grid.boundary == "periodic" else "edge")
     return np.convolve(padded, w, mode="valid")
 
 

@@ -3,7 +3,7 @@
 There is no separate viscous stepper: `SolverConfig.eps` adds explicit
 centered diffusion, evaluated on the damped pre-flux data, to the solver's
 flux update, `SolverConfig.stable_dt` keeps speed dt/dx + 2 eps dt/dx^2 at
-2 diffusion_number (the step kernel refuses it above 1, see
+2 diffusion_number (`solver.step_once` refuses it above 1, see
 `solver.explicit_limit`), and `solver.simulate` and `solver.step_once` run
 it. With eps = 0 the added term is skipped entirely and the step is the
 inviscid one, which makes the eps -> 0 sweep self-consistent (the last

@@ -86,6 +86,18 @@ def test_run_parallel_jobs(tmp_path, capsys, monkeypatch, extra, code, error):
     assert (tmp_path / "out" / "job_two").exists()
 
 
+@pytest.mark.filterwarnings("default:const.1 fails the structure condition:UserWarning")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_prints_a_warning_as_one_line(tmp_path, capfd, jobs):
+    # with --jobs 2 a worker process raises and prints the warning
+    shipped = Path(__file__).resolve().parent.parent / "scenarios" / "scalar_transport.cfg"
+    paths = [str(shipped), str(write_scenario(tmp_path))]
+    assert main(["run", *paths, "--jobs", jobs, "--output-dir", str(tmp_path / "out")]) == 0
+    err = capfd.readouterr().err
+    assert err.count("warning: const:1 fails the structure condition") == 1
+    assert err.count("\n") == 1 and "kkdamp/" not in err
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records max_workers and runs
     the scenarios in this process."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from kkdamp.errors import (
     OutOfRange,
     ValidationError,
 )
+from kkdamp.quadrature import bump
 
 
 def make_field(n=128, lo=0.0, hi=2 * np.pi, boundary="periodic", seed=7):
@@ -83,6 +86,41 @@ def test_cfl_violation_raised():
     dx = f.grid.dx
     with pytest.raises(CFLViolation):
         sv.hyperbolic_substep(f, phi, 10.0 * dx)
+
+
+DAMPED = md.Damping(0.2, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda f, phi: sv.step_once(f, phi, DAMPED, 0.01, "upwind"),
+         "scheme must be one of ('rusanov', 'lax_friedrichs'), got 'upwind'"),
+        (lambda f, phi: sv.hyperbolic_substep(f, phi, 0.01, "upwind"),
+         "scheme must be one of ('rusanov', 'lax_friedrichs'), got 'upwind'"),
+        # the splitting is checked first
+        (lambda f, phi: sv.step_once(f, phi, DAMPED, 0.01, "upwind", "yoshida"),
+         "splitting must be one of ('strang', 'lie'), got 'yoshida'"),
+        (lambda f, phi: sv.step_once(f, phi, DAMPED, -0.01),
+         "dt must be nonnegative, got -0.01"),
+        (lambda f, phi: sv.hyperbolic_substep(f, phi, -0.01),
+         "dt must be nonnegative, got -0.01"),
+    ],
+    ids=["step-scheme", "substep-scheme", "step-splitting", "step-dt", "substep-dt"],
+)
+def test_direct_step_calls_check_their_arguments(call, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        call(make_field(), md.PhiModel.power(1.0))
+
+
+def test_zero_step_returns_the_same_state_under_lax_friedrichs():
+    f = make_field()
+    f.t = 0.25
+    phi = md.PhiModel.power(1.0)
+    for g in (sv.step_once(f, phi, DAMPED, 0.0, "lax_friedrichs"),
+              sv.hyperbolic_substep(f, phi, 0.0, "lax_friedrichs")):
+        assert np.array_equal(g.u, f.u) and np.array_equal(g.v, f.v)
+        assert g.t == f.t
 
 
 def test_damping_substep_is_exact_exponential():
@@ -203,6 +241,20 @@ def test_mollifier_warns_when_under_resolved():
     with pytest.warns(UserWarning, match="under-resolved"):
         out = sv.mollify_profile(np.arange(16.0), 1e-4, grid)
     assert np.array_equal(out, np.arange(16.0))
+
+
+def test_periodic_mollifier_matches_the_roll_sum():
+    grid = sv.Grid1D(-1.0, 2.0, 97)
+    vals = np.random.default_rng(3).normal(size=97) + 2.0
+    for eps in (0.05, 0.4, 3.0):  # 3.0 is the whole domain width
+        half = int(np.ceil(eps / grid.dx))
+        offsets = np.arange(-half, half + 1)
+        w = bump(offsets * grid.dx / eps)
+        w = w / np.sum(w)
+        want = np.zeros_like(vals)
+        for k, wk in zip(offsets, w):
+            want += wk * np.roll(vals, k)
+        np.testing.assert_allclose(sv.mollify_profile(vals, eps, grid), want, rtol=1e-14)
 
 
 # -- snapshot io -----------------------------------------------------------------
