@@ -20,14 +20,13 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .errors import (
-    AxisState,
     ConfigError,
     InsufficientData,
     RootBracketFailure,
     ShockFormed,
     TestFunctionSupport,
 )
-from .model import Damping, PhiModel
+from .model import Damping, PhiModel, z_invariant
 from .quadrature import bump, bump_derivative
 from .solver import StateField, Trajectory, lp_norm  # lp_norm is re-exported here
 
@@ -115,19 +114,13 @@ def radial_characteristics_oracle(
     damp = np.exp(-a * s)
 
     def delta(xi: np.ndarray) -> np.ndarray:
-        rho = np.asarray(r0(xi), dtype=float)[..., None] * damp
-        lam2 = np.asarray(phi.phi(rho), dtype=float) + np.asarray(
-            phi.r_dphi(rho), dtype=float
-        )
-        return lam2 @ ws
+        return phi.lambda2(np.asarray(r0(xi), dtype=float)[..., None] * damp) @ ws
 
     # bracket the foot points: pad by the extreme signed speeds
     probe = np.linspace(np.min(x_arr) - 1.0, np.max(x_arr) + 1.0, 512)
     r_hi = float(np.max(np.abs(np.asarray(r0(probe), dtype=float))))
     r_grid = np.linspace(0.0, max(r_hi, 1e-12), 256)
-    lam_grid = np.asarray(phi.phi(r_grid), dtype=float) + np.asarray(
-        phi.r_dphi(r_grid), dtype=float
-    )
+    lam_grid = phi.lambda2(r_grid)
     pad_lo = max(float(np.max(lam_grid)), 0.0) * t + 1e-6
     pad_hi = -min(float(np.min(lam_grid)), 0.0) * t + 1e-6
     xi_grid = np.linspace(np.min(x_arr) - pad_lo, np.max(x_arr) + pad_hi, n_grid)
@@ -421,9 +414,7 @@ def riemann_invariant_diagnostics(
     sup_z = np.empty(times.size)
     sup_w = np.empty(times.size)
     for k, f in enumerate(traj.fields):
-        if np.any(f.v == 0.0):
-            raise AxisState("Z = u/v undefined where v = 0")
-        sup_z[k] = float(np.max(np.abs(f.u / f.v)))
+        sup_z[k] = float(np.max(np.abs(z_invariant(f.u, f.v))))
         sup_w[k] = float(np.max(np.asarray(phi.phi(f.r), dtype=float)))
 
     envelope = sup_z[0] * np.exp(-(d.a - d.b) * (times - times[0]))

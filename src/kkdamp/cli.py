@@ -2,7 +2,7 @@
 
 Subcommands:
 
-    run           scenario file(s): set up all, then simulate + checks (--jobs N)
+    run           scenario file(s): set up all, then simulate + checks (--jobs N workers)
     simulate      scenario file: snapshots only, checks skipped
     decay         scenario file: norm series + decay verdict, its checks skipped
     entropy-pair  tabulate q(r) for a power entropy and a phi model
@@ -124,15 +124,15 @@ def _verdict(res) -> tuple[bool, str]:
                         + (f" [{enabled}]" if enabled else "") + f" -> {res.out_dir}")
 
 
-def _run_verdict(sc, out_root) -> tuple[bool, str]:
-    """A `run --jobs` worker: only the verdict crosses back, not the trajectory."""
-    from .scenario import run_scenario
+def _run_verdict(s) -> tuple[bool, str]:
+    """March one set-up; only its verdict, not the trajectory, leaves a `run --jobs` worker."""
+    from .scenario import run_set_up
 
-    return _verdict(run_scenario(sc, out_root))
+    return _verdict(run_set_up(s))
 
 
 def _cmd_run(args) -> int:
-    from .scenario import parse_scenario, run_set_up, set_up
+    from .scenario import parse_scenario, set_up
 
     if args.jobs < 1:
         raise UsageError(f"--jobs: must be >= 1, got {args.jobs}")
@@ -144,14 +144,14 @@ def _cmd_run(args) -> int:
         paths[sc.name] = sc.path
         scenarios.append(sc)
     setups = [set_up(sc, args.output_dir) for sc in scenarios]  # every error before a march
-    if args.jobs > 1 and len(scenarios) > 1:
+    if args.jobs > 1 and len(setups) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # phi models do not pickle, so workers set up again; at most one per scenario
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(scenarios))) as pool:
-            verdicts = list(pool.map(_run_verdict, scenarios, [args.output_dir] * len(scenarios)))
+        # workers march the set-ups built here; at most one worker per scenario
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(setups))) as pool:
+            verdicts = list(pool.map(_run_verdict, setups))
     else:
-        verdicts = [_verdict(run_set_up(s)) for s in setups]
+        verdicts = list(map(_run_verdict, setups))
     for _, line in verdicts:
         print(line)
     return 0 if all(passed for passed, _ in verdicts) else 1

@@ -59,8 +59,8 @@ def power_entropy_pair(
     m: float, phi: md.PhiModel, quadrature_tol: float = 1e-10
 ) -> EntropyPair:
     """Entropy pair (r**m, q) for m >= 1 on [0, phi.r_max]."""
-    if m < 1.0:
-        raise ConfigError(f"power entropy needs m >= 1, got {m}")
+    if not 1.0 <= m < np.inf:
+        raise ConfigError(f"power entropy needs finite m >= 1, got {m}")
     m = float(m)
     moment = CumulativeIntegral(
         lambda s: s ** (m - 1.0) * float(phi.phi(s)), phi.r_max, abs_tol=quadrature_tol

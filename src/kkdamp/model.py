@@ -20,6 +20,7 @@ grad(lambda_2) . r2_hat = 2 phi'(r) + r phi''(r).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -67,6 +68,23 @@ class FieldClassification:
     kind: str               # LINEARLY_DEGENERATE / GENUINELY_NONLINEAR / MIXED
 
 
+# family formulas: module-level and bound by functools.partial, so a PhiModel pickles
+def _power(r, g):
+    return r**g
+
+
+def _shifted(r, c, g):
+    return c + r**g
+
+
+def _scaled_power(r, k, g):  # k r**g: the derivatives of both power families
+    return k * r**g
+
+
+def _constant(r, c):
+    return np.full_like(r, c)[()]
+
+
 class PhiModel:
     """Radial velocity function phi with derivatives on [0, r_max].
 
@@ -85,7 +103,6 @@ class PhiModel:
         dphi_fn: Callable,
         d2phi_fn: Callable,
         r_dphi_fn: Callable | None = None,
-        phi0: float | None = None,
     ):
         if not np.isfinite(r_max) or r_max <= 0:
             raise ConfigError(f"r_max must be positive and finite, got {r_max}")
@@ -96,7 +113,7 @@ class PhiModel:
         self._dphi = dphi_fn
         self._d2phi = d2phi_fn
         self._r_dphi = r_dphi_fn
-        self.phi0 = float(phi_fn(0.0)) if phi0 is None else float(phi0)
+        self.phi0 = float(phi_fn(0.0))
         self.c1_report = self._check_structure_condition()
 
     # -- evaluation -----------------------------------------------------
@@ -187,40 +204,38 @@ class PhiModel:
     @classmethod
     def power(cls, gamma: float, r_max: float = R_MAX_DEFAULT) -> "PhiModel":
         """phi(r) = r**gamma, gamma > 0."""
-        if gamma <= 0:
-            raise ConfigError(f"power family needs gamma > 0, got {gamma}")
+        if not 0 < gamma < np.inf:
+            raise ConfigError(f"power family needs finite gamma > 0, got {gamma}")
         g = float(gamma)
         return cls(
             family="power",
             label=f"power:{g:g}",
             r_max=r_max,
-            phi_fn=lambda r: r**g,
-            dphi_fn=lambda r: g * r ** (g - 1.0),
-            d2phi_fn=lambda r: g * (g - 1.0) * r ** (g - 2.0),
-            r_dphi_fn=lambda r: g * r**g,
-            phi0=0.0,
+            phi_fn=partial(_power, g=g),
+            dphi_fn=partial(_scaled_power, k=g, g=g - 1.0),
+            d2phi_fn=partial(_scaled_power, k=g * (g - 1.0), g=g - 2.0),
+            r_dphi_fn=partial(_scaled_power, k=g, g=g),
         )
 
     @classmethod
     def shifted_power(
         cls, c: float, gamma: float, r_max: float = R_MAX_DEFAULT
     ) -> "PhiModel":
-        """phi(r) = c + r**gamma, c >= 0, gamma > 0."""
-        if c < 0:
-            raise ConfigError(f"shifted family needs c >= 0, got {c}")
-        if gamma <= 0:
-            raise ConfigError(f"shifted family needs gamma > 0, got {gamma}")
+        """phi(r) = c + r**gamma, c >= 0, gamma > 0; the derivatives are power's."""
+        if not 0 <= c < np.inf:
+            raise ConfigError(f"shifted family needs finite c >= 0, got {c}")
+        if not 0 < gamma < np.inf:
+            raise ConfigError(f"shifted family needs finite gamma > 0, got {gamma}")
         c = float(c)
         g = float(gamma)
         return cls(
             family="shifted",
             label=f"shifted:{c:g},{g:g}",
             r_max=r_max,
-            phi_fn=lambda r: c + r**g,
-            dphi_fn=lambda r: g * r ** (g - 1.0),
-            d2phi_fn=lambda r: g * (g - 1.0) * r ** (g - 2.0),
-            r_dphi_fn=lambda r: g * r**g,
-            phi0=c,
+            phi_fn=partial(_shifted, c=c, g=g),
+            dphi_fn=partial(_scaled_power, k=g, g=g - 1.0),
+            d2phi_fn=partial(_scaled_power, k=g * (g - 1.0), g=g - 2.0),
+            r_dphi_fn=partial(_scaled_power, k=g, g=g),
         )
 
     @classmethod
@@ -228,16 +243,17 @@ class PhiModel:
         """phi(r) = c. Both fields collapse to speed c; the transport
         decouples channel by channel. Fails the structure condition
         (r phi' = 0), which is recorded in `c1_report`, not raised."""
+        if not np.isfinite(c):
+            raise ConfigError(f"constant family needs a finite c, got {c}")
         c = float(c)
         return cls(
             family="constant",
             label=f"const:{c:g}",
             r_max=r_max,
-            phi_fn=lambda r: np.full_like(np.asarray(r, dtype=float), c)[()],
-            dphi_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float))[()],
-            d2phi_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float))[()],
-            r_dphi_fn=lambda r: np.zeros_like(np.asarray(r, dtype=float))[()],
-            phi0=c,
+            phi_fn=partial(_constant, c=c),
+            dphi_fn=partial(_constant, c=0.0),
+            d2phi_fn=partial(_constant, c=0.0),
+            r_dphi_fn=partial(_constant, c=0.0),
         )
 
     @classmethod
@@ -256,16 +272,13 @@ class PhiModel:
         from scipy.interpolate import PchipInterpolator
 
         interp = PchipInterpolator(rs, vals, extrapolate=True)
-        d1 = interp.derivative(1)
-        d2 = interp.derivative(2)
         return cls(
             family="tabulated",
             label=label,
             r_max=min(float(rs[-1]), np.inf if r_max is None else r_max),
-            phi_fn=lambda r: interp(r),
-            dphi_fn=lambda r: d1(r),
-            d2phi_fn=lambda r: d2(r),
-            phi0=float(interp(0.0)),
+            phi_fn=interp,
+            dphi_fn=interp.derivative(1),
+            d2phi_fn=interp.derivative(2),
         )
 
     @classmethod
@@ -378,8 +391,7 @@ def eigenvalues(s: State, phi: PhiModel) -> tuple[float, float]:
     r = phi.check_radius(s.r)
     if r == 0.0:
         raise DegenerateState("eigenvalues coincide at r = 0")
-    p = float(phi.phi(r))
-    return p, p + float(phi.r_dphi(r))
+    return float(phi.phi(r)), float(phi.lambda2(r))
 
 
 def eigenvectors(s: State) -> EigenBasis:
@@ -393,12 +405,17 @@ def eigenvectors(s: State) -> EigenBasis:
     return EigenBasis(r1=r1, r2=r2, axis_state=(s.u == 0.0 or s.v == 0.0))
 
 
+def z_invariant(u, v):
+    """Z = u/v of a state or a field; AxisState where v = 0, the one owner of that rule."""
+    if np.any(np.asarray(v) == 0.0):
+        raise AxisState("Z = u/v undefined where v = 0")
+    return u / v
+
+
 def riemann_invariants(s: State, phi: PhiModel) -> tuple[float, float]:
     """(W, Z) = (phi(r), u/v). W is constant along field 1, Z along field 2."""
     r = phi.check_radius(s.r)
-    if s.v == 0.0:
-        raise AxisState("Z = u/v undefined where v = 0")
-    return float(phi.phi(r)), s.u / s.v
+    return float(phi.phi(r)), z_invariant(s.u, s.v)
 
 
 def classify_field(s: State, phi: PhiModel, field_index: int) -> FieldClassification:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisState, ConfigError, ValidationError
-from .model import Damping, PhiModel, State
+from .errors import ConfigError, ValidationError
+from .model import Damping, PhiModel, State, z_invariant
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,8 @@ class ContainmentReport:
 
 def contains(s: State, sigma: RegionSigma, phi: PhiModel, tol: float = 1e-8) -> bool:
     """Membership of a state in Sigma, with additive slack tol on each face."""
-    if s.v == 0.0:
-        raise AxisState("Z = u/v undefined where v = 0")
+    z = z_invariant(s.u, s.v)
     w = float(phi.phi(s.r))
-    z = s.u / s.v
     return (w <= sigma.c0 + tol) and (sigma.c1 - tol <= z <= sigma.c2 + tol)
 
 
@@ -153,10 +151,8 @@ def trajectory_containment(
     times = np.asarray(traj.times, dtype=float)
     per_time = np.empty(times.size)
     for k, f in enumerate(traj.fields):
-        if np.any(f.v == 0.0):
-            raise AxisState("Z = u/v undefined where v = 0")
+        z = z_invariant(f.u, f.v)
         w = np.asarray(phi.phi(f.r), dtype=float)
-        z = f.u / f.v
         viol = np.maximum(w - sigma.c0, np.maximum(sigma.c1 - z, z - sigma.c2))
         per_time[k] = max(float(np.max(viol)), 0.0)
     k_max = int(np.argmax(per_time))

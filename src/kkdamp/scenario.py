@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _fmt
-from .errors import AxisState, KKDampError, ParseError, ValidationError
-from .model import Damping, PhiModel
+from .errors import KKDampError, ParseError, ValidationError
+from .model import Damping, PhiModel, z_invariant
 from .solver import (
     Grid1D,
     SolverConfig,
@@ -408,10 +408,8 @@ def run_set_up(s: SetUp) -> RunResult:
     if sc.get("check.containment", False):
         from .region import RegionSigma, trajectory_containment
 
-        if np.any(init.v == 0.0):  # before the auto bounds divide by it
-            raise AxisState("Z = u/v undefined where v = 0")
+        z0 = z_invariant(init.u, init.v)
         r0_max = float(np.max(init.r))
-        z0 = init.u / init.v
         c0 = sc.get("check.containment.c0", "auto")
         c1 = sc.get("check.containment.c1", 0.0)
         c2 = sc.get("check.containment.c2", "auto")

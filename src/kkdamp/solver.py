@@ -281,11 +281,17 @@ def hyperbolic_substep(
     return step_once(f, phi, Damping(0.0, 0.0), dt, scheme, "lie")
 
 
+def _check_dt(dt: float) -> None:
+    if not math.isfinite(dt):
+        raise ConfigError(f"dt must be finite, got {dt}")
+    if dt < 0:
+        raise ConfigError(f"dt must be nonnegative, got {dt}")
+
+
 def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
     """Exact integration of u_t = -a u, v_t = -b v over dt. Leaves t
     unchanged; the flux update owns the clock."""
-    if dt < 0:
-        raise ConfigError(f"dt must be nonnegative, got {dt}")
+    _check_dt(dt)
     return StateField(
         f.grid,
         f.u * np.exp(-d.a * dt),
@@ -322,8 +328,7 @@ def step_once(
     if scheme not in SCHEMES:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
     _check_viscous_scheme(scheme, eps)
-    if dt < 0:
-        raise ConfigError(f"dt must be nonnegative, got {dt}")
+    _check_dt(dt)
     if dt == 0.0:
         return StateField(f.grid, f.u.copy(), f.v.copy(), f.t + dt)
     first = 0.5 * dt if splitting == "strang" else dt

@@ -131,6 +131,27 @@ def test_run_jobs_starts_no_more_workers_than_scenarios(tmp_path, capsys, monkey
     assert "one: pass" in capsys.readouterr().out
 
 
+def test_run_jobs_marches_the_parents_set_ups(tmp_path, capsys, monkeypatch):
+    # workers take the set-ups the parent built: one set-up per scenario
+    import concurrent.futures
+
+    import kkdamp.scenario
+
+    calls = []
+    real = kkdamp.scenario.set_up
+
+    def counting_set_up(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(kkdamp.scenario, "set_up", counting_set_up)
+    paths = [str(write_scenario(tmp_path, n, SMALL.format(name=n))) for n in ("a", "b")]
+    assert main(["run", *paths, "--jobs", "2", "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls == ["a", "b"]
+    assert capsys.readouterr().out.count(": pass") == 2
+
+
 def test_run_reports_failing_check(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
     # claim a decay rate the data cannot deliver by damping far slower
@@ -521,9 +542,11 @@ def test_region_check_with_too_few_samples_exits_1(capsys, samples):
         ("x_hi = 6.283185307179586", "x_hi = inf", "grid: need finite bounds"),
         ("snapshots", "init.angle = 0\ncheck.containment = on\nsnapshots",
          "Z = u/v undefined where v = 0"),
+        ("phi = power:1", "phi = power:nan",
+         "line 2, col 7: phi: power family needs finite gamma > 0, got nan"),
     ],
     ids=["mollify-inf", "mollify-1e300", "mollify-nan", "subnormal-cell-width", "infinite-bound",
-         "containment-auto-on-the-axis"],
+         "containment-auto-on-the-axis", "phi-nan"],
 )
 def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, old, new, message):
     text = SMALL.format(name="hostile").replace(old, new)

@@ -86,8 +86,9 @@ def test_power_pair_shifted_phi_m3():
 
 
 def test_power_pair_rejects_small_m():
-    with pytest.raises(ConfigError):
-        ent.power_entropy_pair(0.5, md.PhiModel.power(1.0))
+    for m in (0.5, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            ent.power_entropy_pair(m, md.PhiModel.power(1.0))
 
 
 # -- generic construction -------------------------------------------------------

@@ -184,7 +184,9 @@ def test_from_spec_parsing():
     assert md.PhiModel.from_spec("shifted:1,0.5").phi0 == 1.0
     assert float(md.PhiModel.from_spec("const:3").phi(1.7)) == 3.0
     assert float(md.PhiModel.from_spec("constant:3").phi(0.2)) == 3.0
-    for bad in ("power", "power:x", "shifted:1", "mystery:1", "power:-1", "shifted:-1,2"):
+    for bad in ("power", "power:x", "shifted:1", "mystery:1", "power:-1", "shifted:-1,2",
+                "power:nan", "power:inf", "shifted:nan,1", "shifted:1,inf", "const:inf",
+                "const:nan"):
         with pytest.raises(ConfigError):
             md.PhiModel.from_spec(bad)
 

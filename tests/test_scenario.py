@@ -1,4 +1,7 @@
+import dataclasses
+import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +155,28 @@ def test_reruns_are_byte_identical(tmp_path):
             assert strip(b1) == strip(b2)
         else:
             assert b1 == b2
+
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.cfg"))
+
+
+@pytest.mark.filterwarnings("ignore:const.1 fails the structure condition:UserWarning")
+@pytest.mark.parametrize("path", [*SHIPPED, "tabulated"],
+                         ids=[*(p.stem for p in SHIPPED), "tabulated"])
+def test_set_up_pickles_and_marches_bit_identically(tmp_path, path):
+    # a SetUp is a plain value: `run --jobs` sends it to a worker process
+    if path == "tabulated":
+        rs = np.linspace(0.0, 4.0, 41)
+        s = dataclasses.replace(sn.set_up(sn.parse_scenario_text(GOOD), tmp_path),
+                                phi=md.PhiModel.tabulated(rs, rs + 0.1 * rs**2))
+    else:
+        s = sn.set_up(sn.parse_scenario(path), tmp_path)
+    copy = pickle.loads(pickle.dumps(s))
+    assert (copy.phi.label, copy.phi.phi0, copy.out_dir) == (s.phi.label, s.phi.phi0, s.out_dir)
+    runs = [sv.simulate(x.init, x.phi, x.damping, x.config) for x in (s, copy)]
+    assert runs[0].n_steps == runs[1].n_steps > 0
+    for f, g in zip(*runs):
+        assert f.t == g.t and np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
 
 
 @pytest.mark.parametrize("name", [".", "..", "../x", "a/b", "/abs", "a\0b"])

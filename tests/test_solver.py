@@ -105,8 +105,17 @@ DAMPED = md.Damping(0.2, 0.1)
          "dt must be nonnegative, got -0.01"),
         (lambda f, phi: sv.hyperbolic_substep(f, phi, -0.01),
          "dt must be nonnegative, got -0.01"),
+        (lambda f, phi: sv.step_once(f, phi, DAMPED, float("nan")), "dt must be finite, got nan"),
+        (lambda f, phi: sv.step_once(f, phi, DAMPED, float("inf")), "dt must be finite, got inf"),
+        (lambda f, phi: sv.hyperbolic_substep(f, phi, float("nan")),
+         "dt must be finite, got nan"),
+        (lambda f, phi: sv.hyperbolic_substep(f, phi, float("inf")),
+         "dt must be finite, got inf"),
+        (lambda f, phi: sv.damping_substep(f, DAMPED, float("inf")),
+         "dt must be finite, got inf"),
     ],
-    ids=["step-scheme", "substep-scheme", "step-splitting", "step-dt", "substep-dt"],
+    ids=["step-scheme", "substep-scheme", "step-splitting", "step-dt", "substep-dt",
+         "step-dt-nan", "step-dt-inf", "substep-dt-nan", "substep-dt-inf", "damping-dt-inf"],
 )
 def test_direct_step_calls_check_their_arguments(call, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
