@@ -26,7 +26,15 @@ import warnings
 
 from . import __version__, _fmt
 from .errors import KKDampError, ValidationError
-from .model import Damping, PhiModel, State, classify_field, eigenvalues, eigenvectors
+from .model import (
+    R_MAX_DEFAULT,
+    Damping,
+    PhiModel,
+    State,
+    classify_field,
+    eigenvalues,
+    eigenvectors,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ent = sub.add_parser("entropy-pair", help="tabulate q(r) for eta = r**m")
     p_ent.add_argument("--m", type=float, required=True)
     p_ent.add_argument("--phi", required=True, help="e.g. power:1, shifted:1,1, const:1")
-    p_ent.add_argument("--r-max", type=float, default=10.0)
+    p_ent.add_argument("--r-max", type=float, default=R_MAX_DEFAULT)
     p_ent.add_argument("--n", default="200", help="table rows")
     p_ent.add_argument("--out", default=None, help="output file (default under output root)")
     add_output_dir(p_ent)
@@ -74,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--c0", type=float, default=None, help="default phi(r_max/2)")
     p_reg.add_argument("--c1", type=float, default=0.5)
     p_reg.add_argument("--c2", type=float, default=2.0)
-    p_reg.add_argument("--r-max", type=float, default=10.0)
+    p_reg.add_argument("--r-max", type=float, default=R_MAX_DEFAULT)
     p_reg.add_argument("--samples", type=int, default=64)
     p_reg.add_argument(
         "--skip-lower",
@@ -92,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig = sub.add_parser("eigen", help="eigenstructure at one state")
     p_eig.add_argument("--phi", required=True)
     p_eig.add_argument("--state", required=True, help="u,v")
-    p_eig.add_argument("--r-max", type=float, default=10.0)
+    p_eig.add_argument("--r-max", type=float, default=R_MAX_DEFAULT)
 
     return parser
 

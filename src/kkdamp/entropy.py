@@ -52,7 +52,6 @@ class BoundReport:
     m: float
     sup_phi: float
     passed: bool
-    n_samples: int
 
 
 def power_entropy_pair(
@@ -93,7 +92,6 @@ def flux_from_eta(
     eta: Callable,
     deta: Callable,
     phi: md.PhiModel,
-    quadrature_tol: float = 1e-10,
     label: str = "custom entropy",
 ) -> EntropyPair:
     """Entropy flux for a general radial eta via cumulative quadrature of
@@ -111,31 +109,23 @@ def flux_from_eta(
     def integrand(s: float) -> float:
         return (s * float(deta(s)) - float(eta(s))) * float(phi.dphi(s))
 
-    psi = CumulativeIntegral(integrand, phi.r_max, abs_tol=quadrature_tol)
+    psi = CumulativeIntegral(integrand, phi.r_max)
 
     def q(r):
         r = np.asarray(r, dtype=float)
         return (psi(r) + np.asarray(eta(r), dtype=float) * phi.phi(r))[()]
 
-    return EntropyPair(
-        eta=eta, deta=deta, q=q, label=label, quadrature_tol=quadrature_tol, m=None
-    )
+    return EntropyPair(eta=eta, deta=deta, q=q, label=label, quadrature_tol=psi.abs_tol)
 
 
-def verify_pair(
-    pair: EntropyPair,
-    phi: md.PhiModel,
-    states,
-    tol: float | None = None,
-    fd_step: float = 1e-6,
-) -> PairingReport:
+def verify_pair(pair: EntropyPair, phi: md.PhiModel, states) -> PairingReport:
     """Residual | grad(eta) . dF - grad(q) | at sample states, with both
-    gradients taken by central differences in (u, v) so the check does not
-    reuse the analytic construction it is verifying."""
-    if tol is None:
-        # FD gradients floor the achievable residual near sqrt(eps);
-        # quadrature_tol only matters below that.
-        tol = max(1e-6, 10.0 * pair.quadrature_tol)
+    gradients taken by central differences in (u, v) (relative step 1e-6)
+    so the check does not reuse the analytic construction it is verifying.
+    Passes at max(1e-6, 10 * pair.quadrature_tol): the difference gradients
+    floor the achievable residual near sqrt(eps), so a quadrature tolerance
+    matters only when it is coarser than that."""
+    tol = max(1e-6, 10.0 * pair.quadrature_tol)
 
     def eta_of(u, v):
         return float(pair.eta(np.hypot(u, v)))
@@ -149,8 +139,8 @@ def verify_pair(
     for s in states:
         u, v = (s.u, s.v) if isinstance(s, md.State) else (float(s[0]), float(s[1]))
         n += 1
-        hu = fd_step * max(1.0, abs(u))
-        hv = fd_step * max(1.0, abs(v))
+        hu = 1e-6 * max(1.0, abs(u))
+        hv = 1e-6 * max(1.0, abs(v))
         grad_eta = np.array(
             [
                 (eta_of(u + hu, v) - eta_of(u - hu, v)) / (2 * hu),
@@ -171,20 +161,16 @@ def verify_pair(
     return PairingReport(
         max_residual=worst,
         argmax_state=worst_state,
-        tol=float(tol),
+        tol=tol,
         passed=bool(worst <= tol),
         n_states=n,
     )
 
 
-def flux_bound(
-    pair: EntropyPair,
-    sup_phi: float,
-    r_working: float,
-    n_samples: int = 4096,
-) -> BoundReport:
+def flux_bound(pair: EntropyPair, sup_phi: float, r_working: float) -> BoundReport:
     """|q(r)| <= 2 m M r**m on (0, r_working], M = sup phi there (compute
-    M with PhiModel.sup_phi). Only defined for power-family pairs."""
+    M with PhiModel.sup_phi), sampled at 4096 even radii and 64 log-spaced
+    ones toward r = 0. Only defined for power-family pairs."""
     if pair.m is None:
         raise ConfigError("flux bound applies to power-family pairs only")
     if r_working <= 0:
@@ -194,7 +180,7 @@ def flux_bound(
     rs = np.concatenate(
         [
             r_working * 10.0 ** -np.linspace(8.0, 1.0, 64),
-            np.linspace(r_working / n_samples, r_working, n_samples),
+            np.linspace(r_working / 4096, r_working, 4096),
         ]
     )
     qs = np.abs(np.asarray(pair.q(rs), dtype=float))
@@ -208,5 +194,4 @@ def flux_bound(
         m=pair.m,
         sup_phi=float(sup_phi),
         passed=bool(ratio[k] <= 1.0 + 1e-10),
-        n_samples=int(rs.size),
     )

@@ -58,7 +58,6 @@ class HyperbolicityReport:
     argmin_r: float
     r_lo: float
     r_hi: float
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -85,6 +84,10 @@ def _constant(r, c):
     return np.full_like(r, c)[()]
 
 
+def _r_times(r, dphi):  # r phi'(r) of a table, continued by its limit 0 at r = 0
+    return np.where(r == 0.0, 0.0, r * dphi(r))[()]
+
+
 class PhiModel:
     """Radial velocity function phi with derivatives on [0, r_max].
 
@@ -102,7 +105,7 @@ class PhiModel:
         phi_fn: Callable,
         dphi_fn: Callable,
         d2phi_fn: Callable,
-        r_dphi_fn: Callable | None = None,
+        r_dphi_fn: Callable,
     ):
         if not np.isfinite(r_max) or r_max <= 0:
             raise ConfigError(f"r_max must be positive and finite, got {r_max}")
@@ -130,13 +133,8 @@ class PhiModel:
             return self._d2phi(np.asarray(r, dtype=float))
 
     def r_dphi(self, r):
-        """r * phi'(r), continued by its limit at r = 0."""
-        r = np.asarray(r, dtype=float)
-        if self._r_dphi is not None:
-            return self._r_dphi(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = r * self._dphi(r)
-        return np.where(r == 0.0, 0.0, out)
+        """r * phi'(r), continued by its limit 0 at r = 0; each family supplies the formula."""
+        return self._r_dphi(np.asarray(r, dtype=float))
 
     def lambda2(self, r):
         return self.phi(r) + self.r_dphi(r)
@@ -148,12 +146,12 @@ class PhiModel:
             raise OutOfRange(f"state radius {r:g} exceeds r_max={self.r_max:g}")
         return r
 
-    def sup_phi(self, r_hi: float | None = None, n_samples: int = 4096) -> float:
+    def sup_phi(self, r_hi: float | None = None) -> float:
         """sup |phi| over [0, r_hi] by dense sampling."""
         hi = self.r_max if r_hi is None else float(r_hi)
         if hi <= 0 or hi > self.r_max:
             raise ConfigError(f"r_hi must lie in (0, r_max], got {hi}")
-        rs = np.linspace(0.0, hi, n_samples)
+        rs = np.linspace(0.0, hi, 4096)
         return float(np.max(np.abs(self.phi(rs))))
 
     def level_radius(self, c: float) -> float:
@@ -272,13 +270,16 @@ class PhiModel:
         from scipy.interpolate import PchipInterpolator
 
         interp = PchipInterpolator(rs, vals, extrapolate=True)
+        dphi = interp.derivative(1)
         return cls(
             family="tabulated",
             label=label,
-            r_max=min(float(rs[-1]), np.inf if r_max is None else r_max),
+            # min(r_max, ...) keeps a nan r_max, which the constructor then refuses
+            r_max=float(rs[-1]) if r_max is None else min(r_max, float(rs[-1])),
             phi_fn=interp,
-            dphi_fn=interp.derivative(1),
+            dphi_fn=dphi,
             d2phi_fn=interp.derivative(2),
+            r_dphi_fn=partial(_r_times, dphi=dphi),
         )
 
     @classmethod
@@ -436,14 +437,12 @@ def classify_field(s: State, phi: PhiModel, field_index: int) -> FieldClassifica
     return FieldClassification(2, gn, kind)
 
 
-def classify_field_range(
-    phi: PhiModel, r_lo: float, r_hi: float, n_samples: int = 512
-) -> FieldClassification:
+def classify_field_range(phi: PhiModel, r_lo: float, r_hi: float) -> FieldClassification:
     """Classification of field 2 over an r-interval; MIXED if the
     indicator changes character across the samples."""
     if not (0 < r_lo < r_hi <= phi.r_max):
         raise ConfigError("need 0 < r_lo < r_hi <= r_max")
-    rs = np.linspace(r_lo, r_hi, n_samples)
+    rs = np.linspace(r_lo, r_hi, 512)
     gn = 2.0 * np.asarray(phi.dphi(rs)) + rs * np.asarray(phi.d2phi(rs))
     tol = 1e-10 * max(1.0, float(np.max(np.abs(phi.lambda2(rs)))))
     degenerate = np.abs(gn) <= tol
@@ -457,16 +456,14 @@ def classify_field_range(
     return FieldClassification(2, float(gn[worst]), kind)
 
 
-def check_strict_hyperbolicity(
-    phi: PhiModel, r_lo: float, r_hi: float, n_samples: int = 512
-) -> HyperbolicityReport:
+def check_strict_hyperbolicity(phi: PhiModel, r_lo: float, r_hi: float) -> HyperbolicityReport:
     """Sampled eigenvalue gap |lambda_2 - lambda_1| = |r phi'(r)| on
     [r_lo, r_hi]; passes when the gap never vanishes."""
     if not (0 < r_lo < r_hi <= phi.r_max):
         raise ConfigError(
             f"need 0 < r_lo < r_hi <= r_max={phi.r_max:g}, got [{r_lo}, {r_hi}]"
         )
-    rs = np.linspace(r_lo, r_hi, n_samples)
+    rs = np.linspace(r_lo, r_hi, 512)
     gaps = np.abs(np.asarray(phi.r_dphi(rs), dtype=float))
     k = int(np.argmin(gaps))
     return HyperbolicityReport(
@@ -475,5 +472,4 @@ def check_strict_hyperbolicity(
         argmin_r=float(rs[k]),
         r_lo=float(r_lo),
         r_hi=float(r_hi),
-        n_samples=int(n_samples),
     )

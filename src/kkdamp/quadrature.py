@@ -38,7 +38,9 @@ class CumulativeIntegral:
     integrable), accumulated and interpolated with a cubic spline. The
     spline is spot-checked against direct adaptive quadrature at probe
     points; on failure the node count doubles, up to `max_nodes`, after
-    which QuadratureFailure is raised.
+    which QuadratureFailure is raised. So it is when the probe integrals or
+    the cumulative sums are not finite or the spline cannot be built (its
+    slopes overflow); each message names r_max.
     """
 
     def __init__(
@@ -61,6 +63,8 @@ class CumulativeIntegral:
             [1e-4, 1e-3, 1e-2, 0.05, 0.13, 0.25, 0.41, 0.5, 0.66, 0.79, 0.9, 1.0]
         )
         direct = np.array([self._direct(r) for r in probes])
+        if not np.all(np.isfinite(direct)):
+            raise self._failure("probe integrals are not finite")
 
         n = int(n_init)
         while True:
@@ -71,11 +75,13 @@ class CumulativeIntegral:
                 self.probe_error = float(err)
                 return
             if n >= max_nodes:
-                raise QuadratureFailure(
-                    f"cumulative integral not within {self.abs_tol:g} at "
-                    f"{max_nodes} nodes (probe error {err:.3e})"
+                raise self._failure(
+                    f"not within {self.abs_tol:g} at {max_nodes} nodes (probe error {err:.3e})"
                 )
             n *= 2
+
+    def _failure(self, why: str) -> QuadratureFailure:
+        return QuadratureFailure(f"cumulative integral on [0, r_max = {self.r_max:g}]: {why}")
 
     def _direct(self, r: float) -> float:
         if r == 0.0:
@@ -97,7 +103,12 @@ class CumulativeIntegral:
                 self.f, nodes[i], nodes[i + 1], epsabs=seg_tol, epsrel=1e-12, limit=200
             )
         cumulative = np.concatenate([[0.0], np.cumsum(segs)])
-        self._spline = CubicSpline(nodes, cumulative)
+        if not np.all(np.isfinite(cumulative)):
+            raise self._failure("cumulative sums are not finite")
+        try:
+            self._spline = CubicSpline(nodes, cumulative)
+        except ValueError as exc:  # slopes that overflow, or nodes that underflow into repeats
+            raise self._failure(f"no spline: {exc}") from exc
         # below the first interior node the spline cannot deliver relative
         # accuracy (F(r) -> 0 there); route those through direct quadrature
         self._small_cut = nodes[1]

@@ -71,11 +71,12 @@ class ContainmentReport:
     passed: bool
 
 
-def contains(s: State, sigma: RegionSigma, phi: PhiModel, tol: float = 1e-8) -> bool:
-    """Membership of a state in Sigma, with additive slack tol on each face."""
+def contains(s: State, sigma: RegionSigma, phi: PhiModel) -> bool:
+    """Membership of a state in Sigma, with additive slack 1e-8 on each face;
+    OutOfRange for a state beyond r_max."""
     z = z_invariant(s.u, s.v)
-    w = float(phi.phi(s.r))
-    return (w <= sigma.c0 + tol) and (sigma.c1 - tol <= z <= sigma.c2 + tol)
+    w = float(phi.phi(phi.check_radius(s.r)))
+    return (w <= sigma.c0 + 1e-8) and (sigma.c1 - 1e-8 <= z <= sigma.c2 + 1e-8)
 
 
 def _piece(name: str, dots_outward: np.ndarray) -> PieceReport:

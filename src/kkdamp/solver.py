@@ -121,13 +121,12 @@ class StateField:
         return StateField(self.grid, self.u.copy(), self.v.copy(), self.t)
 
     @classmethod
-    def from_profiles(
-        cls, grid: Grid1D, u0: Callable, v0: Callable, t: float = 0.0
-    ) -> "StateField":
+    def from_profiles(cls, grid: Grid1D, u0: Callable, v0: Callable) -> "StateField":
+        """The field (u0(x), v0(x)) at the cell centers, at t = 0."""
         x = grid.centers
         u = np.broadcast_to(np.asarray(u0(x), dtype=float), x.shape).copy()
         v = np.broadcast_to(np.asarray(v0(x), dtype=float), x.shape).copy()
-        return cls(grid, u, v, t)
+        return cls(grid, u, v)
 
 
 def lp_norm(f: StateField, p: float, weight: WeightFunction | None = None) -> float:

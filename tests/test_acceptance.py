@@ -213,7 +213,7 @@ def test_criterion_5_weak_entropy_inequality(scenario_runs):
     smooth_512 = smooth_run(512)
     smooth_1024 = smooth_run(1024)
 
-    c_cal = calibrate_entropy_tolerance(smooth_512, pair, d, bumps, safety=10.0)
+    c_cal = calibrate_entropy_tolerance(smooth_512, pair, d, bumps)
     tol = entropy_tolerance(c_cal, shock_traj)
     rep = entropy_residual(shock_traj, pair, d, bumps, tol=tol)
     shock_residual = float(rep.residuals[shock_idx])

@@ -258,7 +258,7 @@ def test_entropy_tolerance_calibration_scales():
     d = md.Damping(0.2, 0.2)
     traj = constant_traj(0.3, 0.4)
     theta = an.SpaceTimeBump(0.0, 0.5, wx=1.0, wt=0.3)
-    c = an.calibrate_entropy_tolerance(traj, pair, d, [theta], safety=10.0)
+    c = an.calibrate_entropy_tolerance(traj, pair, d, [theta])
     assert c > 0
     assert an.entropy_tolerance(c, traj) == pytest.approx(
         c * (traj.grid.dx + traj.avg_dt)

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kkdamp
 from kkdamp.cli import main
 
 SMALL = """\
@@ -256,6 +260,34 @@ def test_entropy_pair_default_output_under_root(tmp_path, capsys, monkeypatch):
     code = main(["entropy-pair", "--m", "1.5", "--phi", "shifted:1,1"])
     assert code == 0
     assert (tmp_path / "root" / "entropy_pair_m1.5_shifted_1_1.tsv").exists()
+
+
+def test_entropy_pair_refuses_a_nan_r_max_for_a_table(tmp_path, capsys):
+    table = tmp_path / "phi.txt"
+    rs = np.linspace(0.0, 4.0, 9)
+    np.savetxt(table, np.column_stack((rs, 0.5 + rs)))
+    code = main(["entropy-pair", "--m", "2", "--phi", f"tabulated:{table}", "--r-max", "nan",
+                 "--out", str(tmp_path / "pair.tsv")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: r_max must be positive and finite, got nan\n"
+    assert not (tmp_path / "pair.tsv").exists()
+
+
+@pytest.mark.parametrize("r_max", ["1e90", "1e103"])
+def test_entropy_pair_at_an_overflowing_r_max_exits_1_without_a_traceback(tmp_path, r_max):
+    # a fresh process: in-process, pytest turns the overflow RuntimeWarning into an error
+    env = dict(os.environ)
+    src = str(Path(kkdamp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kkdamp.cli", "entropy-pair", "--m", "2", "--phi", "power:1",
+         "--r-max", r_max, "--out", str(tmp_path / "pair.tsv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(f"error: cumulative integral on [0, r_max = {float(r_max):g}]: ")
 
 
 def test_region_check_flags_lower_edge(capsys):

@@ -221,7 +221,19 @@ def test_tabulated_spec_honours_a_smaller_r_max(tmp_path):
     assert md.PhiModel.from_spec(f"tabulated:{path}", r_max=2.0).r_max == 2.0
     # a larger r_max stays capped at the table's last radius
     assert md.PhiModel.from_spec(f"tabulated:{path}", r_max=10.0).r_max == 4.0
+    assert md.PhiModel.from_spec(f"tabulated:{path}", r_max=np.inf).r_max == 4.0
     assert md.PhiModel.from_file(path).r_max == 4.0
+    # a nan r_max is refused, as by every other family
+    with pytest.raises(ConfigError, match="r_max must be positive and finite, got nan"):
+        md.PhiModel.from_spec(f"tabulated:{path}", r_max=np.nan)
+
+
+def test_tabulated_r_dphi_is_r_times_dphi_and_zero_at_the_origin():
+    rs = np.linspace(0.0, 4.0, 9)
+    phi = md.PhiModel.tabulated(rs, 0.5 + rs + 0.1 * rs**2)
+    r = np.linspace(0.0, 4.0, 33)
+    assert np.array_equal(phi.r_dphi(r), np.where(r == 0, 0, r * phi.dphi(r)))
+    assert phi.r_dphi(0.0) == 0.0
 
 
 def test_structure_condition_report():

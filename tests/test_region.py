@@ -4,7 +4,7 @@ import pytest
 from kkdamp import model as md
 from kkdamp import region as rg
 from kkdamp import solver as sv
-from kkdamp.errors import AxisState, ConfigError, ValidationError
+from kkdamp.errors import AxisState, ConfigError, OutOfRange, ValidationError
 
 
 def test_sigma_validation():
@@ -26,6 +26,8 @@ def test_contains():
     assert not rg.contains(md.State(-0.1, 1.0), sigma, phi)     # Z below C1
     with pytest.raises(AxisState):
         rg.contains(md.State(1.0, 0.0), sigma, phi)
+    with pytest.raises(OutOfRange):
+        rg.contains(md.State(50.0, 1.0), sigma, phi)            # r beyond r_max = 10
 
 
 def test_boundary_flow_signs_with_zero_lower_edge():
