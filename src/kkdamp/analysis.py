@@ -27,52 +27,11 @@ from .errors import (
     TestFunctionSupport,
 )
 from .model import Damping, PhiModel, z_invariant
-from .quadrature import bump, bump_derivative
+from .quadrature import bump, bump_derivative, weight, weight_slope
 from .solver import StateField, Trajectory, lp_norm  # lp_norm is re-exported here
 
 if TYPE_CHECKING:
     from .entropy import EntropyPair
-
-
-# -- weights ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """Spatial weight k(x) = exp(-h(x)) with |h'| <= 1, so |k'| <= k.
-    That slope bound is what lets the weighted entropy flux term be
-    absorbed into the weighted entropy itself."""
-
-    h: Callable
-    dh: Callable
-    k: Callable
-    dk: Callable
-
-    @classmethod
-    def default(cls) -> "WeightFunction":
-        """h(x) = sqrt(1 + x^2)."""
-
-        def h(x):
-            return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
-
-        def dh(x):
-            x = np.asarray(x, dtype=float)
-            return x / np.sqrt(1.0 + x * x)
-
-        def k(x):
-            return np.exp(-h(x))
-
-        def dk(x):
-            return -dh(x) * k(x)
-
-        return cls(h=h, dh=dh, k=k, dk=dk)
-
-    def slope_bound_ok(self) -> bool:
-        """|k'| <= k, sampled at 4001 points of [-50, 50]."""
-        xs = np.linspace(-50.0, 50.0, 4001)
-        return bool(np.max(np.abs(self.dk(xs))) <= np.max(self.k(xs)) + 1e-15) and bool(
-            np.all(np.abs(self.dk(xs)) <= self.k(xs) * (1.0 + 1e-12))
-        )
 
 
 # -- closed-form oracles ----------------------------------------------------
@@ -142,9 +101,7 @@ def radial_characteristics_oracle(r0: Callable, phi: PhiModel, a: float, x, t: f
 
 @dataclass(frozen=True)
 class DecayReport:
-    p: float
     weighted: bool
-    times: np.ndarray
     norms: np.ndarray
     fitted_rate: float
     k_est: float
@@ -153,7 +110,6 @@ class DecayReport:
     pointwise_ok: bool
     rate_band_ok: bool
     passed: bool
-    n_fit: int
 
 
 def fit_exponential_rate(times, values, window=None) -> tuple[float, float, int]:
@@ -181,34 +137,35 @@ def decay_harness(
     traj: Trajectory,
     p: float,
     d: Damping,
-    weight: WeightFunction | None = None,
     phi: PhiModel | None = None,
+    weighted: bool = False,
 ) -> DecayReport:
     """Fit the decay rate of the L^p norm of r along a trajectory and
     compare against the guaranteed rate.
 
     Unweighted (periodic mass/energy argument): rate min(a, b), and the
     fitted rate should land in [min(a,b), max(a,b)] up to the band slack.
-    Weighted: the Gronwall chain gives the signed rate min(a,b) - 2 sup phi
-    (decay only when positive), checked one-sidedly; requires phi for the
-    sup. The rate is fitted over the last 90% of the time span, and the
-    envelope check is norms <= 1.05 norm0 e^{-rate (t - t0)}."""
+    Weighted (k = quadrature.weight): the Gronwall chain gives the signed
+    rate min(a,b) - 2 sup phi (decay only when positive), checked
+    one-sidedly; requires phi for the sup. The rate is fitted over the last
+    90% of the time span, and the envelope check is
+    norms <= 1.05 norm0 e^{-rate (t - t0)}."""
     times = traj.times
     if times.size < 5:
         raise InsufficientData("decay harness needs at least five snapshots")
-    norms = np.array([lp_norm(f, p, weight) for f in traj.fields])
+    norms = np.array([lp_norm(f, p, weighted) for f in traj.fields])
 
-    if weight is None:
+    if not weighted:
         theorem_rate = min(d.a, d.b)
     else:
         if phi is None:
             raise ConfigError("weighted decay needs the phi model for sup phi")
         theorem_rate = min(d.a, d.b) - 2.0 * phi.sup_phi()
 
-    fitted_rate, k_est, n_fit = fit_exponential_rate(times, norms)
+    fitted_rate, k_est, _ = fit_exponential_rate(times, norms)
 
     slack = max(0.05 * max(d.a, d.b), 1e-3)
-    if weight is None:
+    if not weighted:
         band = (min(d.a, d.b) - slack, max(d.a, d.b) + slack)
         rate_band_ok = band[0] <= fitted_rate <= band[1]
     else:
@@ -219,9 +176,7 @@ def decay_harness(
     pointwise_ok = bool(np.all(norms <= 1.05 * envelope))
 
     return DecayReport(
-        p=p,
-        weighted=weight is not None,
-        times=times,
+        weighted=weighted,
         norms=norms,
         fitted_rate=fitted_rate,
         k_est=k_est,
@@ -230,7 +185,6 @@ def decay_harness(
         pointwise_ok=pointwise_ok,
         rate_band_ok=bool(rate_band_ok),
         passed=bool(pointwise_ok and rate_band_ok),
-        n_fit=n_fit,
     )
 
 
@@ -270,7 +224,6 @@ class SpaceTimeBump:
 class EntropyResidualReport:
     residuals: np.ndarray
     max_residual: float
-    tol: float | None
     passed: bool | None
 
 
@@ -344,7 +297,6 @@ def entropy_residual(
     return EntropyResidualReport(
         residuals=residuals,
         max_residual=max_residual,
-        tol=tol,
         passed=bool(max_residual <= tol) if tol is not None else None,
     )
 
@@ -373,13 +325,9 @@ def entropy_tolerance(c: float, traj: Trajectory) -> float:
 
 @dataclass(frozen=True)
 class RiemannInvariantReport:
-    times: np.ndarray
-    sup_z: np.ndarray
-    sup_w: np.ndarray
     expected_z_rate: float
     fitted_z_rate: float
     max_z_envelope_deviation: float
-    max_w_excess: float
     z_envelope_ok: bool
     w_max_principle_ok: bool
     passed: bool
@@ -416,13 +364,9 @@ def riemann_invariant_diagnostics(
     w_ok = w_excess <= tol * max(sup_w[0], 1e-300)
     z_ok = max_dev <= tol
     return RiemannInvariantReport(
-        times=times,
-        sup_z=sup_z,
-        sup_w=sup_w,
         expected_z_rate=float(d.a - d.b),
         fitted_z_rate=fitted,
         max_z_envelope_deviation=max_dev,
-        max_w_excess=w_excess,
         z_envelope_ok=bool(z_ok),
         w_max_principle_ok=bool(w_ok),
         passed=bool(z_ok and w_ok),
@@ -434,7 +378,6 @@ def riemann_invariant_diagnostics(
 
 @dataclass(frozen=True)
 class BalanceReport:
-    mid_times: np.ndarray
     residuals: np.ndarray        # d/dt E + source - flux, <= 0 up to truncation
     max_residual: float
     rms_residual: float
@@ -444,23 +387,24 @@ def weighted_entropy_balance(
     traj: Trajectory,
     pair: EntropyPair,
     d: Damping,
-    weight: WeightFunction | None = None,
+    weighted: bool = False,
 ) -> BalanceReport:
     """Discrete check of d/dt int eta k dx = int q k' dx - int source k dx
     between consecutive snapshots (time derivative by differencing, right
-    side by trapezoid in time). With k = 1 on a periodic grid this is the
-    plain entropy balance; the m = 2 pair gives the energy law."""
+    side by trapezoid in time), with k = quadrature.weight when weighted
+    and k = 1 otherwise. With k = 1 on a periodic grid this is the plain
+    entropy balance; the m = 2 pair gives the energy law."""
     times = traj.times
     if times.size < 2:
         raise InsufficientData("balance needs at least two snapshots")
     grid = traj.grid
     x = grid.centers
-    if weight is None:
+    if weighted:
+        kx = weight(x)
+        dkx = weight_slope(x)
+    else:
         kx = np.ones_like(x)
         dkx = np.zeros_like(x)
-    else:
-        kx = np.asarray(weight.k(x), dtype=float)
-        dkx = np.asarray(weight.dk(x), dtype=float)
 
     def energy(f: StateField) -> float:
         return float(grid.dx * np.sum(np.asarray(pair.eta(f.r), dtype=float) * kx))
@@ -477,7 +421,6 @@ def weighted_entropy_balance(
     rhs_mid = 0.5 * (rhs[:-1] + rhs[1:])
     residuals = lhs - rhs_mid
     return BalanceReport(
-        mid_times=0.5 * (times[:-1] + times[1:]),
         residuals=residuals,
         max_residual=float(np.max(residuals)),
         rms_residual=float(np.sqrt(np.mean(residuals**2))),

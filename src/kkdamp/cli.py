@@ -182,17 +182,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_decay(args) -> int:
-    from .analysis import WeightFunction, decay_harness
+    from .analysis import decay_harness
 
     (p,) = _parse_values("--p", args.p, count=1)
     s, res = _run_without_checks(args)
-    rep = decay_harness(
-        res.trajectory,
-        p,
-        s.damping,
-        weight=WeightFunction.default() if args.weighted else None,
-        phi=s.phi if args.weighted else None,
-    )
+    rep = decay_harness(res.trajectory, p, s.damping, s.phi, args.weighted)
     print(f"p = {args.p} weighted = {args.weighted}")
     print(f"fitted_rate = {_fmt(rep.fitted_rate)}")
     print(f"theorem_rate = {_fmt(rep.theorem_rate)}")
@@ -295,8 +289,9 @@ def _cmd_eigen(args) -> int:
 
 def _show_warning(message, *_):
     """A warning is one `warning: <message>` line on stderr, without the
-    source path and line of the kkdamp code that raised it."""
-    print(f"warning: {message}", file=sys.stderr)
+    source path and line of the code that raised it; the message's runs of
+    whitespace, newlines included, become single spaces."""
+    print("warning: " + " ".join(str(message).split()), file=sys.stderr)
 
 
 def main(argv=None) -> int:

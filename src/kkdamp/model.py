@@ -46,23 +46,17 @@ class C1Report:
     r phi(r) -> 0 as r -> 0+, and r phi'(r) != 0 on (0, r_max]."""
 
     satisfied: bool
-    limit_estimate: float
     min_abs_r_dphi: float
-    argmin_r: float
 
 
 @dataclass(frozen=True)
 class HyperbolicityReport:
     passed: bool
     min_gap: float          # min of |r phi'(r)| = |lambda_2 - lambda_1| over samples
-    argmin_r: float
-    r_lo: float
-    r_hi: float
 
 
 @dataclass(frozen=True)
 class FieldClassification:
-    field_index: int
     gn_value: float         # grad(lambda_i) . unit eigenvector, exact formula
     kind: str               # LINEARLY_DEGENERATE / GENUINELY_NONLINEAR / MIXED
 
@@ -142,8 +136,8 @@ class PhiModel:
     def check_radius(self, r: float) -> float:
         """r, after checking r <= r_max (to 1e-12 relative); OutOfRange if not.
         The one owner of that rule, for point states and for whole grids."""
-        if r > self.r_max * (1.0 + 1e-12):
-            raise OutOfRange(f"state radius {r:g} exceeds r_max={self.r_max:g}")
+        if not r <= self.r_max * (1.0 + 1e-12):  # nan too
+            raise OutOfRange(f"state radius {r:g} is outside [0, r_max={self.r_max:g}]")
         return r
 
     def sup_phi(self, r_hi: float | None = None) -> float:
@@ -187,15 +181,8 @@ class PhiModel:
                 np.linspace(self.r_max / 256.0, self.r_max, 512),
             ]
         )
-        gaps = np.abs(self.r_dphi(rs))
-        k = int(np.argmin(gaps))
-        nonvanishing = float(gaps[k]) > 0.0
-        return C1Report(
-            satisfied=bool(limit_ok and nonvanishing),
-            limit_estimate=float(limit_vals[-1]),
-            min_abs_r_dphi=float(gaps[k]),
-            argmin_r=float(rs[k]),
-        )
+        min_gap = float(np.min(np.abs(self.r_dphi(rs))))
+        return C1Report(satisfied=bool(limit_ok and min_gap > 0.0), min_abs_r_dphi=min_gap)
 
     # -- families --------------------------------------------------------
 
@@ -430,11 +417,11 @@ def classify_field(s: State, phi: PhiModel, field_index: int) -> FieldClassifica
     if r == 0.0:
         raise DegenerateState("classification undefined at r = 0")
     if field_index == 1:
-        return FieldClassification(1, 0.0, LINEARLY_DEGENERATE)
+        return FieldClassification(0.0, LINEARLY_DEGENERATE)
     gn = 2.0 * float(phi.dphi(r)) + r * float(phi.d2phi(r))
     lam2 = float(phi.lambda2(r))
     kind = LINEARLY_DEGENERATE if abs(gn) <= 1e-10 * max(1.0, abs(lam2)) else GENUINELY_NONLINEAR
-    return FieldClassification(2, gn, kind)
+    return FieldClassification(gn, kind)
 
 
 def classify_field_range(phi: PhiModel, r_lo: float, r_hi: float) -> FieldClassification:
@@ -453,7 +440,7 @@ def classify_field_range(phi: PhiModel, r_lo: float, r_hi: float) -> FieldClassi
     else:
         kind = MIXED
     worst = int(np.argmin(np.abs(gn)))
-    return FieldClassification(2, float(gn[worst]), kind)
+    return FieldClassification(float(gn[worst]), kind)
 
 
 def check_strict_hyperbolicity(phi: PhiModel, r_lo: float, r_hi: float) -> HyperbolicityReport:
@@ -464,12 +451,5 @@ def check_strict_hyperbolicity(phi: PhiModel, r_lo: float, r_hi: float) -> Hyper
             f"need 0 < r_lo < r_hi <= r_max={phi.r_max:g}, got [{r_lo}, {r_hi}]"
         )
     rs = np.linspace(r_lo, r_hi, 512)
-    gaps = np.abs(np.asarray(phi.r_dphi(rs), dtype=float))
-    k = int(np.argmin(gaps))
-    return HyperbolicityReport(
-        passed=bool(gaps[k] > 0.0),
-        min_gap=float(gaps[k]),
-        argmin_r=float(rs[k]),
-        r_lo=float(r_lo),
-        r_hi=float(r_hi),
-    )
+    min_gap = float(np.min(np.abs(np.asarray(phi.r_dphi(rs), dtype=float))))
+    return HyperbolicityReport(passed=min_gap > 0.0, min_gap=min_gap)

@@ -1,6 +1,6 @@
 """Cumulative integrals F(r) = int_0^r f(s) ds with spot-checked accuracy,
-plus the smooth compactly supported bump used for mollifiers and
-space-time test functions."""
+the smooth compactly supported bump used for mollifiers and space-time
+test functions, and the spatial weight of the weighted decay estimates."""
 
 from __future__ import annotations
 
@@ -28,6 +28,19 @@ def bump_derivative(s):
     one = 1.0 - si * si
     out[inside] = np.exp(-1.0 / one) * (-2.0 * si / (one * one))
     return out[()]
+
+
+def weight(x):
+    """Spatial weight k(x) = exp(-h(x)) with h(x) = sqrt(1 + x^2). Since
+    |h'| <= 1, |k'| <= k: that slope bound is what lets the weighted entropy
+    flux term be absorbed into the weighted entropy itself."""
+    return np.exp(-np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2))
+
+
+def weight_slope(x):
+    """d/dx of `weight`: -h'(x) k(x) with h'(x) = x / sqrt(1 + x^2)."""
+    x = np.asarray(x, dtype=float)
+    return -(x / np.sqrt(1.0 + x * x)) * weight(x)
 
 
 class CumulativeIntegral:

@@ -64,10 +64,8 @@ class BoundaryFlowReport:
 @dataclass(frozen=True)
 class ContainmentReport:
     max_violation: float
-    argmax_time: float
     first_violation_time: float | None
     violations_per_time: np.ndarray
-    tol: float
     passed: bool
 
 
@@ -156,13 +154,11 @@ def trajectory_containment(
         w = np.asarray(phi.phi(f.r), dtype=float)
         viol = np.maximum(w - sigma.c0, np.maximum(sigma.c1 - z, z - sigma.c2))
         per_time[k] = max(float(np.max(viol)), 0.0)
-    k_max = int(np.argmax(per_time))
+    max_violation = float(np.max(per_time))
     bad = np.nonzero(per_time > tol)[0]
     return ContainmentReport(
-        max_violation=float(per_time[k_max]),
-        argmax_time=float(times[k_max]),
+        max_violation=max_violation,
         first_violation_time=float(times[bad[0]]) if bad.size else None,
         violations_per_time=per_time,
-        tol=float(tol),
-        passed=bool(per_time[k_max] <= tol),
+        passed=max_violation <= tol,
     )

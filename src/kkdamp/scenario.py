@@ -389,17 +389,11 @@ def run_set_up(s: SetUp) -> RunResult:
     # each check imports the harness it runs, so parsing and the march
     # load neither analysis nor region
     if sc.get("check.decay", False):
-        from .analysis import WeightFunction, decay_harness
+        from .analysis import decay_harness
 
         p = sc.get("check.decay.p", 2.0)
         weighted = sc.get("check.decay.weighted", False)
-        rep = decay_harness(
-            traj,
-            p,
-            d,
-            weight=WeightFunction.default() if weighted else None,
-            phi=phi if weighted else None,
-        )
+        rep = decay_harness(traj, p, d, phi, weighted)
         checks["decay"] = rep.passed
         details.append(f"check.decay.fitted_rate = {_fmt(rep.fitted_rate)}")
         details.append(f"check.decay.theorem_rate = {_fmt(rep.theorem_rate)}")

@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,10 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .model import Damping, PhiModel
-from .quadrature import bump
-
-if TYPE_CHECKING:
-    from .analysis import WeightFunction
+from .quadrature import bump, weight
 
 SCHEMES = ("rusanov", "lax_friedrichs")
 SPLITTINGS = ("strang", "lie")
@@ -129,18 +126,16 @@ class StateField:
         return cls(grid, u, v)
 
 
-def lp_norm(f: StateField, p: float, weight: WeightFunction | None = None) -> float:
+def lp_norm(f: StateField, p: float, weighted: bool = False) -> float:
     """L^p norm of the radius field r = |(u, v)|, optionally weighted by
-    k(x): (integral of r^p k dx)^(1/p); p = inf gives the (weighted) sup."""
+    k = quadrature.weight: (integral of r^p k dx)^(1/p); p = inf gives the
+    (weighted) sup."""
     r = f.r
-    if weight is not None:
-        kx = np.asarray(weight.k(f.grid.centers), dtype=float)
-    else:
-        kx = None
+    kx = weight(f.grid.centers) if weighted else None
     if p == np.inf:
         vals = r if kx is None else kx * r
         return float(np.max(vals))
-    if p < 1:
+    if not p >= 1:  # nan too
         raise ConfigError(f"p must be >= 1 or inf, got {p}")
     vals = r**p if kx is None else kx * r**p
     return float((f.grid.dx * np.sum(vals)) ** (1.0 / p))

@@ -227,6 +227,26 @@ def test_decay_runs_no_scenario_check_and_fits_once(tmp_path, capsys, monkeypatc
     assert "check." not in manifest
 
 
+def test_run_weighted_decay_check_matches_the_decay_command(tmp_path, capsys):
+    text = SMALL.format(name="weighted") + "check.decay.weighted = on\n"
+    path = write_scenario(tmp_path, "weighted", text)
+    out_root = str(tmp_path / "out")
+    assert main(["decay", str(path), "--p", "2", "--weighted", "--output-dir", out_root]) == 0
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("theorem_rate")]
+    assert main(["run", str(path), "--output-dir", out_root]) == 0
+    manifest = (tmp_path / "out" / "weighted" / "weighted_manifest.txt").read_text()
+    recorded = [ln for ln in manifest.splitlines() if ln.startswith("check.decay.theorem_rate")]
+    assert len(printed) == len(recorded) == 1
+    assert recorded[0] == "check.decay." + printed[0]
+
+
+def test_decay_refuses_a_nan_p(tmp_path, capsys):
+    code = main(["decay", str(write_scenario(tmp_path)), "--p", "nan",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: p must be >= 1 or inf, got nan\n"
+
+
 def test_eigen_subcommand(capsys):
     code = main(["eigen", "--phi", "power:1", "--state", "3,4"])
     assert code == 0
@@ -234,6 +254,13 @@ def test_eigen_subcommand(capsys):
     assert "lambda_1 = 5.00000000000000000e+00" in out
     assert "lambda_2 = 1.00000000000000000e+01" in out
     assert "genuinely_nonlinear" in out and "linearly_degenerate" in out
+
+
+def test_eigen_nan_state_exits_1_with_one_error_line(capsys):
+    assert main(["eigen", "--phi", "power:1", "--state", "nan,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_eigen_bad_state_exits_2(capsys):
@@ -253,6 +280,16 @@ def test_entropy_pair_subcommand(tmp_path, capsys, monkeypatch):
     # row 100 is r = 1 exactly: q = 4/3 for eta = r^2, phi = r
     assert data[100, 0] == pytest.approx(1.0, abs=1e-15)
     assert data[100, 1] == pytest.approx(4.0 / 3.0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("default:sup phi <= 0 makes the bound vacuous:UserWarning")
+@pytest.mark.parametrize("phi, r_max", [("power:1", "1e-300"), ("const:0", "10")],
+                         ids=["underflowing-r-max", "zero-phi"])
+def test_entropy_pair_flux_bound_counts_zero_over_zero_as_held(tmp_path, capsys, phi, r_max):
+    code = main(["entropy-pair", "--m", "2", "--phi", phi, "--r-max", r_max,
+                 "--out", str(tmp_path / "pair.tsv")])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("-> ok")
 
 
 def test_entropy_pair_default_output_under_root(tmp_path, capsys, monkeypatch):
@@ -288,6 +325,23 @@ def test_entropy_pair_at_an_overflowing_r_max_exits_1_without_a_traceback(tmp_pa
     assert "Traceback" not in proc.stderr
     last = proc.stderr.splitlines()[-1]
     assert last.startswith(f"error: cumulative integral on [0, r_max = {float(r_max):g}]: ")
+
+
+def test_a_multi_line_warning_prints_as_one_line(tmp_path):
+    # scipy's IntegrationWarning message spans three lines; a fresh process,
+    # since in-process pytest turns the warning into an error
+    env = dict(os.environ)
+    src = str(Path(kkdamp.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kkdamp.cli", "entropy-pair", "--m", "2", "--phi", "power:1",
+         "--r-max", "1e103", "--out", str(tmp_path / "pair.tsv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert any(ln.startswith("warning: ") for ln in lines)
+    assert all(ln.startswith(("warning: ", "error: ")) for ln in lines), proc.stderr
 
 
 def test_region_check_flags_lower_edge(capsys):

@@ -163,6 +163,17 @@ def test_flux_bound_ratio_value_linear_m1():
     assert rep.max_ratio == pytest.approx(0.5, rel=1e-6)
 
 
+def test_flux_bound_zero_cap_holds_only_a_zero_flux():
+    # phi = 0: q = 0 under a zero cap, 0/0 reads as ratio 0
+    with pytest.warns(UserWarning, match="vacuous"):
+        rep = ent.flux_bound(ent.power_entropy_pair(2.0, md.PhiModel.constant(0.0)), 0.0, 1.0)
+    assert rep.max_ratio == 0.0 and rep.passed
+    # phi = 1, m = 2: q = r^2 > 0 meets the cap of sup phi = 0
+    with pytest.warns(UserWarning, match="vacuous"):
+        rep = ent.flux_bound(ent.power_entropy_pair(2.0, md.PhiModel.constant(1.0)), 0.0, 1.0)
+    assert rep.max_ratio == np.inf and not rep.passed
+
+
 def test_flux_bound_needs_power_pair():
     phi = md.PhiModel.power(1.0)
     generic = ent.flux_from_eta(lambda r: np.asarray(r) ** 2, lambda r: 2.0 * np.asarray(r), phi)

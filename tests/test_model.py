@@ -163,6 +163,12 @@ def test_out_of_range_radius():
         md.eigenvalues(md.State(3.0, 4.0), phi)
 
 
+def test_nan_radius_is_out_of_range():
+    phi = md.PhiModel.power(1.0)
+    with pytest.raises(OutOfRange):
+        md.riemann_invariants(md.State(np.nan, 1.0), phi)
+
+
 def test_damping_validation():
     md.Damping(0.5, 0.5)
     md.Damping(0.0, 0.0)
