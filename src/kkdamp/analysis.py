@@ -146,9 +146,11 @@ def decay_harness(
     Unweighted (periodic mass/energy argument): rate min(a, b), and the
     fitted rate should land in [min(a,b), max(a,b)] up to the band slack.
     Weighted (k = quadrature.weight): the Gronwall chain gives the signed
-    rate min(a,b) - 2 sup phi (decay only when positive), checked
-    one-sidedly; requires phi for the sup. The rate is fitted over the last
-    90% of the time span, and the envelope check is
+    rate min(a,b) - 2 sup |phi| (decay only when positive), checked
+    one-sidedly; requires phi for the sup, which is taken over the radii
+    the data reach: [0, r_hi], r_hi the largest radius of any snapshot
+    capped at r_max (|phi(0)| when every snapshot is zero). The rate is
+    fitted over the last 90% of the time span, and the envelope check is
     norms <= 1.05 norm0 e^{-rate (t - t0)}."""
     times = traj.times
     if times.size < 5:
@@ -160,7 +162,9 @@ def decay_harness(
     else:
         if phi is None:
             raise ConfigError("weighted decay needs the phi model for sup phi")
-        theorem_rate = min(d.a, d.b) - 2.0 * phi.sup_phi()
+        r_hi = min(max(float(np.max(f.r)) for f in traj.fields), phi.r_max)
+        sup = phi.sup_phi(r_hi) if r_hi > 0.0 else abs(phi.phi0)
+        theorem_rate = min(d.a, d.b) - 2.0 * sup
 
     fitted_rate, k_est, _ = fit_exponential_rate(times, norms)
 

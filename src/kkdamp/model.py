@@ -89,6 +89,10 @@ class PhiModel:
     `shifted_power`, `constant`, `tabulated`, `from_file`) or from a
     compact label via `from_spec` ("power:2", "shifted:1,1", "const:1",
     "tabulated:<path>").
+
+    `speed_grows_with_r` is a fact of the family, set by its constructor:
+    True when the wave speed max(|phi|, |phi + r phi'|) does not decrease
+    in r, so that its maximum over a field sits at the field's top radius.
     """
 
     def __init__(
@@ -100,6 +104,7 @@ class PhiModel:
         dphi_fn: Callable,
         d2phi_fn: Callable,
         r_dphi_fn: Callable,
+        speed_grows_with_r: bool,
     ):
         if not np.isfinite(r_max) or r_max <= 0:
             raise ConfigError(f"r_max must be positive and finite, got {r_max}")
@@ -110,6 +115,7 @@ class PhiModel:
         self._dphi = dphi_fn
         self._d2phi = d2phi_fn
         self._r_dphi = r_dphi_fn
+        self.speed_grows_with_r = speed_grows_with_r
         self.phi0 = float(phi_fn(0.0))
         self.c1_report = self._check_structure_condition()
 
@@ -200,6 +206,7 @@ class PhiModel:
             dphi_fn=partial(_scaled_power, k=g, g=g - 1.0),
             d2phi_fn=partial(_scaled_power, k=g * (g - 1.0), g=g - 2.0),
             r_dphi_fn=partial(_scaled_power, k=g, g=g),
+            speed_grows_with_r=True,  # (1 + gamma) r**gamma
         )
 
     @classmethod
@@ -221,6 +228,7 @@ class PhiModel:
             dphi_fn=partial(_scaled_power, k=g, g=g - 1.0),
             d2phi_fn=partial(_scaled_power, k=g * (g - 1.0), g=g - 2.0),
             r_dphi_fn=partial(_scaled_power, k=g, g=g),
+            speed_grows_with_r=True,  # c + (1 + gamma) r**gamma, c >= 0
         )
 
     @classmethod
@@ -239,6 +247,7 @@ class PhiModel:
             dphi_fn=partial(_constant, c=0.0),
             d2phi_fn=partial(_constant, c=0.0),
             r_dphi_fn=partial(_constant, c=0.0),
+            speed_grows_with_r=True,  # |c| at every r
         )
 
     @classmethod
@@ -267,6 +276,7 @@ class PhiModel:
             dphi_fn=dphi,
             d2phi_fn=interp.derivative(2),
             r_dphi_fn=partial(_r_times, dphi=dphi),
+            speed_grows_with_r=False,  # PCHIP keeps phi monotone, not phi + r phi'
         )
 
     @classmethod

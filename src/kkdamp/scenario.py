@@ -170,7 +170,14 @@ class Scenario:
             n_out = self.get("n_outputs", 2)
             if n_out < 2:
                 raise ValidationError("n_outputs", f"need >= 2, got {n_out}")
-            outputs = list(np.linspace(0.0, t_end, n_out))[1:]
+            times = np.linspace(0.0, t_end, n_out)
+            # SolverConfig refuses a negative or non-finite t_end by itself
+            if 0.0 <= t_end < np.inf and not np.all(np.diff(times) > 0):
+                raise ValidationError(
+                    "t_end", f"{n_out} output times from 0 to {t_end:g} are not strictly "
+                    "increasing; need a larger t_end"
+                )
+            outputs = list(times)[1:]
         return SolverConfig(
             t_end=t_end,
             output_times=outputs,

@@ -18,11 +18,13 @@ convex combination of neighbouring cells while
 speed dt/dx + 2 eps dt/dx^2 <= 1, i.e. dt <= `explicit_limit(dx, speed,
 eps)`, which is the CFL limit dx / speed when eps = 0. `step_once`
 guards that limit and `stable_dt` keeps dt at a fraction of it. Per step
-the wave speeds are evaluated on the current state for dt, and on the
-padded damped state, where one hypot and phi/r phi' evaluation feeds the
-r <= r_max check, the step guard and the face fluxes. Finiteness is
-validated once per step. `write_table` owns the format of every artifact
-table: snapshots, norm series, the viscosity sweep and entropy-flux tables.
+the top wave speed of the current state sets dt; for every family but a
+tabulated one it is evaluated only on the few cells that can hold the top
+radius (see `max_wavespeed`). On the padded damped state one hypot and
+phi/r phi' evaluation over every cell feeds the r <= r_max check, the step
+guard and the face fluxes. Finiteness is validated once per step.
+`write_table` owns the format of every artifact table: snapshots, norm
+series, the viscosity sweep and entropy-flux tables.
 """
 
 from __future__ import annotations
@@ -254,8 +256,30 @@ def _cell_speeds(r: np.ndarray, phi: PhiModel) -> tuple[np.ndarray, np.ndarray]:
 
 def max_wavespeed(f: StateField, phi: PhiModel) -> float:
     """max over cells of max(|lambda_1|, |lambda_2|), floored at 1e-14 so
-    time steps stay finite on identically zero data."""
-    return max(float(_cell_speeds(f.r, phi)[1].max()), WAVESPEED_FLOOR)
+    time steps stay finite on identically zero data.
+
+    When phi.speed_grows_with_r, the top speed is the speed at the top
+    radius, so hypot, phi and r phi' are evaluated only on the cells whose
+    s = u*u + v*v is at least s.max() (1 - 1e-9) - 1e-300. s and hypot are
+    each within a few ulp of the exact r^2 and r, so the cell with the
+    largest hypot always passes: the relative term covers that rounding,
+    the absolute term the rounding of squares below the normal range. The
+    r <= r_max check thus sees the exact r.max(). The speed is taken over
+    every candidate, so ties and ulp-level wobbles of pow among them cannot
+    change the result, and a cell left out has a radius smaller by a factor
+    about 1 - 5e-10, which pow's rounding cannot undo for gamma >= 1e-6.
+    The result is bit-identical to evaluating every cell, which a tabulated
+    phi (and a field whose squares overflow) still does."""
+    u, v = f.u, f.v
+    if phi.speed_grows_with_r:
+        with np.errstate(over="ignore"):
+            s = u * u
+            s += v * v
+        top = float(s.max())
+        if top < math.inf:
+            near = s >= top * (1.0 - 1e-9) - 1e-300
+            u, v = u[near], v[near]
+    return max(float(_cell_speeds(np.hypot(u, v), phi)[1].max()), WAVESPEED_FLOOR)
 
 
 def explicit_limit(dx: float, speed: float, eps: float) -> float:

@@ -174,6 +174,30 @@ def test_decay_harness_weighted_needs_phi_and_uses_chain_rate():
     assert rep.passed
 
 
+def test_weighted_decay_rate_takes_sup_phi_over_the_radii_reached(tmp_path):
+    from pathlib import Path
+
+    from kkdamp.scenario import parse_scenario, set_up
+
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "radial_decay.cfg"
+    s = set_up(parse_scenario(path), tmp_path)
+    traj = sv.simulate(s.init, s.phi, s.damping, s.config)
+    rep = an.decay_harness(traj, 2, s.damping, s.phi, weighted=True)
+    # phi = r and the radius only decays, so sup |phi| over the reached radii is max r0
+    a, b = s.damping.a, s.damping.b
+    assert rep.theorem_rate == min(a, b) - 2 * float(np.max(s.init.r))
+    assert rep.passed
+
+
+def test_weighted_decay_of_zero_data_is_insufficient_data():
+    zero = synthetic_traj(0.3, 0.3)
+    for f in zero.fields:
+        f.u[:] = 0.0
+        f.v[:] = 0.0
+    with pytest.raises(InsufficientData):
+        an.decay_harness(zero, 2, md.Damping(0.3, 0.3), md.PhiModel.power(1.0), weighted=True)
+
+
 def test_decay_harness_zero_damping_band():
     traj = synthetic_traj(0.0, 0.0)
     rep = an.decay_harness(traj, 2, md.Damping(0.0, 0.0))

@@ -642,6 +642,15 @@ def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, old, n
     assert message in err
 
 
+@pytest.mark.parametrize("n_outputs", ["2", "9"])
+def test_a_zero_t_end_is_refused_naming_t_end(tmp_path, capsys, n_outputs):
+    text = SMALL.format(name="instant").replace("t_end = 0.4", "t_end = 0").replace(
+        "n_outputs = 9", f"n_outputs = {n_outputs}")
+    code, err = _run_text(tmp_path, capsys, "instant", text)
+    assert code == 1
+    assert err.startswith("error: t_end: ") and err.count("\n") == 1
+
+
 TINY = {
     "name": "tiny", "phi": "power:1", "a": "0.5", "b": "0.2", "x_lo": "0.0", "x_hi": "1.0",
     "n_cells": "16", "boundary": "periodic", "t_end": "0.05", "n_outputs": "6",

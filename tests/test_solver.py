@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_march import _damping_speeds_up_case
 
 from kkdamp import model as md
 from kkdamp import solver as sv
@@ -75,6 +78,97 @@ def test_max_wavespeed_floor_and_range():
     f = make_field()
     expect = 2.0 * float(np.max(f.r))
     assert sv.max_wavespeed(f, md.PhiModel.power(1.0)) == pytest.approx(expect, rel=1e-12)
+
+
+def _speed_over_every_cell(f, phi):
+    return max(float(sv._cell_speeds(f.r, phi)[1].max()), sv.WAVESPEED_FLOOR)
+
+
+def _outcome(fn, f, phi):
+    try:
+        return fn(f, phi)
+    except OutOfRange as exc:
+        return f"OutOfRange: {exc}"
+
+
+_TABLE = _damping_speeds_up_case()[0]  # phi = 2 - r: the speed falls with r
+_MODELS = [md.PhiModel.power(g) for g in (1e-6, 0.5, 1.0, 2.0, 3.7)] + [
+    md.PhiModel.shifted_power(0.0, 1.0),
+    md.PhiModel.shifted_power(0.5, 1e-6),
+    md.PhiModel.shifted_power(2.0, 3.7),
+    md.PhiModel.constant(1.0),
+    md.PhiModel.constant(-2.0),
+    _TABLE,
+]
+_ENTRIES = st.one_of(
+    st.floats(-12.0, 12.0),  # radii past r_max = 10 (and 1.5 for the table) too
+    st.floats(-1e-150, 1e-150),  # squares down to subnormal and zero
+    st.sampled_from([0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e-160, 7.0, -7.0]),
+)
+_RADII = st.one_of(st.floats(0.0, 12.0), st.floats(1e-163, 1e-150))
+
+
+def _field(*states):
+    n = max(8, len(states))
+    uv = np.array([states[k % len(states)] for k in range(n)], dtype=float).T
+    return sv.StateField(sv.Grid1D(0.0, 1.0, n), uv[0], uv[1])
+
+
+@st.composite
+def _fields(draw):
+    """Fields of a few repeated states (plateaus and ties), some of them at
+    one radius and different angles, each entry moved by up to 3 ulp, with
+    signed and subnormal entries."""
+    n = draw(st.integers(8, 40))
+    radius = draw(_RADII)
+    on_circle = st.floats(-np.pi, np.pi).map(lambda a: (radius * np.cos(a), radius * np.sin(a)))
+    states = draw(
+        st.lists(st.one_of(st.tuples(_ENTRIES, _ENTRIES), on_circle), min_size=1, max_size=5)
+    )
+    picks = draw(st.lists(st.sampled_from(states), min_size=n, max_size=n))
+    ulps = draw(st.lists(st.integers(-3, 3), min_size=2 * n, max_size=2 * n))
+    uv = np.array(picks, dtype=float)
+    uv += np.reshape(ulps, (n, 2)) * np.spacing(uv)
+    return _field(*uv)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(f=_fields(), phi=st.sampled_from(_MODELS))
+# in each example the first state has the larger hypot but not the larger
+# u*u + v*v: by rounding; by underflow (0 against 5e-324); by overflow (the
+# second state's square is inf)
+@example(f=_field((2.606348009432931, 0.6865422852024055),
+                  (0.15112157154985104, 2.691013289870239)), phi=md.PhiModel.power(1.0))
+@example(f=_field((1.5e-162, 1.5e-162), (0.0, 1.6e-162)), phi=md.PhiModel.power(1e-6))
+@example(f=_field((1.2068803745084492e154, 5.840658323242862e153),
+                  (8.268332729877802e153, 1.0554808731296985e154)),
+         phi=md.PhiModel.power(1.0, r_max=1e155))
+@example(f=_field((1e200, 1e154), (1e200, 2e154)), phi=md.PhiModel.constant(1.0, r_max=1e300))
+def test_max_wavespeed_is_bit_identical_to_every_cell(f, phi):
+    assert _outcome(sv.max_wavespeed, f, phi) == _outcome(_speed_over_every_cell, f, phi)
+
+
+def test_max_wavespeed_takes_a_falling_table_speed_at_the_smallest_radius():
+    phi, init = _damping_speeds_up_case()
+    top = sv.max_wavespeed(init, phi)
+    assert top == _speed_over_every_cell(init, phi)
+    r_lo, r_hi = float(np.min(init.r)), float(np.max(init.r))
+    assert top == pytest.approx(2.0 - r_lo, rel=1e-12) and top > 2.0 - r_hi
+
+
+def test_max_wavespeed_evaluates_phi_only_near_the_top_radius(monkeypatch):
+    f = make_field(4096)  # smooth and periodic
+    power = md.PhiModel.power(1.0)
+    sizes = []
+    evaluate = md.PhiModel.phi
+    monkeypatch.setattr(
+        md.PhiModel, "phi", lambda self, r: sizes.append(np.size(r)) or evaluate(self, r)
+    )
+    sv.max_wavespeed(f, power)
+    assert 0 < max(sizes) < 256
+    sizes.clear()
+    sv.max_wavespeed(f, _TABLE)
+    assert sizes == [4096]
 
 
 # -- single substeps -----------------------------------------------------------
