@@ -105,8 +105,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+MAX_ROWS = 10**7  # `entropy-pair --n` and `region-check --samples`; 80 MB per array
+
+
 class UsageError(Exception):
     """An option value that cannot be used; `main` prints it and returns 2."""
+
+
+def _check_rows(option: str, rows: int) -> None:
+    if rows > MAX_ROWS:
+        raise UsageError(f"{option}: must be <= {MAX_ROWS}, got {rows}")
 
 
 def _parse_values(option: str, text: str, kind=float, count=None, minimum=None) -> list:
@@ -206,6 +214,7 @@ def _cmd_entropy_pair(args) -> int:
     from .solver import write_table
 
     (n_rows,) = _parse_values("--n", args.n, int, count=1, minimum=0)
+    _check_rows("--n", n_rows)
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     pair = power_entropy_pair(args.m, phi)
     rs = np.linspace(0.0, phi.r_max, n_rows)
@@ -228,6 +237,7 @@ def _cmd_entropy_pair(args) -> int:
 def _cmd_region_check(args) -> int:
     from .region import RegionSigma, boundary_flow_check
 
+    _check_rows("--samples", args.samples)
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     c0 = args.c0 if args.c0 is not None else float(phi.phi(0.5 * phi.r_max))
     sigma = RegionSigma(c0=c0, c1=args.c1, c2=args.c2)

@@ -48,6 +48,11 @@ from .solver import (
 
 DEFAULT_OUTPUT_ROOT = "kkd_out"
 
+# A march keeps every snapshot, 16 B per cell plus about 0.5 KB of objects,
+# so an output count is refused where count * (n_cells + 32) passes this
+# (1 GiB at 16 B per cell).
+MAX_SNAPSHOT_CELLS = 2**26
+
 _KEY_CHARS = set("abcdefghijklmnopqrstuvwxyz0123456789_.")
 
 
@@ -162,22 +167,32 @@ class Scenario:
             **self._set_values(boundary="boundary"),
         )
 
+    def _check_output_count(self, key: str, count: int) -> None:
+        n_cells = self.get("n_cells")
+        if count * (n_cells + 32) > MAX_SNAPSHOT_CELLS:
+            raise ValidationError(
+                key, f"{count} snapshots of {n_cells} cells would need more than 1 GiB"
+            )
+
     def solver_config(self) -> SolverConfig:
         t_end = self.get("t_end")
         if self.has("output_times"):
             outputs = self.get("output_times")
+            self._check_output_count("output_times", len(outputs))
         else:
             n_out = self.get("n_outputs", 2)
             if n_out < 2:
                 raise ValidationError("n_outputs", f"need >= 2, got {n_out}")
-            times = np.linspace(0.0, t_end, n_out)
-            # SolverConfig refuses a negative or non-finite t_end by itself
-            if 0.0 <= t_end < np.inf and not np.all(np.diff(times) > 0):
-                raise ValidationError(
-                    "t_end", f"{n_out} output times from 0 to {t_end:g} are not strictly "
-                    "increasing; need a larger t_end"
-                )
-            outputs = list(times)[1:]
+            self._check_output_count("n_outputs", n_out)
+            outputs = None  # SolverConfig refuses a negative or non-finite t_end
+            if 0.0 <= t_end < np.inf:
+                times = np.linspace(0.0, t_end, n_out)
+                if not np.all(np.diff(times) > 0):
+                    raise ValidationError(
+                        "t_end", f"{n_out} output times from 0 to {t_end:g} are not strictly "
+                        "increasing; need a larger t_end"
+                    )
+                outputs = list(times)[1:]
         return SolverConfig(
             t_end=t_end,
             output_times=outputs,

@@ -1,14 +1,13 @@
 """Finite-volume solver for the damped system on a uniform 1-D grid.
 
-Hyperbolic update: Rusanov (local wave-speed dissipation, the default) or
-global Lax-Friedrichs fluxes. Damping update: exact exponential decay per
-channel. The two are composed per step by Strang splitting
-D(dt/2) H(dt) D(dt/2) or Lie splitting D(dt) then H(dt). Because both
-numerical fluxes are monotone under the CFL constraint and the damping
-factors multiply u and v by equal or channel-wise constant factors, the
-positive invariant region {phi(r) <= C0, C1 <= u/v <= C2} with C1 = 0 is
-preserved discretely. An optional explicit viscosity eps u_xx is added to
-the flux update, evaluated on the same (damped, pre-flux) data.
+Hyperbolic update: Rusanov fluxes (local wave-speed dissipation). Damping
+update: exact exponential decay per channel. The two are composed per step
+by Strang splitting D(dt/2) H(dt) D(dt/2). Because the Rusanov flux is
+monotone under the CFL constraint and the damping factors multiply u and v
+by equal or channel-wise constant factors, the positive invariant region
+{phi(r) <= C0, C1 <= u/v <= C2} with C1 = 0 is preserved discretely. An
+optional explicit viscosity eps u_xx is added to the flux update, evaluated
+on the same (damped, pre-flux) data.
 
 `step_once` is the one split step and the only function that applies the
 flux update (`hyperbolic_substep` is its undamped case), `simulate` the
@@ -50,8 +49,6 @@ from .errors import (
 from .model import Damping, PhiModel
 from .quadrature import bump, weight
 
-SCHEMES = ("rusanov", "lax_friedrichs")
-SPLITTINGS = ("strang", "lie")
 BOUNDARIES = ("periodic", "outflow")
 
 WAVESPEED_FLOOR = 1e-14
@@ -143,21 +140,11 @@ def lp_norm(f: StateField, p: float, weighted: bool = False) -> float:
     return float((f.grid.dx * np.sum(vals)) ** (1.0 / p))
 
 
-def _check_viscous_scheme(scheme: str, eps: float):
-    """Lax-Friedrichs' dx/dt dissipation already spends the explicit
-    diffusion budget: with eps u_xx added, the grid-scale mode is multiplied
-    by -1 - 4 nu per step (nu = eps dt/dx^2), which is unstable at every dt."""
-    if scheme == "lax_friedrichs" and eps > 0:
-        raise ConfigError(
-            f"scheme lax_friedrichs with viscosity eps={eps:g} is unstable at every dt; "
-            "use scheme rusanov for viscous runs"
-        )
-
-
 @dataclass(frozen=True, kw_only=True)
 class SolverConfig:
     t_end: float
     output_times: Sequence[float] | None = None
+    # one value each; both can go once the benchmark stops passing them (ROADMAP item 1)
     scheme: str = "rusanov"
     splitting: str = "strang"
     cfl: float = 0.45
@@ -165,19 +152,20 @@ class SolverConfig:
     diffusion_number: float = 0.4  # speed dt/dx + 2 eps dt/dx^2 <= 2 diffusion_number
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.splitting not in SPLITTINGS:
-            raise ConfigError(
-                f"splitting must be one of {SPLITTINGS}, got {self.splitting!r}"
-            )
+        for key, value, only, retired in (
+            ("scheme", self.scheme, "rusanov", "lax_friedrichs"),
+            ("splitting", self.splitting, "strang", "lie"),
+        ):
+            if value == retired:
+                raise ConfigError(f"{key} {retired} was retired; {key} must be {only!r}")
+            if value != only:
+                raise ConfigError(f"{key} must be {only!r}, got {value!r}")
         if not 0.0 < self.cfl <= 1.0:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 <= self.t_end < math.inf:
             raise ConfigError(f"t_end must be finite and nonnegative, got {self.t_end}")
         if not 0.0 <= self.eps < math.inf:
             raise ConfigError(f"eps must be finite and nonnegative, got {self.eps}")
-        _check_viscous_scheme(self.scheme, self.eps)
         if not 0.0 < self.diffusion_number <= 0.5:
             raise ConfigError(
                 f"diffusion_number must lie in (0, 0.5], got {self.diffusion_number}"
@@ -290,13 +278,11 @@ def explicit_limit(dx: float, speed: float, eps: float) -> float:
     return dx * dx / (speed * dx + 2.0 * eps)
 
 
-def hyperbolic_substep(
-    f: StateField, phi: PhiModel, dt: float, scheme: str = "rusanov"
-) -> StateField:
+def hyperbolic_substep(f: StateField, phi: PhiModel, dt: float) -> StateField:
     """One conservative flux update of size dt, no damping: step_once with
-    zero rates (exp(-0 dt) = 1, so the data enter the kernel unchanged).
-    Advances t."""
-    return step_once(f, phi, Damping(0.0, 0.0), dt, scheme, "lie")
+    zero rates (both damping factors are exp(-0.0) = 1.0, and multiplying
+    by 1.0 is exact). Advances t."""
+    return step_once(f, phi, Damping(0.0, 0.0), dt)
 
 
 def _check_dt(dt: float) -> None:
@@ -319,19 +305,12 @@ def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
 
 
 def step_once(
-    f: StateField,
-    phi: PhiModel,
-    d: Damping,
-    dt: float,
-    scheme: str = "rusanov",
-    splitting: str = "strang",
-    eps: float = 0.0,
+    f: StateField, phi: PhiModel, d: Damping, dt: float, *, eps: float = 0.0
 ) -> StateField:
-    """One split step of size dt: D(dt/2) H(dt) D(dt/2) (Strang) or
-    D(dt) H(dt) (Lie). D multiplies u and v by damping_substep's factors;
-    H is the conservative flux update plus eps w_xx, taken on the damped
-    data with one ghost cell per side. Rusanov face dissipation uses the
-    local two-sided wave speed, Lax-Friedrichs the global dx/dt.
+    """One Strang split step of size dt: D(dt/2) H(dt) D(dt/2). D multiplies
+    u and v by damping_substep's factors; H is the conservative Rusanov flux
+    update plus eps w_xx, taken on the damped data with one ghost cell per
+    side, whose face dissipation is the local two-sided wave speed.
 
     hypot, phi and r phi' are evaluated once, on the padded damped data,
     and the r <= r_max check, the one step guard dt <= explicit_limit
@@ -341,16 +320,11 @@ def step_once(
     0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i) and
     w - dt/dx (flux_i+1/2 - flux_i-1/2) + nu (w_i+1 - 2 w_i + w_i-1)
     term by term, so results are bit-identical to them."""
-    if splitting not in SPLITTINGS:
-        raise ConfigError(f"splitting must be one of {SPLITTINGS}, got {splitting!r}")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
-    _check_viscous_scheme(scheme, eps)
     _check_dt(dt)
     if dt == 0.0:
         return StateField(f.grid, f.u.copy(), f.v.copy(), f.t + dt)
-    first = 0.5 * dt if splitting == "strang" else dt
-    decay = (np.exp(-d.a * first), np.exp(-d.b * first))
+    half = 0.5 * dt
+    decay = (np.exp(-d.a * half), np.exp(-d.b * half))
     ue, ve = (_pad(c, f.grid.boundary, k) for c, k in zip((f.u, f.v), decay))
     pe, speed = _cell_speeds(np.hypot(ue, ve), phi)
     dx = f.grid.dx
@@ -368,11 +342,8 @@ def step_once(
             f"eps dt/dx^2 = {nu:g})",
             speed=top,
         )
-    if scheme == "rusanov":
-        half_alpha = np.maximum(speed[:-1], speed[1:])
-        half_alpha *= 0.5
-    else:
-        half_alpha = 0.5 * (dx / dt)
+    half_alpha = np.maximum(speed[:-1], speed[1:])
+    half_alpha *= 0.5
     del speed  # freed before the flux buffers are allocated
     lam = dt / dx
     work = np.empty(ue.size)  # scratch shared by both channels
@@ -393,8 +364,7 @@ def step_once(
             lap += e[:-2]
             lap *= nu
             w += lap
-        if splitting == "strang":
-            w *= k  # the second damping half
+        w *= k  # the second damping half
         new.append(w)
     return StateField(f.grid, new[0], new[1], f.t + dt)
 
@@ -451,14 +421,14 @@ def simulate(
             if n_steps >= MAX_STEPS:
                 raise StabilityViolation(f"march reached {MAX_STEPS} steps at t={f.t:.17g}")
             try:
-                f = step_once(f, phi, d, dt, cfg.scheme, cfg.splitting, cfg.eps)
+                f = step_once(f, phi, d, dt, eps=cfg.eps)
             except (CFLViolation, StabilityViolation) as exc:
                 if exc.speed is None:
                     raise
                 # stable_dt at the guard's speed is below the limit that
                 # tripped, so it is also below dt and target - f.t
                 redo = cfg.stable_dt(dx, exc.speed)
-                f = step_once(f, phi, d, redo, cfg.scheme, cfg.splitting, cfg.eps)
+                f = step_once(f, phi, d, redo, eps=cfg.eps)
             n_steps += 1
         snap = f.copy()
         snap.t = target  # clamp away last-step rounding

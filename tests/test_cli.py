@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -310,17 +311,21 @@ def test_entropy_pair_refuses_a_nan_r_max_for_a_table(tmp_path, capsys):
     assert not (tmp_path / "pair.tsv").exists()
 
 
-@pytest.mark.parametrize("r_max", ["1e90", "1e103"])
-def test_entropy_pair_at_an_overflowing_r_max_exits_1_without_a_traceback(tmp_path, r_max):
-    # a fresh process: in-process, pytest turns the overflow RuntimeWarning into an error
+def _cli_process(args, cwd, **kwargs):
+    """Run `python -m kkdamp.cli *args` in a fresh process that imports this
+    checkout's kkdamp; stdout and stderr are captured as text."""
     env = dict(os.environ)
     src = str(Path(kkdamp.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kkdamp.cli", "entropy-pair", "--m", "2", "--phi", "power:1",
-         "--r-max", r_max, "--out", str(tmp_path / "pair.tsv")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", "kkdamp.cli", *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("r_max", ["1e90", "1e103"])
+def test_entropy_pair_at_an_overflowing_r_max_exits_1_without_a_traceback(tmp_path, r_max):
+    # a fresh process: in-process, pytest turns the overflow RuntimeWarning into an error
+    proc = _cli_process(["entropy-pair", "--m", "2", "--phi", "power:1", "--r-max", r_max,
+                         "--out", tmp_path / "pair.tsv"], tmp_path)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     last = proc.stderr.splitlines()[-1]
@@ -330,14 +335,8 @@ def test_entropy_pair_at_an_overflowing_r_max_exits_1_without_a_traceback(tmp_pa
 def test_a_multi_line_warning_prints_as_one_line(tmp_path):
     # scipy's IntegrationWarning message spans three lines; a fresh process,
     # since in-process pytest turns the warning into an error
-    env = dict(os.environ)
-    src = str(Path(kkdamp.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "kkdamp.cli", "entropy-pair", "--m", "2", "--phi", "power:1",
-         "--r-max", "1e103", "--out", str(tmp_path / "pair.tsv")],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _cli_process(["entropy-pair", "--m", "2", "--phi", "power:1", "--r-max", "1e103",
+                         "--out", tmp_path / "pair.tsv"], tmp_path)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert any(ln.startswith("warning: ") for ln in lines)
@@ -465,12 +464,18 @@ def test_unknown_phi_family_is_a_parse_error_at_the_phi_value(tmp_path, capsys):
                           "unknown phi family 'vortex'")
 
 
-def test_lax_friedrichs_with_viscosity_is_refused(tmp_path, capsys):
-    text = SMALL.format(name="lfvisc") + "scheme = lax_friedrichs\nviscous.eps = 0.01\n"
-    code, err = _run_text(tmp_path, capsys, "lfvisc", text)
+@pytest.mark.parametrize(
+    "line, message",
+    [("scheme = lax_friedrichs", "scheme lax_friedrichs was retired; scheme must be 'rusanov'"),
+     ("splitting = lie", "splitting lie was retired; splitting must be 'strang'")],
+    ids=["lax-friedrichs", "lie"],
+)
+def test_a_retired_scheme_or_splitting_is_refused(tmp_path, capsys, line, message):
+    text = SMALL.format(name="retired") + line + "\n"
+    code, err = _run_text(tmp_path, capsys, "retired", text)
     assert code == 1
-    assert "lax_friedrichs with viscosity" in err
-    assert not (tmp_path / "out" / "lfvisc").exists()
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "retired").exists()
 
 
 def test_output_times_sharing_a_snapshot_name_are_refused(tmp_path, capsys):
@@ -630,9 +635,14 @@ def test_region_check_with_too_few_samples_exits_1(capsys, samples):
          "Z = u/v undefined where v = 0"),
         ("phi = power:1", "phi = power:nan",
          "line 2, col 7: phi: power family needs finite gamma > 0, got nan"),
+        ("t_end = 0.4\nn_outputs = 9", "t_end = inf\nn_outputs = 2",
+         "t_end must be finite and nonnegative, got inf"),
+        ("t_end = 0.4\nn_outputs = 9", "t_end = inf\nn_outputs = 41",
+         "t_end must be finite and nonnegative, got inf"),
     ],
     ids=["mollify-inf", "mollify-1e300", "mollify-nan", "subnormal-cell-width", "infinite-bound",
-         "containment-auto-on-the-axis", "phi-nan"],
+         "containment-auto-on-the-axis", "phi-nan", "t_end-inf-2-outputs",
+         "t_end-inf-41-outputs"],
 )
 def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, old, new, message):
     text = SMALL.format(name="hostile").replace(old, new)
@@ -651,6 +661,39 @@ def test_a_zero_t_end_is_refused_naming_t_end(tmp_path, capsys, n_outputs):
     assert err.startswith("error: t_end: ") and err.count("\n") == 1
 
 
+def _address_space_limit():
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("run {cfg} --output-dir {out}", 1,
+         "n_outputs: 1000000000 snapshots of 64 cells would need more than 1 GiB"),
+        ("run {times} --output-dir {out}", 1,
+         "output_times: 64 snapshots of 1048576 cells would need more than 1 GiB"),
+        ("entropy-pair --m 2 --phi power:1 --n 1000000000 --output-dir {out}", 2,
+         "--n: must be <= 10000000, got 1000000000"),
+        ("region-check --a 0.6 --b 0.2 --samples 1000000000", 2,
+         "--samples: must be <= 10000000, got 1000000000"),
+    ],
+    ids=["n_outputs", "output_times", "entropy-pair-n", "region-check-samples"],
+)
+def test_counts_that_cannot_fit_are_refused_before_they_are_allocated(
+    tmp_path, argv, code, message
+):
+    # a fresh process under a 2 GiB address-space limit: a count allocated
+    # before it is checked ends in a MemoryError, not an exhausted machine
+    huge = SMALL.format(name="huge").replace("n_outputs = 9", "n_outputs = 1000000000")
+    many = SMALL.format(name="many").replace("n_cells = 64", "n_cells = 1048576").replace(
+        "n_outputs = 9", "output_times = " + ",".join(f"{0.4 * k / 64!r}" for k in range(1, 65)))
+    cfg, times = write_scenario(tmp_path, "huge", huge), write_scenario(tmp_path, "many", many)
+    proc = _cli_process(argv.format(cfg=cfg, times=times, out=tmp_path / "out").split(),
+                        tmp_path, preexec_fn=_address_space_limit)
+    assert (proc.returncode, proc.stderr) == (code, f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 TINY = {
     "name": "tiny", "phi": "power:1", "a": "0.5", "b": "0.2", "x_lo": "0.0", "x_hi": "1.0",
     "n_cells": "16", "boundary": "periodic", "t_end": "0.05", "n_outputs": "6",
@@ -659,7 +702,8 @@ TINY = {
 }
 HOSTILE_KEYS = sorted(TINY) + [
     "cfl", "viscous.eps", "viscous.diffusion_number", "init.mollify_eps", "output_times",
-    "r_max", "scheme", "check.decay.p", "check.containment.c0", "check.containment.tol",
+    "r_max", "scheme", "splitting", "check.decay.p", "check.containment.c0",
+    "check.containment.tol",
 ]
 HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-308", "abc", "auto", "1,2", "../x",
                   "a/b", "."]

@@ -53,10 +53,15 @@ def test_state_field_validation():
 
 def test_solver_config_validation():
     sv.SolverConfig(t_end=1.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("scheme must be 'rusanov', got 'upwind'")):
         sv.SolverConfig(t_end=1.0, scheme="upwind")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("splitting must be 'strang', got 'trotter'")):
         sv.SolverConfig(t_end=1.0, splitting="trotter")
+    # the Lax-Friedrichs flux and Lie splitting were retired
+    with pytest.raises(ConfigError, match="scheme lax_friedrichs was retired"):
+        sv.SolverConfig(t_end=1.0, scheme="lax_friedrichs")
+    with pytest.raises(ConfigError, match="splitting lie was retired"):
+        sv.SolverConfig(t_end=1.0, splitting="lie")
     with pytest.raises(ConfigError):
         sv.SolverConfig(t_end=1.0, cfl=1.5)
     with pytest.raises(ConfigError):
@@ -188,13 +193,6 @@ DAMPED = md.Damping(0.2, 0.1)
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda f, phi: sv.step_once(f, phi, DAMPED, 0.01, "upwind"),
-         "scheme must be one of ('rusanov', 'lax_friedrichs'), got 'upwind'"),
-        (lambda f, phi: sv.hyperbolic_substep(f, phi, 0.01, "upwind"),
-         "scheme must be one of ('rusanov', 'lax_friedrichs'), got 'upwind'"),
-        # the splitting is checked first
-        (lambda f, phi: sv.step_once(f, phi, DAMPED, 0.01, "upwind", "yoshida"),
-         "splitting must be one of ('strang', 'lie'), got 'yoshida'"),
         (lambda f, phi: sv.step_once(f, phi, DAMPED, -0.01),
          "dt must be nonnegative, got -0.01"),
         (lambda f, phi: sv.hyperbolic_substep(f, phi, -0.01),
@@ -208,20 +206,29 @@ DAMPED = md.Damping(0.2, 0.1)
         (lambda f, phi: sv.damping_substep(f, DAMPED, float("inf")),
          "dt must be finite, got inf"),
     ],
-    ids=["step-scheme", "substep-scheme", "step-splitting", "step-dt", "substep-dt",
-         "step-dt-nan", "step-dt-inf", "substep-dt-nan", "substep-dt-inf", "damping-dt-inf"],
+    ids=["step-dt", "substep-dt", "step-dt-nan", "step-dt-inf", "substep-dt-nan",
+         "substep-dt-inf", "damping-dt-inf"],
 )
 def test_direct_step_calls_check_their_arguments(call, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
         call(make_field(), md.PhiModel.power(1.0))
 
 
-def test_zero_step_returns_the_same_state_under_lax_friedrichs():
+def test_a_positional_scheme_is_a_type_error():
+    # eps is keyword-only: a call still passing the retired scheme or
+    # splitting arguments fails instead of reading them as eps or dt
+    f, phi = make_field(), md.PhiModel.power(1.0)
+    with pytest.raises(TypeError):
+        sv.step_once(f, phi, DAMPED, 0.01, "rusanov")
+    with pytest.raises(TypeError):
+        sv.hyperbolic_substep(f, phi, 0.01, "rusanov")
+
+
+def test_zero_step_returns_the_same_state():
     f = make_field()
     f.t = 0.25
     phi = md.PhiModel.power(1.0)
-    for g in (sv.step_once(f, phi, DAMPED, 0.0, "lax_friedrichs"),
-              sv.hyperbolic_substep(f, phi, 0.0, "lax_friedrichs")):
+    for g in (sv.step_once(f, phi, DAMPED, 0.0), sv.hyperbolic_substep(f, phi, 0.0)):
         assert np.array_equal(g.u, f.u) and np.array_equal(g.v, f.v)
         assert g.t == f.t
 
@@ -239,11 +246,10 @@ def test_hyperbolic_substep_conserves_on_periodic():
     f = make_field()
     phi = md.PhiModel.power(1.0)
     dt = 0.4 * f.grid.dx / sv.max_wavespeed(f, phi)
-    for scheme in sv.SCHEMES:
-        g = sv.hyperbolic_substep(f, phi, dt, scheme)
-        assert np.sum(g.u) == pytest.approx(np.sum(f.u), abs=1e-12 * f.grid.n_cells)
-        assert np.sum(g.v) == pytest.approx(np.sum(f.v), abs=1e-12 * f.grid.n_cells)
-        assert g.t == pytest.approx(f.t + dt)
+    g = sv.hyperbolic_substep(f, phi, dt)
+    assert np.sum(g.u) == pytest.approx(np.sum(f.u), abs=1e-12 * f.grid.n_cells)
+    assert np.sum(g.v) == pytest.approx(np.sum(f.v), abs=1e-12 * f.grid.n_cells)
+    assert g.t == pytest.approx(f.t + dt)
 
 
 def test_damped_mass_identity_per_step():
@@ -253,10 +259,9 @@ def test_damped_mass_identity_per_step():
     phi = md.PhiModel.power(1.0)
     d = md.Damping(0.8, 0.25)
     dt = 0.4 * f.grid.dx / sv.max_wavespeed(f, phi)
-    for splitting in sv.SPLITTINGS:
-        g = sv.step_once(f, phi, d, dt, splitting=splitting)
-        assert np.sum(g.u) == pytest.approx(np.exp(-0.8 * dt) * np.sum(f.u), rel=1e-13)
-        assert np.sum(g.v) == pytest.approx(np.exp(-0.25 * dt) * np.sum(f.v), rel=1e-13)
+    g = sv.step_once(f, phi, d, dt)
+    assert np.sum(g.u) == pytest.approx(np.exp(-0.8 * dt) * np.sum(f.u), rel=1e-13)
+    assert np.sum(g.v) == pytest.approx(np.exp(-0.25 * dt) * np.sum(f.v), rel=1e-13)
 
 
 def test_discrete_max_principles():
@@ -273,17 +278,6 @@ def test_discrete_max_principles():
     assert np.max(z1) <= np.max(z0) * shrink * (1 + 1e-12)
     assert np.min(z1) >= np.min(z0) * shrink * (1 - 1e-12)
     assert np.max(g.r) <= np.max(f.r) * (1 + 1e-12)
-
-
-def test_lax_friedrichs_also_keeps_the_hull():
-    f = make_field()
-    phi = md.PhiModel.power(1.0)
-    d = md.Damping(0.4, 0.4)
-    cfg = sv.SolverConfig(t_end=0.3, scheme="lax_friedrichs")
-    g = sv.simulate(f, phi, d, cfg)[-1]
-    z0, z1 = f.u / f.v, g.u / g.v
-    assert np.max(z1) <= np.max(z0) * (1 + 1e-12)
-    assert np.min(z1) >= np.min(z0) * (1 - 1e-12)
 
 
 # -- simulate bookkeeping -------------------------------------------------------

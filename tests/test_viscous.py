@@ -48,7 +48,7 @@ def test_stability_violation_raised():
     dx = f.grid.dx
     too_big = 2.0 * cfg.diffusion_number * dx * dx / cfg.eps
     with pytest.raises(StabilityViolation):
-        sv.step_once(f, phi, d, too_big, cfg.scheme, cfg.splitting, eps=cfg.eps)
+        sv.step_once(f, phi, d, too_big, eps=cfg.eps)
     # with a nonzero speed, nu = eps dt / dx^2 = 1/2 already breaks
     # speed dt/dx + 2 nu <= 1
     with pytest.raises(StabilityViolation, match="diffusion number"):
