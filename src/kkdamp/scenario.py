@@ -176,6 +176,8 @@ class Scenario:
 
     def solver_config(self) -> SolverConfig:
         t_end = self.get("t_end")
+        if self.has("output_times") and self.has("n_outputs"):
+            raise ValidationError("output_times", "set n_outputs or output_times, not both")
         if self.has("output_times"):
             outputs = self.get("output_times")
             self._check_output_count("output_times", len(outputs))
@@ -389,7 +391,7 @@ def set_up(sc: Scenario, out_root=None) -> SetUp:
     grid = sc.grid()
     cfg = sc.solver_config()
     init = sc.initial_field(grid)
-    times = [init.t, *cfg.resolved_outputs().tolist()]
+    times = [init.t, *cfg.output_times]
     _check_snapshot_names(sc, _snapshot_selection(sc, times))
     return SetUp(sc, phi, d, init, cfg, output_dir(out_root, sc.name))
 
@@ -414,8 +416,7 @@ def run_set_up(s: SetUp) -> RunResult:
         from .analysis import decay_harness
 
         p = sc.get("check.decay.p", 2.0)
-        weighted = sc.get("check.decay.weighted", False)
-        rep = decay_harness(traj, p, d, phi, weighted)
+        rep = decay_harness(traj, p, d, phi, **sc._set_values(weighted="check.decay.weighted"))
         checks["decay"] = rep.passed
         details.append(f"check.decay.fitted_rate = {_fmt(rep.fitted_rate)}")
         details.append(f"check.decay.theorem_rate = {_fmt(rep.theorem_rate)}")
@@ -437,7 +438,7 @@ def run_set_up(s: SetUp) -> RunResult:
             c2 = float(np.max(z0))
         sigma = RegionSigma(c0=c0, c1=c1, c2=c2)
         rep = trajectory_containment(
-            traj, sigma, phi, tol=sc.get("check.containment.tol", 1e-8)
+            traj, sigma, phi, **sc._set_values(tol="check.containment.tol")
         )
         checks["containment"] = rep.passed
         details.append(f"check.containment.c0 = {_fmt(c0)}")
@@ -450,7 +451,7 @@ def run_set_up(s: SetUp) -> RunResult:
         from .analysis import riemann_invariant_diagnostics
 
         rep = riemann_invariant_diagnostics(
-            traj, phi, d, tol=sc.get("check.invariants.tol", 5e-2)
+            traj, phi, d, **sc._set_values(tol="check.invariants.tol")
         )
         checks["invariants"] = rep.passed
         details.append(f"check.invariants.fitted_z_rate = {_fmt(rep.fitted_z_rate)}")

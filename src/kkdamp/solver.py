@@ -113,9 +113,6 @@ class StateField:
     def r(self) -> np.ndarray:
         return np.hypot(self.u, self.v)
 
-    def copy(self) -> "StateField":
-        return StateField(self.grid, self.u.copy(), self.v.copy(), self.t)
-
     @classmethod
     def from_profiles(cls, grid: Grid1D, u0: Callable, v0: Callable) -> "StateField":
         """The field (u0(x), v0(x)) at the cell centers, at t = 0."""
@@ -143,7 +140,7 @@ def lp_norm(f: StateField, p: float, weighted: bool = False) -> float:
 @dataclass(frozen=True, kw_only=True)
 class SolverConfig:
     t_end: float
-    output_times: Sequence[float] | None = None
+    output_times: Sequence[float] | None = None  # None is (t_end,)
     # one value each; both can go once the benchmark stops passing them (ROADMAP item 1)
     scheme: str = "rusanov"
     splitting: str = "strang"
@@ -170,17 +167,13 @@ class SolverConfig:
             raise ConfigError(
                 f"diffusion_number must lie in (0, 0.5], got {self.diffusion_number}"
             )
-        if self.output_times is not None:
-            ts = np.asarray(list(self.output_times), dtype=float)
-            if ts.size == 0 or not np.all(np.diff(ts) > 0) or not np.all(ts >= 0):
-                raise ConfigError("output_times must be strictly increasing and >= 0")
-            if ts[-1] > self.t_end * (1 + 1e-12) + 1e-15:
-                raise ConfigError("output_times may not exceed t_end")
-
-    def resolved_outputs(self) -> np.ndarray:
-        if self.output_times is None:
-            return np.array([self.t_end])
-        return np.asarray(list(self.output_times), dtype=float)
+        # the one schedule of a march: a tuple of floats that ends at t_end
+        ts = (self.t_end,) if self.output_times is None else tuple(map(float, self.output_times))
+        if not ts or not ts[0] >= 0 or not all(a < b for a, b in zip(ts, ts[1:])):
+            raise ConfigError("output_times must be strictly increasing and >= 0")
+        if not abs(ts[-1] - self.t_end) <= self.t_end * 1e-12 + 1e-15:
+            raise ConfigError(f"output_times must end at t_end = {self.t_end:g}, got {ts[-1]:g}")
+        object.__setattr__(self, "output_times", ts)
 
     def stable_dt(self, dx: float, speed: float) -> float:
         """cfl dx / speed; with viscosity also 2 diffusion_number times
@@ -375,12 +368,14 @@ def simulate(
     d: Damping,
     cfg: SolverConfig,
 ) -> Trajectory:
-    """March from init.t to cfg.t_end; the trajectory is a copy of init,
-    then one snapshot per requested output time (hit exactly by truncating
-    the final step of each segment). dt is cfg.stable_dt at the current
-    data's wave speed, recomputed every step. Damping can make the damped state the kernel
-    sees faster than the current one; a step whose guard trips is redone
-    once at cfg.stable_dt of the kernel's own top speed.
+    """March from init.t to cfg.t_end; the trajectory is init itself, then
+    one snapshot per time in cfg.output_times (hit exactly by truncating
+    the final step of each segment). No step writes into its input, so
+    the snapshots share the march's arrays rather than copying them. dt is
+    cfg.stable_dt at the current data's wave speed, recomputed every step.
+    Damping can make the damped state the kernel sees faster than the
+    current one; a step whose guard trips is redone once at cfg.stable_dt
+    of the kernel's own top speed.
 
     Raises ValidationError, naming the config field that sets dt, when the
     first step predicts more than MAX_STEPS steps to t_end, and
@@ -397,13 +392,13 @@ def simulate(
             "continuing, but well-posedness results do not apply",
             stacklevel=2,
         )
-    targets = cfg.resolved_outputs()
+    targets = cfg.output_times
     if targets[0] < init.t - 1e-12:
         raise ConfigError("output time precedes the initial time")
     dx = init.grid.dx
     elapsed = targets[-1] - init.t
-    f = init  # steps never write into their input
-    out = [init.copy()]
+    f = init
+    out = [init]
     n_steps = 0
     for target in targets:
         while f.t < target * (1.0 - 1e-15) - 1e-15:
@@ -423,16 +418,12 @@ def simulate(
             try:
                 f = step_once(f, phi, d, dt, eps=cfg.eps)
             except (CFLViolation, StabilityViolation) as exc:
-                if exc.speed is None:
-                    raise
                 # stable_dt at the guard's speed is below the limit that
                 # tripped, so it is also below dt and target - f.t
                 redo = cfg.stable_dt(dx, exc.speed)
                 f = step_once(f, phi, d, redo, eps=cfg.eps)
             n_steps += 1
-        snap = f.copy()
-        snap.t = target  # clamp away last-step rounding
-        out.append(snap)
+        out.append(StateField(f.grid, f.u, f.v, target))  # target clamps away last-step rounding
     return Trajectory(
         fields=out,
         n_steps=n_steps,

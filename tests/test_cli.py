@@ -478,6 +478,22 @@ def test_a_retired_scheme_or_splitting_is_refused(tmp_path, capsys, line, messag
     assert not (tmp_path / "out" / "retired").exists()
 
 
+@pytest.mark.parametrize(
+    "schedule, message",
+    [("output_times = 0.1, 0.2", "output_times must end at t_end = 0.4, got 0.2"),
+     ("n_outputs = 9\noutput_times = 0.2, 0.4",
+      "output_times: set n_outputs or output_times, not both")],
+    ids=["ends-before-t_end", "both-keys"],
+)
+def test_a_schedule_that_disagrees_with_itself_is_refused(tmp_path, capsys, schedule, message):
+    # an early end would march short of t_end, and n_outputs would be dropped
+    text = SMALL.format(name="schedule").replace("n_outputs = 9", schedule)
+    code, err = _run_text(tmp_path, capsys, "schedule", text)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "schedule").exists()
+
+
 def test_output_times_sharing_a_snapshot_name_are_refused(tmp_path, capsys):
     text = (
         SMALL.format(name="clash")
@@ -721,7 +737,9 @@ HOSTILE_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e-308", "abc", "auto", "1,2
 @example({"name": "a/b"})
 @example({"name": "."})
 def test_run_with_hostile_values_exits_0_or_1(overrides):
-    text = "".join(f"{k} = {v}\n" for k, v in {**TINY, **overrides}.items())
+    # an output_times override replaces n_outputs, since a scenario may not set both
+    base = {k: v for k, v in TINY.items() if k != "n_outputs" or "output_times" not in overrides}
+    text = "".join(f"{k} = {v}\n" for k, v in {**base, **overrides}.items())
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "tiny.cfg"
         path.write_text(text)

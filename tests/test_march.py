@@ -124,7 +124,7 @@ def reference_march(init, phi, d, cfg):
     dx = init.grid.dx
     f = init
     fields, n_steps = [init], 0
-    for target in cfg.resolved_outputs():
+    for target in cfg.output_times:
         while f.t < target * (1.0 - 1e-15) - 1e-15:
             speed = sv.max_wavespeed(f, phi)
             dt = cfg.cfl * dx / speed
@@ -160,7 +160,10 @@ def test_simulate_is_bit_identical_to_the_unfused_split_step(boundary, eps):
     phi = md.PhiModel.power(1.5)
     d = md.Damping(0.7, 0.2)
     cfg = sv.SolverConfig(t_end=0.02, output_times=[0.008, 0.014, 0.02], eps=eps)
+    u0, v0 = init.u.copy(), init.v.copy()
     traj = sv.simulate(init, phi, d, cfg)
+    # the trajectory starts with init itself, which the march leaves untouched
+    assert traj[0] is init and _same_bits(init.u, u0) and _same_bits(init.v, v0)
     ref, n_steps = reference_march(init, phi, d, cfg)
     assert traj.n_steps == n_steps > 0
     assert list(traj.times) == [0.0, 0.008, 0.014, 0.02]
@@ -239,7 +242,10 @@ def test_march_redoes_a_step_whose_guard_trips(a, b, step_rule, guard):
     with pytest.raises(guard) as exc:  # a direct step still raises
         sv.step_once(init, phi, d, cfg.stable_dt(init.grid.dx, speed), eps=cfg.eps)
     assert exc.value.speed > speed  # the damped state is faster
+    u0, v0 = init.u.copy(), init.v.copy()
     traj = sv.simulate(init, phi, d, cfg)
+    # the redone step also leaves init, the trajectory's first entry, untouched
+    assert traj[0] is init and _same_bits(init.u, u0) and _same_bits(init.v, v0)
     assert traj[-1].t == 0.2
     r_top = float(np.max(init.r))
     assert all(np.all(f.u > 0) and np.all(f.v > 0) and np.max(f.r) <= r_top for f in traj)

@@ -70,6 +70,14 @@ def test_solver_config_validation():
         sv.SolverConfig(t_end=1.0, output_times=[0.5, 0.25])
     with pytest.raises(ConfigError):
         sv.SolverConfig(t_end=1.0, output_times=[0.5, 2.0])
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        sv.SolverConfig(t_end=1.0, output_times=[0.5, np.nan, 1.0])
+    # the schedule is resolved once and must end at t_end
+    with pytest.raises(ConfigError, match=re.escape("output_times must end at t_end = 1, got 0.5")):
+        sv.SolverConfig(t_end=1.0, output_times=[0.5])
+    assert sv.SolverConfig(t_end=1.0).output_times == (1.0,)
+    cfg = sv.SolverConfig(t_end=1.0, output_times=[0.5, 1.0])
+    assert cfg.output_times == (0.5, 1.0) and type(cfg.output_times) is tuple
 
 
 def test_max_wavespeed_floor_and_range():
