@@ -82,6 +82,30 @@ def _r_times(r, dphi):  # r phi'(r) of a table, continued by its limit 0 at r = 
     return np.where(r == 0.0, 0.0, r * dphi(r))[()]
 
 
+# wave speeds max(|phi|, |phi + r phi'|) from r >= 0 and p = phi(r), bit for bit;
+# none writes into p
+def _power_speed(r, p, g):  # r phi' = g p >= 0 and p >= 0: (1 + g) p, as p + g p
+    s = p * g
+    s += p
+    return s
+
+
+def _shifted_speed(r, p, g):  # r phi' = g r**g >= 0 and p >= c >= 0
+    s = _scaled_power(r, g, g)
+    s += p
+    return s
+
+
+def _constant_speed(r, p):  # r phi' = 0
+    return np.abs(p)
+
+
+def _general_speed(r, p, r_dphi):
+    s = p + r_dphi(r)  # lambda_2
+    np.abs(s, out=s)
+    return np.maximum(np.abs(p), s, out=s)
+
+
 class PhiModel:
     """Radial velocity function phi with derivatives on [0, r_max].
 
@@ -90,9 +114,15 @@ class PhiModel:
     compact label via `from_spec` ("power:2", "shifted:1,1", "const:1",
     "tabulated:<path>").
 
+    Each family supplies its wave speed max(|phi|, |phi + r phi'|) from r
+    and the phi(r) already computed (`wave_speed`): (1 + gamma) phi for
+    `power`, r phi' + phi for `shifted` (c >= 0), |c| for `constant`, and
+    the general formula for a table. Each is bit-identical to the general
+    formula and skips the calls a sign or a closed form makes redundant.
+
     `speed_grows_with_r` is a fact of the family, set by its constructor:
-    True when the wave speed max(|phi|, |phi + r phi'|) does not decrease
-    in r, so that its maximum over a field sits at the field's top radius.
+    True when the wave speed does not decrease in r, so that its maximum
+    over a field sits at the field's top radius.
     """
 
     def __init__(
@@ -104,6 +134,7 @@ class PhiModel:
         dphi_fn: Callable,
         d2phi_fn: Callable,
         r_dphi_fn: Callable,
+        speed_fn: Callable,
         speed_grows_with_r: bool,
     ):
         if not np.isfinite(r_max) or r_max <= 0:
@@ -115,6 +146,7 @@ class PhiModel:
         self._dphi = dphi_fn
         self._d2phi = d2phi_fn
         self._r_dphi = r_dphi_fn
+        self._speed = speed_fn
         self.speed_grows_with_r = speed_grows_with_r
         self.phi0 = float(phi_fn(0.0))
         self.c1_report = self._check_structure_condition()
@@ -135,6 +167,11 @@ class PhiModel:
     def r_dphi(self, r):
         """r * phi'(r), continued by its limit 0 at r = 0; each family supplies the formula."""
         return self._r_dphi(np.asarray(r, dtype=float))
+
+    def wave_speed(self, r: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """max(|phi(r)|, |phi(r) + r phi'(r)|) from float arrays r >= 0 and
+        p = phi(r), leaving p as it is; each family supplies the formula."""
+        return self._speed(r, p)
 
     def lambda2(self, r):
         return self.phi(r) + self.r_dphi(r)
@@ -206,6 +243,7 @@ class PhiModel:
             dphi_fn=partial(_scaled_power, k=g, g=g - 1.0),
             d2phi_fn=partial(_scaled_power, k=g * (g - 1.0), g=g - 2.0),
             r_dphi_fn=partial(_scaled_power, k=g, g=g),
+            speed_fn=partial(_power_speed, g=g),
             speed_grows_with_r=True,  # (1 + gamma) r**gamma
         )
 
@@ -228,6 +266,7 @@ class PhiModel:
             dphi_fn=partial(_scaled_power, k=g, g=g - 1.0),
             d2phi_fn=partial(_scaled_power, k=g * (g - 1.0), g=g - 2.0),
             r_dphi_fn=partial(_scaled_power, k=g, g=g),
+            speed_fn=partial(_shifted_speed, g=g),
             speed_grows_with_r=True,  # c + (1 + gamma) r**gamma, c >= 0
         )
 
@@ -247,6 +286,7 @@ class PhiModel:
             dphi_fn=partial(_constant, c=0.0),
             d2phi_fn=partial(_constant, c=0.0),
             r_dphi_fn=partial(_constant, c=0.0),
+            speed_fn=_constant_speed,
             speed_grows_with_r=True,  # |c| at every r
         )
 
@@ -267,6 +307,7 @@ class PhiModel:
 
         interp = PchipInterpolator(rs, vals, extrapolate=True)
         dphi = interp.derivative(1)
+        r_dphi = partial(_r_times, dphi=dphi)
         return cls(
             family="tabulated",
             label=label,
@@ -275,7 +316,8 @@ class PhiModel:
             phi_fn=interp,
             dphi_fn=dphi,
             d2phi_fn=interp.derivative(2),
-            r_dphi_fn=partial(_r_times, dphi=dphi),
+            r_dphi_fn=r_dphi,
+            speed_fn=partial(_general_speed, r_dphi=r_dphi),
             speed_grows_with_r=False,  # PCHIP keeps phi monotone, not phi + r phi'
         )
 

@@ -20,8 +20,10 @@ guards that limit and `stable_dt` keeps dt at a fraction of it. Per step
 the top wave speed of the current state sets dt; for every family but a
 tabulated one it is evaluated only on the few cells that can hold the top
 radius (see `max_wavespeed`). On the padded damped state one hypot and
-phi/r phi' evaluation over every cell feeds the r <= r_max check, the step
-guard and the face fluxes. Finiteness is validated once per step.
+one phi evaluation over every cell feed the r <= r_max check, the step
+guard and the face fluxes; each phi family supplies the wave speed from r
+and that phi(r) (`PhiModel.wave_speed`), so `power` never evaluates
+r phi'. Finiteness is validated once per step, by one sum per channel.
 `write_table` owns the format of every artifact table: snapshots, norm
 series, the viscosity sweep and entropy-flux tables.
 """
@@ -93,7 +95,10 @@ class Grid1D:
 
 @dataclass
 class StateField:
-    """Cell-averaged (u, v) on a grid at time t. Entries must be finite."""
+    """Cell-averaged (u, v) on a grid at time t. Entries must be finite:
+    checked by one sum per channel, since any nan or inf entry makes the
+    sum non-finite; only a non-finite sum is checked entry by entry, which
+    tells a sum that overflowed from a bad entry."""
 
     grid: Grid1D
     u: np.ndarray
@@ -106,7 +111,11 @@ class StateField:
         n = self.grid.n_cells
         if self.u.shape != (n,) or self.v.shape != (n,):
             raise ValidationError("state", f"u, v must have shape ({n},)")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf, overflow
+            total = float(self.u.sum()) + float(self.v.sum())
+        if not math.isfinite(total) and not (
+            np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))
+        ):
             raise NonFinite(f"non-finite state entries at t = {self.t:g}")
 
     @property
@@ -161,8 +170,7 @@ class SolverConfig:
             raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 <= self.t_end < math.inf:
             raise ConfigError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if not 0.0 <= self.eps < math.inf:
-            raise ConfigError(f"eps must be finite and nonnegative, got {self.eps}")
+        _check_eps(self.eps)
         if not 0.0 < self.diffusion_number <= 0.5:
             raise ConfigError(
                 f"diffusion_number must lie in (0, 0.5], got {self.diffusion_number}"
@@ -226,13 +234,14 @@ def _pad(arr: np.ndarray, boundary: str, factor: float) -> np.ndarray:
 
 def _cell_speeds(r: np.ndarray, phi: PhiModel) -> tuple[np.ndarray, np.ndarray]:
     """phi(r) and max(|lambda_1|, |lambda_2|) per cell, after checking
-    r <= r_max."""
+    r <= r_max, so no nan reaches the speed formula. The family supplies
+    the speed from r and phi(r) (`PhiModel.wave_speed`): for `power`,
+    `shifted` and `const` it needs no r phi' evaluation, abs or maximum
+    beyond what its sign allows, and equals the general formula bit for
+    bit."""
     phi.check_radius(float(r.max()))
     p = np.asarray(phi.phi(r), dtype=float)
-    speed = p + np.asarray(phi.r_dphi(r), dtype=float)  # lambda_2
-    np.abs(speed, out=speed)
-    np.maximum(np.abs(p), speed, out=speed)
-    return p, speed
+    return p, phi.wave_speed(r, p)
 
 
 def max_wavespeed(f: StateField, phi: PhiModel) -> float:
@@ -240,8 +249,9 @@ def max_wavespeed(f: StateField, phi: PhiModel) -> float:
     time steps stay finite on identically zero data.
 
     When phi.speed_grows_with_r, the top speed is the speed at the top
-    radius, so hypot, phi and r phi' are evaluated only on the cells whose
-    s = u*u + v*v is at least s.max() (1 - 1e-9) - 1e-300. s and hypot are
+    radius, so hypot, phi and the wave speed are evaluated only on the
+    cells whose s = u*u + v*v is at least s.max() (1 - 1e-9) - 1e-300,
+    gathered through one index array. s and hypot are
     each within a few ulp of the exact r^2 and r, so the cell with the
     largest hypot always passes: the relative term covers that rounding,
     the absolute term the rounding of squares below the normal range. The
@@ -258,7 +268,7 @@ def max_wavespeed(f: StateField, phi: PhiModel) -> float:
             s += v * v
         top = float(s.max())
         if top < math.inf:
-            near = s >= top * (1.0 - 1e-9) - 1e-300
+            near = (s >= top * (1.0 - 1e-9) - 1e-300).nonzero()[0]
             u, v = u[near], v[near]
     return max(float(_cell_speeds(np.hypot(u, v), phi)[1].max()), WAVESPEED_FLOOR)
 
@@ -285,6 +295,11 @@ def _check_dt(dt: float) -> None:
         raise ConfigError(f"dt must be nonnegative, got {dt}")
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps < math.inf:  # nan too
+        raise ConfigError(f"eps must be finite and nonnegative, got {eps}")
+
+
 def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
     """Exact integration of u_t = -a u, v_t = -b v over dt. Leaves t
     unchanged; the flux update owns the clock."""
@@ -305,15 +320,17 @@ def step_once(
     update plus eps w_xx, taken on the damped data with one ghost cell per
     side, whose face dissipation is the local two-sided wave speed.
 
-    hypot, phi and r phi' are evaluated once, on the padded damped data,
-    and the r <= r_max check, the one step guard dt <= explicit_limit
-    (CFLViolation when eps = 0, StabilityViolation otherwise, both carrying
-    the top speed) and the Rusanov dissipation all read those cell speeds.
-    Every operation matches the unfused formulas
-    0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i) and
+    hypot, phi and the family's wave speed are evaluated once, on the
+    padded damped data, and the r <= r_max check, the one step guard
+    dt <= explicit_limit (CFLViolation when eps = 0, StabilityViolation
+    otherwise, both carrying the top speed) and the Rusanov dissipation
+    all read those cell speeds. A negative or non-finite eps raises the
+    ConfigError that SolverConfig raises for it. Every operation matches
+    the unfused formulas 0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i) and
     w - dt/dx (flux_i+1/2 - flux_i-1/2) + nu (w_i+1 - 2 w_i + w_i-1)
     term by term, so results are bit-identical to them."""
     _check_dt(dt)
+    _check_eps(eps)
     if dt == 0.0:
         return StateField(f.grid, f.u.copy(), f.v.copy(), f.t + dt)
     half = 0.5 * dt

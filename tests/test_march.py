@@ -172,6 +172,38 @@ def test_simulate_is_bit_identical_to_the_unfused_split_step(boundary, eps):
         assert np.array_equal(got.v, want.v)
 
 
+_TABLE_RS = np.linspace(0.0, 2.0, 41)
+MARCH_PHIS = {
+    "shifted-0.3-1.5": lambda: md.PhiModel.shifted_power(0.3, 1.5),
+    "const-neg1": lambda: md.PhiModel.constant(-1.0),
+    "tabulated": lambda: md.PhiModel.tabulated(_TABLE_RS, 0.2 + _TABLE_RS + 0.3 * _TABLE_RS**2),
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+@pytest.mark.parametrize("boundary", sv.BOUNDARIES)
+@pytest.mark.parametrize("phi_name", list(MARCH_PHIS))
+def test_simulate_is_bit_identical_to_the_unfused_split_step_for_every_family(
+    phi_name, boundary, eps
+):
+    # each family's own wave-speed formula sets dt, the step guard and the
+    # Rusanov dissipation; whole marches match the unfused split step bit for bit
+    grid = sv.Grid1D(0.0, 1.0, 64, boundary)
+    init = sv.StateField(grid, *_step_data("signed", grid.centers))
+    phi = MARCH_PHIS[phi_name]()
+    d = md.Damping(0.7, 0.2)
+    cfg = sv.SolverConfig(t_end=0.02, output_times=[0.008, 0.02], eps=eps)
+    if phi.c1_report.satisfied:
+        traj = sv.simulate(init, phi, d, cfg)
+    else:
+        with pytest.warns(UserWarning, match="structure condition"):
+            traj = sv.simulate(init, phi, d, cfg)
+    ref, n_steps = reference_march(init, phi, d, cfg)
+    assert traj.n_steps == n_steps > 0
+    for got, want in zip(traj.fields, ref, strict=True):
+        assert _same_bits(got.u, want.u) and _same_bits(got.v, want.v)
+
+
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(
     n_cells=st.integers(16, 64),

@@ -1,6 +1,10 @@
+import pickle
+
 import numpy as np
 import pytest
 from _oracles import fd_grad, fd_jacobian, random_states
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkdamp import model as md
 from kkdamp.errors import (
@@ -240,6 +244,67 @@ def test_tabulated_r_dphi_is_r_times_dphi_and_zero_at_the_origin():
     r = np.linspace(0.0, 4.0, 33)
     assert np.array_equal(phi.r_dphi(r), np.where(r == 0, 0, r * phi.dphi(r)))
     assert phi.r_dphi(0.0) == 0.0
+
+
+# -- wave speeds ---------------------------------------------------------------
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _assert_speed_is_the_general_formula(phi, r):
+    """phi.wave_speed(r, phi(r)) against max(|phi|, |phi + r phi'|), bit for
+    bit (signed zeros too), leaving its phi(r) argument as it was."""
+    p = np.asarray(phi.phi(r), dtype=float)
+    p_bits = _bits(p).copy()
+    got = phi.wave_speed(r, p)
+    want = np.maximum(np.abs(p), np.abs(p + phi.r_dphi(r)))
+    assert got.shape == want.shape and np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(p), p_bits)
+    return got
+
+
+_SPEED_TABLE_RS = np.linspace(0.0, 4.0, 33)
+SPEED_PHIS = [
+    *(md.PhiModel.power(g) for g in (0.5, 1.0, 1.5, 2.0, 3.0)),
+    md.PhiModel.shifted_power(0.3, 1.5),
+    md.PhiModel.shifted_power(0.0, 2.0),
+    *(md.PhiModel.constant(c) for c in (-1.0, 0.0, -0.0, 2.0)),
+    # phi and phi + r phi' both change sign on [0, 4]
+    md.PhiModel.tabulated(
+        _SPEED_TABLE_RS, 1.0 - _SPEED_TABLE_RS + 0.1 * _SPEED_TABLE_RS**2, label="tab:dip"
+    ),
+]
+
+
+@pytest.mark.parametrize("phi", SPEED_PHIS, ids=lambda phi: phi.label)
+def test_family_wave_speed_is_bit_identical_to_the_general_formula(phi):
+    r = np.concatenate(
+        [
+            [0.0, 5e-324, 1e-310, 2.2250738585072014e-308],  # zero and subnormals
+            np.random.default_rng(11).uniform(0.0, phi.r_max, 256),
+            [phi.r_max],
+        ]
+    )
+    speed = _assert_speed_is_the_general_formula(phi, r)
+    # the formulas are module-level partials: a PhiModel still pickles, and
+    # the copy gives the same bits
+    copy = pickle.loads(pickle.dumps(phi))
+    assert copy.label == phi.label and copy.r_max == phi.r_max
+    assert np.array_equal(_bits(_assert_speed_is_the_general_formula(copy, r)), _bits(speed))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    gamma=st.floats(1e-6, 8.0),
+    c=st.floats(0.0, 1e3),
+    radii=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=16),
+)
+def test_power_and_shifted_speeds_are_the_general_formula(gamma, c, radii):
+    r = np.array(radii)
+    for phi in (md.PhiModel.power(gamma), md.PhiModel.shifted_power(c, gamma)):
+        _assert_speed_is_the_general_formula(phi, r)
 
 
 def test_structure_condition_report():

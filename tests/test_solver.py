@@ -51,6 +51,29 @@ def test_state_field_validation():
         sv.StateField(grid, bad, np.zeros(16))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+    ids=["nan", "inf", "neg-inf", "inf-and-neg-inf"],  # the last channel sum is nan
+)
+@pytest.mark.parametrize("channel", ["u", "v"])
+def test_state_field_refuses_every_non_finite_entry(entries, channel):
+    grid = sv.Grid1D(0.0, 1.0, 16)
+    bad, good = np.linspace(0.1, 0.9, 16), np.linspace(0.2, 0.8, 16)
+    bad[5 : 5 + len(entries)] = entries
+    uv = (bad, good) if channel == "u" else (good, bad)
+    with pytest.raises(NonFinite, match=r"^non-finite state entries at t = 0\.25$"):
+        sv.StateField(grid, *uv, t=0.25)
+
+
+def test_state_field_accepts_finite_entries_whose_sum_overflows():
+    grid = sv.Grid1D(0.0, 1.0, 16)
+    big = np.zeros(16)
+    big[:2] = 1.7e308  # the channel sum is inf
+    f = sv.StateField(grid, big, -big)
+    assert f.u[0] == 1.7e308 and f.v[1] == -1.7e308
+
+
 def test_solver_config_validation():
     sv.SolverConfig(t_end=1.0)
     with pytest.raises(ConfigError, match=re.escape("scheme must be 'rusanov', got 'upwind'")):
@@ -66,6 +89,8 @@ def test_solver_config_validation():
         sv.SolverConfig(t_end=1.0, cfl=1.5)
     with pytest.raises(ConfigError):
         sv.SolverConfig(t_end=-1.0)
+    with pytest.raises(ConfigError, match="eps must be finite and nonnegative, got -0.01"):
+        sv.SolverConfig(t_end=1.0, eps=-0.01)
     with pytest.raises(ConfigError):
         sv.SolverConfig(t_end=1.0, output_times=[0.5, 0.25])
     with pytest.raises(ConfigError):
@@ -213,9 +238,17 @@ DAMPED = md.Damping(0.2, 0.1)
          "dt must be finite, got inf"),
         (lambda f, phi: sv.damping_substep(f, DAMPED, float("inf")),
          "dt must be finite, got inf"),
+        # the eps that SolverConfig refuses, with its message
+        (lambda f, phi: sv.step_once(f, phi, DAMPED, 1e-3, eps=-0.01),
+         "eps must be finite and nonnegative, got -0.01"),
+        (lambda f, phi: sv.step_once(f, phi, DAMPED, 1e-3, eps=float("nan")),
+         "eps must be finite and nonnegative, got nan"),
+        (lambda f, phi: sv.step_once(f, phi, DAMPED, 1e-3, eps=-1e300),
+         "eps must be finite and nonnegative, got -1e+300"),
     ],
     ids=["step-dt", "substep-dt", "step-dt-nan", "step-dt-inf", "substep-dt-nan",
-         "substep-dt-inf", "damping-dt-inf"],
+         "substep-dt-inf", "damping-dt-inf", "step-eps-negative", "step-eps-nan",
+         "step-eps-huge-negative"],
 )
 def test_direct_step_calls_check_their_arguments(call, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
