@@ -90,16 +90,6 @@ def _power_speed(r, p, g):  # r phi' = g p >= 0 and p >= 0: (1 + g) p, as p + g 
     return s
 
 
-def _shifted_speed(r, p, g):  # r phi' = g r**g >= 0 and p >= c >= 0
-    s = _scaled_power(r, g, g)
-    s += p
-    return s
-
-
-def _constant_speed(r, p):  # r phi' = 0
-    return np.abs(p)
-
-
 def _general_speed(r, p, r_dphi):
     s = p + r_dphi(r)  # lambda_2
     np.abs(s, out=s)
@@ -116,9 +106,8 @@ class PhiModel:
 
     Each family supplies its wave speed max(|phi|, |phi + r phi'|) from r
     and the phi(r) already computed (`wave_speed`): (1 + gamma) phi for
-    `power`, r phi' + phi for `shifted` (c >= 0), |c| for `constant`, and
-    the general formula for a table. Each is bit-identical to the general
-    formula and skips the calls a sign or a closed form makes redundant.
+    `power`, bit-identical to the general formula without a second
+    r**gamma, abs or maximum; the general formula for the other families.
 
     `speed_grows_with_r` is a fact of the family, set by its constructor:
     True when the wave speed does not decrease in r, so that its maximum
@@ -258,6 +247,7 @@ class PhiModel:
             raise ConfigError(f"shifted family needs finite gamma > 0, got {gamma}")
         c = float(c)
         g = float(gamma)
+        r_dphi = partial(_scaled_power, k=g, g=g)
         return cls(
             family="shifted",
             label=f"shifted:{c:g},{g:g}",
@@ -265,8 +255,8 @@ class PhiModel:
             phi_fn=partial(_shifted, c=c, g=g),
             dphi_fn=partial(_scaled_power, k=g, g=g - 1.0),
             d2phi_fn=partial(_scaled_power, k=g * (g - 1.0), g=g - 2.0),
-            r_dphi_fn=partial(_scaled_power, k=g, g=g),
-            speed_fn=partial(_shifted_speed, g=g),
+            r_dphi_fn=r_dphi,
+            speed_fn=partial(_general_speed, r_dphi=r_dphi),
             speed_grows_with_r=True,  # c + (1 + gamma) r**gamma, c >= 0
         )
 
@@ -278,6 +268,7 @@ class PhiModel:
         if not np.isfinite(c):
             raise ConfigError(f"constant family needs a finite c, got {c}")
         c = float(c)
+        r_dphi = partial(_constant, c=0.0)
         return cls(
             family="constant",
             label=f"const:{c:g}",
@@ -285,8 +276,8 @@ class PhiModel:
             phi_fn=partial(_constant, c=c),
             dphi_fn=partial(_constant, c=0.0),
             d2phi_fn=partial(_constant, c=0.0),
-            r_dphi_fn=partial(_constant, c=0.0),
-            speed_fn=_constant_speed,
+            r_dphi_fn=r_dphi,
+            speed_fn=partial(_general_speed, r_dphi=r_dphi),
             speed_grows_with_r=True,  # |c| at every r
         )
 

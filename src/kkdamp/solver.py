@@ -23,7 +23,7 @@ radius (see `max_wavespeed`). On the padded damped state one hypot and
 one phi evaluation over every cell feed the r <= r_max check, the step
 guard and the face fluxes; each phi family supplies the wave speed from r
 and that phi(r) (`PhiModel.wave_speed`), so `power` never evaluates
-r phi'. Finiteness is validated once per step, by one sum per channel.
+r phi'. Finiteness is validated once per step.
 `write_table` owns the format of every artifact table: snapshots, norm
 series, the viscosity sweep and entropy-flux tables.
 """
@@ -95,10 +95,7 @@ class Grid1D:
 
 @dataclass
 class StateField:
-    """Cell-averaged (u, v) on a grid at time t. Entries must be finite:
-    checked by one sum per channel, since any nan or inf entry makes the
-    sum non-finite; only a non-finite sum is checked entry by entry, which
-    tells a sum that overflowed from a bad entry."""
+    """Cell-averaged (u, v) on a grid at time t. Entries must be finite."""
 
     grid: Grid1D
     u: np.ndarray
@@ -111,11 +108,7 @@ class StateField:
         n = self.grid.n_cells
         if self.u.shape != (n,) or self.v.shape != (n,):
             raise ValidationError("state", f"u, v must have shape ({n},)")
-        with np.errstate(over="ignore", invalid="ignore"):  # inf + -inf, overflow
-            total = float(self.u.sum()) + float(self.v.sum())
-        if not math.isfinite(total) and not (
-            np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))
-        ):
+        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise NonFinite(f"non-finite state entries at t = {self.t:g}")
 
     @property
@@ -235,10 +228,9 @@ def _pad(arr: np.ndarray, boundary: str, factor: float) -> np.ndarray:
 def _cell_speeds(r: np.ndarray, phi: PhiModel) -> tuple[np.ndarray, np.ndarray]:
     """phi(r) and max(|lambda_1|, |lambda_2|) per cell, after checking
     r <= r_max, so no nan reaches the speed formula. The family supplies
-    the speed from r and phi(r) (`PhiModel.wave_speed`): for `power`,
-    `shifted` and `const` it needs no r phi' evaluation, abs or maximum
-    beyond what its sign allows, and equals the general formula bit for
-    bit."""
+    the speed from r and phi(r) (`PhiModel.wave_speed`): for `power` it
+    needs no r phi' evaluation, abs or maximum, and equals the general
+    formula bit for bit."""
     phi.check_radius(float(r.max()))
     p = np.asarray(phi.phi(r), dtype=float)
     return p, phi.wave_speed(r, p)

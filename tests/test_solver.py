@@ -54,7 +54,7 @@ def test_state_field_validation():
 @pytest.mark.parametrize(
     "entries",
     [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
-    ids=["nan", "inf", "neg-inf", "inf-and-neg-inf"],  # the last channel sum is nan
+    ids=["nan", "inf", "neg-inf", "inf-and-neg-inf"],  # the last sums to nan
 )
 @pytest.mark.parametrize("channel", ["u", "v"])
 def test_state_field_refuses_every_non_finite_entry(entries, channel):
@@ -69,7 +69,7 @@ def test_state_field_refuses_every_non_finite_entry(entries, channel):
 def test_state_field_accepts_finite_entries_whose_sum_overflows():
     grid = sv.Grid1D(0.0, 1.0, 16)
     big = np.zeros(16)
-    big[:2] = 1.7e308  # the channel sum is inf
+    big[:2] = 1.7e308  # finite entries whose sum overflows to inf
     f = sv.StateField(grid, big, -big)
     assert f.u[0] == 1.7e308 and f.v[1] == -1.7e308
 
