@@ -173,13 +173,20 @@ def _cmd_run(args) -> int:
     return 0 if all(passed for passed, _ in verdicts) else 1
 
 
-def _run_without_checks(args):
-    """Set up and run `args.scenario` without its `check.*` keys: (SetUp, RunResult)."""
-    from .scenario import parse_scenario, run_set_up, set_up
+def _set_up_without_checks(args):
+    """Set up `args.scenario` without its `check.*` keys, which the command skips."""
+    from .scenario import parse_scenario, set_up
 
     sc = parse_scenario(args.scenario)
     sc.entries = {k: e for k, e in sc.entries.items() if not k.startswith("check.")}
-    s = set_up(sc, args.output_dir)
+    return set_up(sc, args.output_dir)
+
+
+def _run_without_checks(args):
+    """Set up and run `args.scenario` without its `check.*` keys: (SetUp, RunResult)."""
+    from .scenario import run_set_up
+
+    s = _set_up_without_checks(args)
     return s, run_set_up(s)
 
 
@@ -191,8 +198,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decay(args) -> int:
     from .analysis import decay_harness
+    from .solver import _check_p
 
     (p,) = _parse_values("--p", args.p, count=1)
+    _check_p(p)  # before the march
     s, res = _run_without_checks(args)
     rep = decay_harness(res.trajectory, p, s.damping, s.phi, args.weighted)
     print(f"p = {args.p} weighted = {args.weighted}")
@@ -261,12 +270,11 @@ def _cmd_region_check(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    from .scenario import parse_scenario, set_up
     from .solver import write_table
     from .viscous import vanishing_viscosity_sweep
 
     eps_values = _parse_values("--epsilons", args.epsilons)
-    s = set_up(parse_scenario(args.scenario), args.output_dir)
+    s = _set_up_without_checks(args)
     report = vanishing_viscosity_sweep(s.init, s.phi, s.damping, s.config, eps_values)
     rows = report.rows
     out_path = write_table(

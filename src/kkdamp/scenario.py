@@ -7,8 +7,9 @@ malformed lines, and malformed values raise ParseError with 1-based line
 and column (and the file's path), so a `run` refuses its whole batch
 before any march. `name` must be one file-name component.
 Semantically invalid values and combinations (a missing required key,
-a < b, an unknown phi family or word choice) raise in `set_up`, which
-builds a scenario's models and initial field once, before any march.
+a < b, an unknown phi family or word choice, a non-finite `init.*` number,
+a check value its check would refuse) raise in `set_up`, which builds a
+scenario's models and initial field once, before any march.
 `run_set_up` marches, checks and writes under <output root>/<name>/:
 
     <name>_t<time>.tsv      snapshots (x, u, v, r, W, Z), '#' headers
@@ -22,21 +23,24 @@ carry the wall-clock data and are excluded from that guarantee).
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__, _fmt
-from .errors import KKDampError, ParseError, ValidationError
+from .errors import ConfigError, KKDampError, ParseError, ValidationError
 from .model import Damping, PhiModel, z_invariant
 from .solver import (
     Grid1D,
     SolverConfig,
     StateField,
     Trajectory,
+    _check_p,
     lp_norm,
     mollify_profile,
     read_snapshot,
@@ -45,6 +49,9 @@ from .solver import (
     write_snapshot,
     write_table,
 )
+
+if TYPE_CHECKING:
+    from .region import RegionSigma
 
 DEFAULT_OUTPUT_ROOT = "kkd_out"
 
@@ -86,7 +93,7 @@ _FILE_NAME = (_file_name, "one file-name component")
 # every key a scenario may set, and the type of its value
 _KNOWN_KEYS = {
     **dict.fromkeys(
-        "r_max a b x_lo x_hi t_end cfl viscous.eps viscous.diffusion_number init.u init.v "
+        "r_max a b x_lo x_hi t_end cfl viscous.eps init.u init.v "
         "init.mean init.amplitude init.wavenumber init.angle init.angle_amplitude "
         "init.angle_wavenumber init.u_left init.v_left init.u_right init.v_right init.x_jump "
         "init.mollify_eps check.decay.p check.containment.tol check.invariants.tol".split(),
@@ -203,11 +210,14 @@ class Scenario:
                 splitting="splitting",
                 cfl="cfl",
                 eps="viscous.eps",
-                diffusion_number="viscous.diffusion_number",
             ),
         )
 
     def initial_field(self, grid: Grid1D) -> StateField:
+        for key, e in self.entries.items():  # init.mollify_eps has its own rule
+            if (key.startswith("init.") and _KNOWN_KEYS[key] is _NUMBER
+                    and key != "init.mollify_eps" and not math.isfinite(e.value)):
+                raise ValidationError(key, f"must be finite, got {e.value}")
         kind = self.get("init")
         x = grid.centers
         if kind == "constant":
@@ -371,6 +381,41 @@ def _check_snapshot_names(sc: Scenario, times) -> None:
         seen[name] = t
 
 
+def _check_check_values(sc: Scenario) -> None:
+    """Refuse the check values that a check would refuse, or misread, only
+    after the march: a `check.decay.p` that lp_norm refuses, and a tolerance
+    that is negative or not finite (nan fails every check, inf passes any)."""
+    if sc.has("check.decay.p"):
+        try:
+            _check_p(sc.get("check.decay.p"))
+        except ConfigError as exc:
+            raise ValidationError("check.decay.p", str(exc)) from None
+    for key in ("check.containment.tol", "check.invariants.tol"):
+        tol = sc.get(key, 0.0)
+        if not 0.0 <= tol < math.inf:
+            raise ValidationError(key, f"must be finite and nonnegative, got {tol}")
+
+
+def _containment_region(sc: Scenario, phi: PhiModel, init: StateField) -> RegionSigma | None:
+    """Sigma of `check.containment`, its `auto` bounds taken from the
+    initial field; None when the check is off."""
+    if not sc.get("check.containment", False):
+        return None
+    from .region import RegionSigma
+
+    z0 = z_invariant(init.u, init.v)
+    c0 = sc.get("check.containment.c0", "auto")
+    c1 = sc.get("check.containment.c1", 0.0)
+    c2 = sc.get("check.containment.c2", "auto")
+    if c0 == "auto":
+        c0 = float(np.max(phi.phi(float(np.max(init.r)))))
+    if c1 == "auto":
+        c1 = float(np.min(z0))
+    if c2 == "auto":
+        c2 = float(np.max(z0))
+    return RegionSigma(c0=c0, c1=c1, c2=c2)
+
+
 @dataclass
 class SetUp:
     """A scenario ready to march: what `set_up` built from it."""
@@ -381,19 +426,23 @@ class SetUp:
     init: StateField
     config: SolverConfig
     out_dir: Path
+    sigma: RegionSigma | None = None  # the region check.containment checks
 
 
 def set_up(sc: Scenario, out_root=None) -> SetUp:
-    """Build the scenario's models, config and initial field, check its
-    snapshot names and create <output root>/<name>/: all before a march."""
+    """Build the scenario's models, config, initial field and containment
+    region, check its snapshot names and check values and create
+    <output root>/<name>/: all before a march."""
     phi = sc.phi_model()
     d = sc.damping()
     grid = sc.grid()
     cfg = sc.solver_config()
+    _check_check_values(sc)
     init = sc.initial_field(grid)
+    sigma = _containment_region(sc, phi, init)
     times = [init.t, *cfg.output_times]
     _check_snapshot_names(sc, _snapshot_selection(sc, times))
-    return SetUp(sc, phi, d, init, cfg, output_dir(out_root, sc.name))
+    return SetUp(sc, phi, d, init, cfg, output_dir(out_root, sc.name), sigma)
 
 
 def run_scenario(sc: Scenario, out_root=None) -> RunResult:
@@ -411,7 +460,8 @@ def run_set_up(s: SetUp) -> RunResult:
     details: list[str] = []
 
     # each check imports the harness it runs, so parsing and the march
-    # load neither analysis nor region
+    # load neither analysis nor region (set_up loads region for the
+    # containment check's Sigma)
     if sc.get("check.decay", False):
         from .analysis import decay_harness
 
@@ -422,28 +472,16 @@ def run_set_up(s: SetUp) -> RunResult:
         details.append(f"check.decay.theorem_rate = {_fmt(rep.theorem_rate)}")
         details.append(f"check.decay.passed = {str(rep.passed).lower()}")
 
-    if sc.get("check.containment", False):
-        from .region import RegionSigma, trajectory_containment
+    if s.sigma is not None:
+        from .region import trajectory_containment
 
-        z0 = z_invariant(init.u, init.v)
-        r0_max = float(np.max(init.r))
-        c0 = sc.get("check.containment.c0", "auto")
-        c1 = sc.get("check.containment.c1", 0.0)
-        c2 = sc.get("check.containment.c2", "auto")
-        if c0 == "auto":
-            c0 = float(np.max(phi.phi(r0_max)))
-        if c1 == "auto":
-            c1 = float(np.min(z0))
-        if c2 == "auto":
-            c2 = float(np.max(z0))
-        sigma = RegionSigma(c0=c0, c1=c1, c2=c2)
         rep = trajectory_containment(
-            traj, sigma, phi, **sc._set_values(tol="check.containment.tol")
+            traj, s.sigma, phi, **sc._set_values(tol="check.containment.tol")
         )
         checks["containment"] = rep.passed
-        details.append(f"check.containment.c0 = {_fmt(c0)}")
-        details.append(f"check.containment.c1 = {_fmt(c1)}")
-        details.append(f"check.containment.c2 = {_fmt(c2)}")
+        details.append(f"check.containment.c0 = {_fmt(s.sigma.c0)}")
+        details.append(f"check.containment.c1 = {_fmt(s.sigma.c1)}")
+        details.append(f"check.containment.c2 = {_fmt(s.sigma.c2)}")
         details.append(f"check.containment.max_violation = {_fmt(rep.max_violation)}")
         details.append(f"check.containment.passed = {str(rep.passed).lower()}")
 

@@ -55,6 +55,10 @@ BOUNDARIES = ("periodic", "outflow")
 
 WAVESPEED_FLOOR = 1e-14
 
+# `stable_dt` holds speed dt/dx + 2 eps dt/dx^2 at 2 DIFFUSION_NUMBER = 0.8,
+# which damps the grid-scale mode and leaves the step guard slack
+DIFFUSION_NUMBER = 0.4
+
 # The most steps one march may take. `simulate` refuses a march whose first
 # step predicts more, and stops one that reaches it.
 MAX_STEPS = 10_000_000
@@ -124,17 +128,21 @@ class StateField:
         return cls(grid, u, v)
 
 
+def _check_p(p: float) -> None:
+    if not p >= 1:  # inf passes, nan does not
+        raise ConfigError(f"p must be >= 1 or inf, got {p}")
+
+
 def lp_norm(f: StateField, p: float, weighted: bool = False) -> float:
     """L^p norm of the radius field r = |(u, v)|, optionally weighted by
     k = quadrature.weight: (integral of r^p k dx)^(1/p); p = inf gives the
     (weighted) sup."""
+    _check_p(p)
     r = f.r
     kx = weight(f.grid.centers) if weighted else None
     if p == np.inf:
         vals = r if kx is None else kx * r
         return float(np.max(vals))
-    if not p >= 1:  # nan too
-        raise ConfigError(f"p must be >= 1 or inf, got {p}")
     vals = r**p if kx is None else kx * r**p
     return float((f.grid.dx * np.sum(vals)) ** (1.0 / p))
 
@@ -148,7 +156,6 @@ class SolverConfig:
     splitting: str = "strang"
     cfl: float = 0.45
     eps: float = 0.0  # explicit viscosity eps u_xx; 0 is the inviscid solver
-    diffusion_number: float = 0.4  # speed dt/dx + 2 eps dt/dx^2 <= 2 diffusion_number
 
     def __post_init__(self):
         for key, value, only, retired in (
@@ -164,10 +171,6 @@ class SolverConfig:
         if not 0.0 <= self.t_end < math.inf:
             raise ConfigError(f"t_end must be finite and nonnegative, got {self.t_end}")
         _check_eps(self.eps)
-        if not 0.0 < self.diffusion_number <= 0.5:
-            raise ConfigError(
-                f"diffusion_number must lie in (0, 0.5], got {self.diffusion_number}"
-            )
         # the one schedule of a march: a tuple of floats that ends at t_end
         ts = (self.t_end,) if self.output_times is None else tuple(map(float, self.output_times))
         if not ts or not ts[0] >= 0 or not all(a < b for a, b in zip(ts, ts[1:])):
@@ -177,14 +180,14 @@ class SolverConfig:
         object.__setattr__(self, "output_times", ts)
 
     def stable_dt(self, dx: float, speed: float) -> float:
-        """cfl dx / speed; with viscosity also 2 diffusion_number times
-        explicit_limit, which holds speed dt/dx + 2 eps dt/dx^2 at
-        2 diffusion_number (0.8 by default), so the grid-scale mode is
-        damped and the step guard keeps slack for the damped state."""
+        """cfl dx / speed; with viscosity also 2 DIFFUSION_NUMBER times
+        explicit_limit, which holds speed dt/dx + 2 eps dt/dx^2 at 0.8, so
+        the grid-scale mode is damped and the step guard keeps slack for
+        the damped state."""
         dt = self.cfl * dx / speed
         if self.eps == 0.0:
             return dt
-        return min(dt, 2.0 * self.diffusion_number * explicit_limit(dx, speed, self.eps))
+        return min(dt, 2.0 * DIFFUSION_NUMBER * explicit_limit(dx, speed, self.eps))
 
 
 @dataclass
@@ -417,7 +420,7 @@ def simulate(
             if f.t + dt == f.t:
                 raise StabilityViolation(f"dt={dt:.3g} no longer advances t={f.t:.17g}")
             if n_steps == 0 and elapsed > MAX_STEPS * stable:
-                key = "cfl" if stable == cfg.cfl * dx / speed else "diffusion_number"
+                key = "cfl" if stable == cfg.cfl * dx / speed else "eps"
                 raise ValidationError(
                     key, f"dt = {stable:.3g} needs more than {MAX_STEPS} steps to cover "
                     f"t = {init.t:g} to {targets[-1]:g}"

@@ -3,12 +3,11 @@
 There is no separate viscous stepper: `SolverConfig.eps` adds explicit
 centered diffusion, evaluated on the damped pre-flux data, to the solver's
 flux update, `SolverConfig.stable_dt` keeps speed dt/dx + 2 eps dt/dx^2 at
-2 diffusion_number (`solver.step_once` refuses it above 1, see
-`solver.explicit_limit`), and `solver.simulate` and `solver.step_once` run
-it. With eps = 0 the added term is skipped entirely and the step is the
-inviscid one, which makes the eps -> 0 sweep self-consistent (the last
-distance is exactly what the viscous path produces, not a
-reimplementation).
+0.8 (`solver.step_once` refuses it above 1, see `solver.explicit_limit`),
+and `solver.simulate` and `solver.step_once` run it. With eps = 0 the
+added term is skipped entirely and the step is the inviscid one, which
+makes the eps -> 0 sweep self-consistent (the last distance is exactly
+what the viscous path produces, not a reimplementation).
 
 `ViscousConfig` is `SolverConfig` under its older name, kept because the
 benchmark workloads and the acceptance tests import it from here."""
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import Damping, PhiModel
-from .solver import SolverConfig, StateField, simulate
+from .solver import SolverConfig, StateField, _check_eps, simulate
 
 ViscousConfig = SolverConfig
 
@@ -51,8 +50,10 @@ def vanishing_viscosity_sweep(
     """L1 distance between the viscous and inviscid solutions at the final
     output time, for each eps in decreasing order."""
     eps_values = [float(e) for e in eps_values]
-    if len(eps_values) < 2 or any(e < 0 for e in eps_values):
-        raise ConfigError("need at least two nonnegative eps values")
+    if len(eps_values) < 2:
+        raise ConfigError("need at least two eps values")
+    for e in eps_values:  # every eps before the first march
+        _check_eps(e)
     if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
         raise ConfigError("eps values must be strictly decreasing")
 

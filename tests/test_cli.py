@@ -41,6 +41,17 @@ def write_scenario(tmp_path, name="cli_demo", text=None):
     return path
 
 
+def _count_marches(monkeypatch) -> list:
+    """A list that each march of `run` or of the viscosity sweep appends to."""
+    from kkdamp import scenario, viscous
+
+    marches = []
+    for module in (scenario, viscous):
+        monkeypatch.setattr(module, "simulate",
+                            lambda *a, _fn=module.simulate: marches.append(a) or _fn(*a))
+    return marches
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["definitely-not-a-command"])
@@ -403,6 +414,16 @@ init.x_jump = 0.0
     assert all(line.split("\t")[2].isdigit() for line in lines[1:])
 
 
+def test_convergence_skips_the_scenarios_checks(tmp_path, capsys):
+    # a check value that `run` refuses does not stop a sweep that runs no check
+    text = SMALL.format(name="sweep") + "check.containment = on\ncheck.containment.c1 = 5\n"
+    path = write_scenario(tmp_path, "sweep", text)
+    main(["convergence", str(path), "--epsilons", "0.06,0.03", "--output-dir",
+          str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert err == "" and "strictly_decreasing" in out
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -607,13 +628,8 @@ def test_bad_option_values_exit_2_with_one_line(tmp_path, capsys, argv, message)
 )
 def test_os_errors_exit_1_with_one_line_naming_the_path(tmp_path, capsys, monkeypatch, argv,
                                                         culprit):
-    from kkdamp import scenario, viscous
-
     monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
-    marches = []
-    for module in (scenario, viscous):
-        monkeypatch.setattr(module, "simulate",
-                            lambda *a, _fn=module.simulate: marches.append(a) or _fn(*a))
+    marches = _count_marches(monkeypatch)
     afile = tmp_path / "afile"
     afile.write_text("")
     paths = dict(
@@ -668,6 +684,73 @@ def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, old, n
     assert message in err
 
 
+def test_the_retired_diffusion_number_is_an_unknown_key(tmp_path, capsys):
+    text = SMALL.format(name="retired") + "viscous.diffusion_number = 0.4\n"
+    code, err = _run_text(tmp_path, capsys, "retired", text)
+    assert code == 1
+    assert err == (f"error: {tmp_path / 'retired.cfg'}: line 17, col 1: "
+                   "unknown key 'viscous.diffusion_number'\n")
+
+
+RIEMANN = ("init = sine_radial\ninit.mean = 0.5\ninit.amplitude = 0.2",
+           "init = riemann_step\ninit.u_left = 0.7\ninit.v_left = 0.7\n"
+           "init.u_right = 0.3\ninit.v_right = 0.3\ninit.x_jump = {}")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("snapshots", "check.decay.p = 0.5\nsnapshots",
+         "check.decay.p: p must be >= 1 or inf, got 0.5"),
+        ("snapshots", "check.containment.tol = nan\nsnapshots",
+         "check.containment.tol: must be finite and nonnegative, got nan"),
+        ("snapshots", "check.containment.tol = inf\nsnapshots",
+         "check.containment.tol: must be finite and nonnegative, got inf"),
+        ("snapshots", "check.invariants.tol = -1\nsnapshots",
+         "check.invariants.tol: must be finite and nonnegative, got -1.0"),
+        ("snapshots", "check.containment = on\ncheck.containment.c0 = nan\nsnapshots",
+         "region: C0, C1, C2 must be finite"),
+        ("snapshots", "check.containment = on\ncheck.containment.c1 = 5\nsnapshots",
+         "region: need C1 < C2, got C1=5.0, C2=1.0000000000000002"),
+        (RIEMANN[0], RIEMANN[1].format("nan"), "init.x_jump: must be finite, got nan"),
+        ("snapshots", "init.angle = -inf\nsnapshots", "init.angle: must be finite, got -inf"),
+        ("snapshots", "init.angle_wavenumber = inf\nsnapshots",
+         "init.angle_wavenumber: must be finite, got inf"),
+    ],
+    ids=["decay-p", "containment-tol-nan", "containment-tol-inf", "invariants-tol-negative",
+         "containment-c0-nan", "containment-c1-above-c2", "x_jump-nan", "angle-inf", "angle_wavenumber-inf"],
+)
+def test_a_bad_check_or_init_value_refuses_the_batch_before_any_march(
+    tmp_path, capsys, monkeypatch, old, new, message
+):
+    marches = _count_marches(monkeypatch)
+    good = write_scenario(tmp_path, "good")
+    bad = write_scenario(tmp_path, "bad", SMALL.format(name="bad").replace(old, new))
+    out = tmp_path / "out"
+    code = main(["run", str(good), str(bad), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"  # and no warning line
+    assert marches == []
+    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [("convergence {cfg} --epsilons 0.1,nan", "eps must be finite and nonnegative, got nan"),
+     ("convergence {cfg} --epsilons 0.1,-0.05", "eps must be finite and nonnegative, got -0.05"),
+     ("decay {cfg} --p 0.5", "p must be >= 1 or inf, got 0.5")],
+    ids=["convergence-nan", "convergence-negative", "decay-p"],
+)
+def test_a_bad_command_value_is_refused_before_any_march(tmp_path, capsys, monkeypatch, argv,
+                                                         message):
+    marches = _count_marches(monkeypatch)
+    cfg, out = write_scenario(tmp_path), tmp_path / "out"
+    code = main(argv.format(cfg=cfg).split() + ["--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert marches == []
+
+
 @pytest.mark.parametrize("n_outputs", ["2", "9"])
 def test_a_zero_t_end_is_refused_naming_t_end(tmp_path, capsys, n_outputs):
     text = SMALL.format(name="instant").replace("t_end = 0.4", "t_end = 0").replace(
@@ -717,7 +800,7 @@ TINY = {
     "check.decay": "on", "check.containment": "on", "snapshots": "final",
 }
 HOSTILE_KEYS = sorted(TINY) + [
-    "cfl", "viscous.eps", "viscous.diffusion_number", "init.mollify_eps", "output_times",
+    "cfl", "viscous.eps", "init.mollify_eps", "output_times",
     "r_max", "scheme", "splitting", "check.decay.p", "check.containment.c0",
     "check.containment.tol",
 ]

@@ -331,3 +331,12 @@ def test_parser_returns_a_scenario_or_a_typed_error(text):
     for key, entry in sc.entries.items():  # every value was typed by the parser
         convert, _ = sn._KNOWN_KEYS[key]
         assert repr(sc.get(key)) == repr(convert(entry.text))
+
+
+def test_the_readme_key_table_lists_every_key_with_its_type():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("| Key | Type | Default | Meaning |\n")[1].split("\n\n")[0]
+    rows = re.findall(r"^\| `([a-z0-9_.]+)` \| ([^|]+) \|", section, flags=re.M)
+    table = {key: noun.strip() for key, noun in rows}
+    assert len(table) == len(rows)  # no key twice
+    assert table == {key: noun for key, (_, noun) in sn._KNOWN_KEYS.items()}

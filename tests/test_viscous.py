@@ -21,8 +21,6 @@ def test_config_validation():
     vc.ViscousConfig(t_end=1.0, eps=0.1)
     with pytest.raises(ConfigError):
         vc.ViscousConfig(t_end=1.0, eps=-0.1)
-    with pytest.raises(ConfigError):
-        vc.ViscousConfig(t_end=1.0, eps=0.1, diffusion_number=0.9)
 
 
 def test_zero_eps_is_bit_identical_to_inviscid():
@@ -46,7 +44,7 @@ def test_stability_violation_raised():
     d = md.Damping(0.2, 0.1)
     cfg = vc.ViscousConfig(t_end=1.0, eps=0.5)
     dx = f.grid.dx
-    too_big = 2.0 * cfg.diffusion_number * dx * dx / cfg.eps
+    too_big = 2.0 * sv.DIFFUSION_NUMBER * dx * dx / cfg.eps
     with pytest.raises(StabilityViolation):
         sv.step_once(f, phi, d, too_big, eps=cfg.eps)
     # with a nonzero speed, nu = eps dt / dx^2 = 1/2 already breaks
@@ -74,16 +72,17 @@ def test_stable_dt_is_the_whole_step_rule():
         cfg = sv.SolverConfig(t_end=1.0, cfl=0.45, eps=eps)
         want = min(0.45 * dx / speed, 2 * 0.4 * (dx * dx / (speed * dx + 2 * eps)))
         assert cfg.stable_dt(dx, speed) == want
-        # speed dt / dx + 2 nu (nu = eps dt / dx^2) stays <= 2 diffusion_number
+        # speed dt / dx + 2 nu (nu = eps dt / dx^2) stays <= 0.8
         dt = cfg.stable_dt(dx, speed)
         assert speed * dt / dx + 2 * eps * dt / (dx * dx) <= 0.8 * (1 + 1e-15)
 
 
 def test_simulate_never_trips_the_diffusion_guard():
-    # diffusion_number = 1/2 and a zero wave speed put dt on the hard limit
+    # a zero wave speed leaves only the diffusion term: dt sits at 0.8 of
+    # the hard limit
     grid = sv.Grid1D(0.0, 1.0, 16)
     f = sv.StateField(grid, np.sin(2 * np.pi * grid.centers), np.zeros(16))
-    cfg = sv.SolverConfig(t_end=0.01, eps=0.3, diffusion_number=0.5)
+    cfg = sv.SolverConfig(t_end=0.01, eps=0.3)
     with pytest.warns(UserWarning, match="structure condition"):
         traj = sv.simulate(f, md.PhiModel.constant(0.0), md.Damping(0.0, 0.0), cfg)
     assert traj.n_steps > 1
@@ -93,7 +92,7 @@ def test_grid_mode_does_not_grow_when_eps_is_near_alpha_dx():
     # Rusanov already dissipates speed dt / dx of the grid-scale mode; with
     # 2 nu (nu = eps dt / dx^2) on top the alternating mode is multiplied by
     # about 1 - 2 (speed dt/dx + 2 nu) per step. stable_dt holds that sum at
-    # 2 diffusion_number = 0.8, so the factor is -0.6 or above also where
+    # 0.8, so the factor is -0.6 or above also where
     # eps is near alpha dx (here alpha dx = 0.083)
     n = 128
     grid = sv.Grid1D(0.0, 2 * np.pi, n)
@@ -126,15 +125,12 @@ def test_kernel_refuses_a_step_past_the_combined_limit():
     dx=st.floats(1e-6, 1.0),
     speed=st.floats(1e-14, 1e3),
     eps=st.floats(1e-8, 1e2),
-    diffusion_number=st.floats(0.01, 0.5),
 )
-def test_stable_dt_holds_the_combined_sum_at_twice_the_diffusion_number(
-    dx, speed, eps, diffusion_number
-):
-    cfg = sv.SolverConfig(t_end=1.0, eps=eps, diffusion_number=diffusion_number)
+def test_stable_dt_holds_the_combined_sum_at_twice_the_diffusion_number(dx, speed, eps):
+    cfg = sv.SolverConfig(t_end=1.0, eps=eps)
     dt = cfg.stable_dt(dx, speed)
     assert dt > 0
-    assert speed * dt / dx + 2 * eps * dt / (dx * dx) <= 2 * diffusion_number * (1 + 1e-12)
+    assert speed * dt / dx + 2 * eps * dt / (dx * dx) <= 0.8 * (1 + 1e-12)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -142,7 +138,7 @@ def test_stable_dt_holds_the_combined_sum_at_twice_the_diffusion_number(
 def test_simulate_keeps_slack_when_damping_raises_the_speed(factor, damping):
     # phi = 2 - r: the speed 2 - r rises as damping shrinks r, so the
     # kernel sees a faster state than the one stable_dt was taken on; the
-    # sum held at 2 diffusion_number = 0.8 leaves the guard that slack
+    # sum held at 0.8 leaves the guard that slack
     rs = np.linspace(0.0, 1.5, 16)
     phi = md.PhiModel.tabulated(rs, 2.0 - rs)
     f = make_field(n=64)
@@ -171,7 +167,7 @@ def test_pure_diffusion_matches_discrete_heat_decay():
     kd2 = (2.0 - 2.0 * np.cos(dx)) / (dx * dx)
     # uniform steps except possibly the last truncated one
     n_steps = traj.n_steps
-    full_dt = cfg.diffusion_number * dx * dx / eps
+    full_dt = sv.DIFFUSION_NUMBER * dx * dx / eps
     last_dt = 1.0 - (n_steps - 1) * full_dt
     factor = (1.0 - eps * kd2 * full_dt) ** (n_steps - 1) * (1.0 - eps * kd2 * last_dt)
     assert np.max(np.abs(g.u - factor * np.sin(x))) <= 1e-12
@@ -200,6 +196,9 @@ def test_sweep_validates_eps_list():
         vc.vanishing_viscosity_sweep(f, phi, d, cfg, [0.1])
     with pytest.raises(ConfigError):
         vc.vanishing_viscosity_sweep(f, phi, d, cfg, [0.02, 0.04])
+    for bad in ([0.1, -0.05], [0.1, float("nan")], [float("inf"), 0.1]):
+        with pytest.raises(ConfigError, match="eps must be finite and nonnegative"):
+            vc.vanishing_viscosity_sweep(f, phi, d, cfg, bad)
 
 
 def test_sweep_zero_entry_gives_zero_distance():
