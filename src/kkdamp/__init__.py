@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import (  # noqa: F401
     AxisState,
-    CFLViolation,
     ConfigError,
     DegenerateState,
     InsufficientData,

@@ -112,23 +112,35 @@ class DecayReport:
     passed: bool
 
 
-def fit_exponential_rate(times, values, window=None) -> tuple[float, float, int]:
-    """OLS fit of log(values) = log K - rate * t on the window; returns
-    (rate, K, n_used). Zero or negative values are excluded."""
+MIN_FIT_SAMPLES = 5  # the fewest samples `fit_exponential_rate` fits
+
+
+def in_fit_window(times, window=None) -> np.ndarray:
+    """Mask of the times inside the fit window (t_lo, t_hi), 1e-15 slack
+    on each side; the default window is the last 90% of the time span."""
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if window is None:
         t0, t1 = times[0], times[-1]
         window = (t0 + 0.1 * (t1 - t0), t1)
-    mask = (times >= window[0] - 1e-15) & (times <= window[1] + 1e-15) & (values > 0)
-    if int(np.sum(mask)) < 5:
+    return (times >= window[0] - 1e-15) & (times <= window[1] + 1e-15)
+
+
+def fit_exponential_rate(times, values, window=None) -> tuple[float, float, int]:
+    """OLS fit of log(values) = log K - rate * t on the window
+    (`in_fit_window`); returns (rate, K, n_used). Zero or negative values
+    are excluded."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    mask = in_fit_window(times, window) & (values > 0)
+    if int(np.sum(mask)) < MIN_FIT_SAMPLES:
         raise InsufficientData(
-            f"decay fit needs >= 5 positive samples in the window, got {int(np.sum(mask))}"
+            f"rate fit needs >= {MIN_FIT_SAMPLES} positive samples in the window, "
+            f"got {int(np.sum(mask))}"
         )
     tt = times[mask]
     yy = np.log(values[mask])
     if not np.sum(tt * tt) > 0.0:  # polyfit divides the t column by its norm
-        raise InsufficientData(f"decay fit cannot resolve a rate over t = {tt[0]:g} to {tt[-1]:g}")
+        raise InsufficientData(f"rate fit cannot resolve a rate over t = {tt[0]:g} to {tt[-1]:g}")
     slope, intercept = np.polyfit(tt, yy, 1)
     return -float(slope), float(np.exp(intercept)), int(np.sum(mask))
 

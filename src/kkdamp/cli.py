@@ -10,9 +10,17 @@ Subcommands:
     convergence   vanishing-viscosity sweep for a scenario
     eigen         eigenstructure at a single state
 
-Exit codes: 0 all requested checks pass, 1 a check failed, a model error
-was raised or a file could not be read or written, 2 usage errors. The
-output root is --output-dir unless KKD_OUTPUT_DIR is set.
+Exit codes:
+
+    0  every requested check passes
+    1  a check failed, the model refused a value that parses (`--p 0.5`,
+       `--epsilons 0.1,nan`, `--m 0.5`, `--r-max -1`), or a file could not
+       be read or written
+    2  usage error: an option value that does not parse, or that breaks a
+       limit the CLI sets itself (`--n < 0`, `--jobs < 1`, `--n` or
+       `--samples` above MAX_ROWS)
+
+The output root is --output-dir unless KKD_OUTPUT_DIR is set.
 
 Each handler imports the modules it runs, so a short command such as
 `eigen` loads only the model.
@@ -198,11 +206,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_decay(args) -> int:
     from .analysis import decay_harness
+    from .scenario import check_rate_schedule, run_set_up
     from .solver import _check_p
 
     (p,) = _parse_values("--p", args.p, count=1)
     _check_p(p)  # before the march
-    s, res = _run_without_checks(args)
+    s = _set_up_without_checks(args)
+    check_rate_schedule(s.scenario, s.config, "decay")
+    res = run_set_up(s)
     rep = decay_harness(res.trajectory, p, s.damping, s.phi, args.weighted)
     print(f"p = {args.p} weighted = {args.weighted}")
     print(f"fitted_rate = {_fmt(rep.fitted_rate)}")

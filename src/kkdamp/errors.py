@@ -45,20 +45,12 @@ class NonLipschitz(KKDampError):
     """Entropy candidate with unbounded r*eta'(r) near r = 0."""
 
 
-class CFLViolation(KKDampError):
-    """Requested inviscid step exceeds the CFL limit dt <= dx / speed;
-    `speed` is the top wave speed the step guard measured."""
-
-    def __init__(self, message: str, speed: float | None = None):
-        self.speed = speed
-        super().__init__(message)
-
-
 class StabilityViolation(KKDampError):
-    """Requested viscous step breaks speed dt/dx + 2 eps dt/dx^2 <= 1 (the
-    message names the diffusion number eps dt/dx^2, and `speed` is the top
-    wave speed the step guard measured), or a march has stopped advancing t
-    or reached its step cap (`speed` is None)."""
+    """Requested step breaks speed dt/dx + 2 eps dt/dx^2 <= 1, the CFL limit
+    dt <= dx / speed when eps = 0 (the message names the diffusion number
+    eps dt/dx^2, and `speed` is the top wave speed the step guard
+    measured), or a march has stopped advancing t or reached its step cap
+    (`speed` is None)."""
 
     def __init__(self, message: str, speed: float | None = None):
         self.speed = speed

@@ -8,8 +8,9 @@ and column (and the file's path), so a `run` refuses its whole batch
 before any march. `name` must be one file-name component.
 Semantically invalid values and combinations (a missing required key,
 a < b, an unknown phi family or word choice, a non-finite `init.*` number,
-a check value its check would refuse) raise in `set_up`, which builds a
-scenario's models and initial field once, before any march.
+a check value its check would refuse, too few output times for a check
+that fits a rate) raise in `set_up`, which builds a scenario's models and
+initial field once, before any march.
 `run_set_up` marches, checks and writes under <output root>/<name>/:
 
     <name>_t<time>.tsv      snapshots (x, u, v, r, W, Z), '#' headers
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -367,6 +369,11 @@ def _snapshot_selection(sc: Scenario, items: list) -> list:
     return []
 
 
+def _schedule_key(sc: Scenario) -> str:
+    """The key that sets the scenario's output times."""
+    return "output_times" if sc.has("output_times") else "n_outputs"
+
+
 def _check_snapshot_names(sc: Scenario, times) -> None:
     """Two different output times whose snapshot names coincide would
     silently overwrite one file with the other: refuse them."""
@@ -374,11 +381,25 @@ def _check_snapshot_names(sc: Scenario, times) -> None:
     for t in times:
         name = snapshot_path(".", sc.name, t).name
         if name in seen and seen[name] != t:
-            key = "output_times" if sc.has("output_times") else "n_outputs"
             raise ValidationError(
-                key, f"t = {seen[name]!r} and t = {t!r} would both be written to {name}"
+                _schedule_key(sc),
+                f"t = {seen[name]!r} and t = {t!r} would both be written to {name}",
             )
         seen[name] = t
+
+
+def check_rate_schedule(sc: Scenario, cfg: SolverConfig, check: str) -> None:
+    """Refuse, before the march, a schedule that leaves `check` too few
+    times to fit a rate to: fewer than analysis.MIN_FIT_SAMPLES of t = 0
+    and cfg.output_times inside analysis.in_fit_window."""
+    from .analysis import MIN_FIT_SAMPLES, in_fit_window
+
+    n = int(np.sum(in_fit_window((0.0, *cfg.output_times))))
+    if n < MIN_FIT_SAMPLES:
+        raise ValidationError(
+            _schedule_key(sc), f"{check} fits a rate to the output times in the last 90% "
+            f"of the march and needs >= {MIN_FIT_SAMPLES} of them, got {n}"
+        )
 
 
 def _check_check_values(sc: Scenario) -> None:
@@ -431,18 +452,32 @@ class SetUp:
 
 def set_up(sc: Scenario, out_root=None) -> SetUp:
     """Build the scenario's models, config, initial field and containment
-    region, check its snapshot names and check values and create
-    <output root>/<name>/: all before a march."""
+    region, check its snapshot names, check values and the schedule of
+    each check that fits a rate, create <output root>/<name>/ and warn if
+    phi fails the structure condition: all before a march, once per
+    scenario. The invariants check fits a rate when a > b; with a = b it
+    fits one only if sup |Z| moves, which the march decides."""
     phi = sc.phi_model()
     d = sc.damping()
     grid = sc.grid()
     cfg = sc.solver_config()
     _check_check_values(sc)
+    if sc.get("check.decay", False):
+        check_rate_schedule(sc, cfg, "check.decay")
+    if sc.get("check.invariants", False) and d.a > d.b:
+        check_rate_schedule(sc, cfg, "check.invariants")
     init = sc.initial_field(grid)
     sigma = _containment_region(sc, phi, init)
     times = [init.t, *cfg.output_times]
     _check_snapshot_names(sc, _snapshot_selection(sc, times))
-    return SetUp(sc, phi, d, init, cfg, output_dir(out_root, sc.name), sigma)
+    s = SetUp(sc, phi, d, init, cfg, output_dir(out_root, sc.name), sigma)
+    if not phi.c1_report.satisfied:
+        warnings.warn(
+            f"{phi.label} fails the structure condition (r phi' vanishes); "
+            f"continuing, but well-posedness results do not apply (scenario {sc.name})",
+            stacklevel=2,
+        )
+    return s
 
 
 def run_scenario(sc: Scenario, out_root=None) -> RunResult:
@@ -461,7 +496,7 @@ def run_set_up(s: SetUp) -> RunResult:
 
     # each check imports the harness it runs, so parsing and the march
     # load neither analysis nor region (set_up loads region for the
-    # containment check's Sigma)
+    # containment check's Sigma and analysis for a rate check's schedule)
     if sc.get("check.decay", False):
         from .analysis import decay_harness
 

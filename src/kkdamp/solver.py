@@ -41,13 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _fmt
-from .errors import (
-    CFLViolation,
-    ConfigError,
-    NonFinite,
-    StabilityViolation,
-    ValidationError,
-)
+from .errors import ConfigError, NonFinite, StabilityViolation, ValidationError
 from .model import Damping, PhiModel
 from .quadrature import bump, weight
 
@@ -317,9 +311,8 @@ def step_once(
 
     hypot, phi and the family's wave speed are evaluated once, on the
     padded damped data, and the r <= r_max check, the one step guard
-    dt <= explicit_limit (CFLViolation when eps = 0, StabilityViolation
-    otherwise, both carrying the top speed) and the Rusanov dissipation
-    all read those cell speeds. A negative or non-finite eps raises the
+    dt <= explicit_limit (StabilityViolation, carrying the top speed) and
+    the Rusanov dissipation all read those cell speeds. A negative or non-finite eps raises the
     ConfigError that SolverConfig raises for it. Every operation matches
     the unfused formulas 0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i) and
     w - dt/dx (flux_i+1/2 - flux_i-1/2) + nu (w_i+1 - 2 w_i + w_i-1)
@@ -337,10 +330,6 @@ def step_once(
     limit = explicit_limit(dx, top, eps)
     nu = eps * dt / (dx * dx) if eps != 0.0 else 0.0
     if dt > limit * (1.0 + 1e-9):
-        if eps == 0.0:
-            raise CFLViolation(
-                f"dt={dt:g} exceeds stable step {limit:g} (speed {top:g})", speed=top
-            )
         raise StabilityViolation(
             f"dt={dt:g} exceeds stable step {limit:g}: speed dt/dx + 2 eps dt/dx^2 = "
             f"{top * dt / dx + 2.0 * nu:g} > 1 (speed {top:g}, diffusion number "
@@ -396,14 +385,9 @@ def simulate(
 
     The theory behind the continuous problem assumes r phi'(r) != 0;
     running with a model that fails that check (for example a constant
-    phi) is allowed, since the scheme itself does not need it, but the
-    condition's status is available as phi.c1_report."""
-    if not phi.c1_report.satisfied:
-        warnings.warn(
-            f"{phi.label} fails the structure condition (r phi' vanishes); "
-            "continuing, but well-posedness results do not apply",
-            stacklevel=2,
-        )
+    phi) is allowed, since the scheme itself does not need it, and the
+    march does not warn about it: the condition's status is available as
+    phi.c1_report (`scenario.set_up` warns once per scenario)."""
     targets = cfg.output_times
     if targets[0] < init.t - 1e-12:
         raise ConfigError("output time precedes the initial time")
@@ -429,7 +413,7 @@ def simulate(
                 raise StabilityViolation(f"march reached {MAX_STEPS} steps at t={f.t:.17g}")
             try:
                 f = step_once(f, phi, d, dt, eps=cfg.eps)
-            except (CFLViolation, StabilityViolation) as exc:
+            except StabilityViolation as exc:
                 # stable_dt at the guard's speed is below the limit that
                 # tripped, so it is also below dt and target - f.t
                 redo = cfg.stable_dt(dx, exc.speed)

@@ -138,7 +138,7 @@ def test_fit_exponential_rate_exact():
     assert rate == pytest.approx(0.7, abs=1e-12)
     assert k_est == pytest.approx(2.5, rel=1e-10)
     assert n_used < 31  # default window drops the initial 10%
-    with pytest.raises(InsufficientData):
+    with pytest.raises(InsufficientData, match="rate fit needs >= 5 positive samples"):
         an.fit_exponential_rate(t[:4], vals[:4])
     # a time span whose squares underflow: a typed error, no LAPACK failure
     with pytest.raises(InsufficientData, match="cannot resolve a rate"):

@@ -373,6 +373,12 @@ def test_region_check_flags_lower_edge(capsys):
     assert "Z=C1: inward" in capsys.readouterr().out
 
 
+def test_region_check_at_a_zero_c0_exits_1(capsys):
+    code = main(["region-check", "--a", "0.6", "--b", "0.2", "--c0", "0"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: level radius for C0=0.0 degenerates to r = 0\n"
+
+
 def test_region_check_equal_damping_errors(capsys):
     code = main(["region-check", "--phi", "power:1", "--a", "0.3", "--b", "0.3"])
     assert code == 1
@@ -749,6 +755,91 @@ def test_a_bad_command_value_is_refused_before_any_march(tmp_path, capsys, monke
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert marches == []
+
+
+@pytest.mark.parametrize(
+    "schedule, check, key, got",
+    [("n_outputs = 3", "check.decay", "n_outputs", 2),
+     ("n_outputs = 5", "check.decay", "n_outputs", 4),
+     ("output_times = 0.1,0.2,0.3,0.4", "check.decay", "output_times", 4),
+     ("n_outputs = 3", "check.invariants", "n_outputs", 2)],
+    ids=["decay-3", "decay-5", "decay-output-times", "invariants-3"],
+)
+def test_a_schedule_too_short_for_a_rate_fit_is_refused_before_any_march(
+    tmp_path, capsys, monkeypatch, schedule, check, key, got
+):
+    # the fit takes the last 90% of the march, which leaves t = 0 out
+    marches = _count_marches(monkeypatch)
+    text = SMALL.format(name="few").replace("n_outputs = 9", schedule)
+    if check == "check.invariants":
+        text = text.replace("check.decay = on\n", "").replace("a = 0.5", "a = 0.3").replace(
+            "b = 0.2", "b = 0.1")
+    few = write_scenario(tmp_path, "few", text)
+    shipped = Path(__file__).resolve().parent.parent / "scenarios" / "riemann_shock.cfg"
+    out = tmp_path / "out"
+    code = main(["run", str(shipped), str(few), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {key}: {check} fits a rate to the output times in the last 90% of the "
+        f"march and needs >= 5 of them, got {got}\n"
+    )
+    assert marches == []
+    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+
+
+def test_a_schedule_with_five_times_in_the_fit_window_runs(tmp_path, capsys):
+    text = SMALL.format(name="six").replace("n_outputs = 9", "n_outputs = 6")
+    path = write_scenario(tmp_path, "six", text)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+
+
+def test_equal_damping_leaves_the_invariants_schedule_to_the_march(tmp_path, capsys):
+    # with a = b the invariants check fits a rate only if sup |Z| moves;
+    # here Z = 1 everywhere, so three outputs pass
+    text = SMALL.format(name="equal").replace("n_outputs = 9", "n_outputs = 3").replace(
+        "check.decay = on\n", "").replace("a = 0.5", "a = 0.2")
+    path = write_scenario(tmp_path, "equal", text)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert "equal: pass [invariants=pass]" in capsys.readouterr().out
+
+
+def test_decay_refuses_a_schedule_too_short_for_its_fit_before_the_march(
+    tmp_path, capsys, monkeypatch
+):
+    # the command fits a rate though it skips the scenario's checks
+    marches = _count_marches(monkeypatch)
+    text = SMALL.format(name="few").replace("n_outputs = 9", "n_outputs = 5").replace(
+        "check.decay = on\ncheck.invariants = on\n", "")
+    path, out = write_scenario(tmp_path, "few", text), tmp_path / "out"
+    code = main(["decay", str(path), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: n_outputs: decay fits a rate to the output times in the last 90% of the "
+        "march and needs >= 5 of them, got 4\n"
+    )
+    assert marches == []
+    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+
+
+def _const_scenario(tmp_path, name):
+    text = SMALL.format(name=name).replace("phi = power:1", "phi = const:1")
+    return str(write_scenario(tmp_path, name, text))
+
+
+@pytest.mark.filterwarnings("default:const.1 fails the structure condition:UserWarning")
+@pytest.mark.parametrize(
+    "argv, names",
+    [("run {st1} {st2} --jobs 1", ["st1", "st2"]),
+     ("run {st1} {st2} --jobs 2", ["st1", "st2"]),
+     ("convergence {st1} --epsilons 0.1,0.05", ["st1"])],
+    ids=["run-jobs-1", "run-jobs-2", "convergence"],
+)
+def test_the_structure_warning_prints_once_per_scenario(tmp_path, capfd, argv, names):
+    paths = {name: _const_scenario(tmp_path, name) for name in ("st1", "st2")}
+    main(argv.format(**paths).split() + ["--output-dir", str(tmp_path / "out")])
+    lines = [ln for ln in capfd.readouterr().err.splitlines()
+             if ln.startswith("warning: const:1 fails the structure condition")]
+    assert [ln.rsplit(" ", 1)[-1] for ln in lines] == [f"{name})" for name in names]
 
 
 @pytest.mark.parametrize("n_outputs", ["2", "9"])

@@ -2,6 +2,7 @@ import pickle
 
 import pytest
 
+import kkdamp
 from kkdamp import errors
 
 # one instance of every KKDampError subclass, built with the arguments of its __init__
@@ -9,7 +10,7 @@ CASES = [
     errors.ValidationError("cfl", "must be > 0"),
     errors.ParseError(3, 5, "a: expected a number, got 'abc'", "bad.cfg"),
     errors.ParseError(1, 1, "empty key"),
-    errors.CFLViolation("dt=0.1 exceeds stable step 0.05", speed=2.5),
+    errors.StabilityViolation("dt=0.1 exceeds stable step 0.05", speed=2.5),
     errors.StabilityViolation("march reached 10000000 steps at t=0.5"),
     *(
         cls("message")
@@ -29,6 +30,13 @@ def _subclasses(cls):
 
 def test_cases_cover_every_error_type():
     assert {type(e) for e in CASES} == set(_subclasses(errors.KKDampError))
+
+
+def test_the_package_exports_exactly_the_error_types():
+    exported = {name: obj for name, obj in vars(kkdamp).items()
+                if isinstance(obj, type) and issubclass(obj, errors.KKDampError)}
+    defined = {errors.KKDampError, *_subclasses(errors.KKDampError)}
+    assert exported == {cls.__name__: cls for cls in defined}
 
 
 @pytest.mark.parametrize("exc", CASES, ids=lambda e: type(e).__name__)

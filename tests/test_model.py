@@ -2,7 +2,7 @@ import pickle
 
 import numpy as np
 import pytest
-from _oracles import fd_grad, fd_jacobian, random_states
+from _oracles import fd_grad, fd_jacobian, random_states, raw_flux
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +60,13 @@ def test_riemann_invariants_linear_phi():
 
 
 # -- oracle-backed structure checks -----------------------------------------
+
+
+def test_flux_matches_the_raw_flux_oracle(rng):
+    for phi in family_zoo():
+        us, vs = random_states(rng, 40, r_lo=0.0, r_hi=3.5)
+        for u, v in zip(us, vs):
+            assert np.array_equal(md.flux(md.State(u, v), phi), raw_flux(u, v, phi))
 
 
 def test_jacobian_matches_finite_differences(rng):
@@ -135,6 +142,10 @@ def test_classification_kinds():
     rng_kind = md.classify_field_range(md.PhiModel.power(1.0), 0.1, 5.0)
     assert rng_kind.kind == md.GENUINELY_NONLINEAR
     assert md.classify_field_range(md.PhiModel.constant(2.0), 0.1, 5.0).kind == md.LINEARLY_DEGENERATE
+    # 2 phi' + r phi'' changes sign for phi = sin 2r
+    rs = np.linspace(0.0, 2.0, 201)
+    wavy = md.PhiModel.tabulated(rs, np.sin(2.0 * rs))
+    assert md.classify_field_range(wavy, 0.1, 1.9).kind == md.MIXED
 
 
 # -- degenerate and invalid inputs -------------------------------------------

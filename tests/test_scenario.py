@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kkdamp import _fmt
 from kkdamp import model as md
 from kkdamp import scenario as sn
 from kkdamp import solver as sv
@@ -132,6 +133,17 @@ def test_run_scenario_writes_artifacts(tmp_path):
     # snapshot columns round trip
     snap = sv.read_snapshot(out / "demo_t0.4.tsv")
     assert np.array_equal(snap["u"], res.trajectory[-1].u)
+
+
+def test_an_auto_c1_is_the_smallest_initial_z(tmp_path):
+    text = GOOD.replace("init.amplitude = 0.2", "init.amplitude = 0.2\ninit.angle_amplitude = 0.1")
+    text += "check.containment.c1 = auto\n"
+    sc = sn.parse_scenario_text(text)
+    res = sn.run_scenario(sc, out_root=tmp_path)
+    init = res.trajectory[0]
+    z0 = md.z_invariant(init.u, init.v)
+    manifest = (tmp_path / "demo" / "demo_manifest.txt").read_text().splitlines()
+    assert f"check.containment.c1 = {_fmt(np.min(z0))}" in manifest
 
 
 def test_run_scenario_final_snapshot_mode(tmp_path):

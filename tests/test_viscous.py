@@ -83,8 +83,7 @@ def test_simulate_never_trips_the_diffusion_guard():
     grid = sv.Grid1D(0.0, 1.0, 16)
     f = sv.StateField(grid, np.sin(2 * np.pi * grid.centers), np.zeros(16))
     cfg = sv.SolverConfig(t_end=0.01, eps=0.3)
-    with pytest.warns(UserWarning, match="structure condition"):
-        traj = sv.simulate(f, md.PhiModel.constant(0.0), md.Damping(0.0, 0.0), cfg)
+    traj = sv.simulate(f, md.PhiModel.constant(0.0), md.Damping(0.0, 0.0), cfg)
     assert traj.n_steps > 1
 
 
@@ -160,8 +159,7 @@ def test_pure_diffusion_matches_discrete_heat_decay():
     d = md.Damping(0.0, 0.0)
     eps = 0.05
     cfg = vc.ViscousConfig(t_end=1.0, eps=eps)
-    with pytest.warns(UserWarning, match="structure condition"):
-        traj = sv.simulate(f, phi, d, cfg)
+    traj = sv.simulate(f, phi, d, cfg)
     g = traj[-1]
     dx = grid.dx
     kd2 = (2.0 - 2.0 * np.cos(dx)) / (dx * dx)
