@@ -28,9 +28,9 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,9 +51,6 @@ from .solver import (
     write_snapshot,
     write_table,
 )
-
-if TYPE_CHECKING:
-    from .region import RegionSigma
 
 DEFAULT_OUTPUT_ROOT = "kkd_out"
 
@@ -92,23 +89,15 @@ _NUMBER_OR_AUTO = (lambda text: text if text == "auto" else float(text), "a numb
 _TEXT = (str, "text")
 _FILE_NAME = (_file_name, "one file-name component")
 
-# every key a scenario may set, and the type of its value
+# every key a scenario may set, and the type of its value; the check.*
+# keys are merged in from CHECKS
 _KNOWN_KEYS = {
     **dict.fromkeys(
-        "r_max a b x_lo x_hi t_end cfl viscous.eps init.u init.v "
-        "init.mean init.amplitude init.wavenumber init.angle init.angle_amplitude "
-        "init.angle_wavenumber init.u_left init.v_left init.u_right init.v_right init.x_jump "
-        "init.mollify_eps check.decay.p check.containment.tol check.invariants.tol".split(),
-        _NUMBER,
-    ),
+        "r_max a b x_lo x_hi t_end cfl viscous.eps init.u init.v init.mean init.amplitude "
+        "init.wavenumber init.angle init.angle_amplitude init.angle_wavenumber init.u_left "
+        "init.v_left init.u_right init.v_right init.x_jump init.mollify_eps".split(), _NUMBER),
     **dict.fromkeys("n_cells n_outputs".split(), _INTEGER),
-    **dict.fromkeys(
-        "check.decay check.decay.weighted check.containment check.invariants".split(), _ON_OFF
-    ),
     "output_times": _NUMBERS,
-    **dict.fromkeys(
-        "check.containment.c0 check.containment.c1 check.containment.c2".split(), _NUMBER_OR_AUTO
-    ),
     **dict.fromkeys("phi boundary scheme splitting snapshots init init.file".split(), _TEXT),
     "name": _FILE_NAME,
 }
@@ -169,12 +158,8 @@ class Scenario:
         return Damping(self.get("a"), self.get("b"))
 
     def grid(self) -> Grid1D:
-        return Grid1D(
-            x_lo=self.get("x_lo"),
-            x_hi=self.get("x_hi"),
-            n_cells=self.get("n_cells"),
-            **self._set_values(boundary="boundary"),
-        )
+        return Grid1D(self.get("x_lo"), self.get("x_hi"), self.get("n_cells"),
+                      **self._set_values(boundary="boundary"))
 
     def _check_output_count(self, key: str, count: int) -> None:
         n_cells = self.get("n_cells")
@@ -204,16 +189,8 @@ class Scenario:
                         "increasing; need a larger t_end"
                     )
                 outputs = list(times)[1:]
-        return SolverConfig(
-            t_end=t_end,
-            output_times=outputs,
-            **self._set_values(
-                scheme="scheme",
-                splitting="splitting",
-                cfl="cfl",
-                eps="viscous.eps",
-            ),
-        )
+        return SolverConfig(t_end=t_end, output_times=outputs, **self._set_values(
+            scheme="scheme", splitting="splitting", cfl="cfl", eps="viscous.eps"))
 
     def initial_field(self, grid: Grid1D) -> StateField:
         for key, e in self.entries.items():  # init.mollify_eps has its own rule
@@ -239,8 +216,7 @@ class Scenario:
             u = r0 * np.cos(theta)
             v = r0 * np.sin(theta)
         elif kind == "riemann_step":
-            xj = self.get("init.x_jump")
-            left = x < xj
+            left = x < self.get("init.x_jump")
             u = np.where(left, self.get("init.u_left"), self.get("init.u_right"))
             v = np.where(left, self.get("init.v_left"), self.get("init.v_right"))
         elif kind == "from_file":
@@ -316,8 +292,15 @@ def parse_scenario_text(text: str, path: str | None = None) -> Scenario:
 
 
 def parse_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return parse_scenario_text(fh.read(), path=str(path))
+    """Parse the UTF-8 scenario file at `path`."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start  # the first byte that does not decode
+        line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
+        raise ParseError(line, col, f"byte 0x{data[at]:02x} is not UTF-8", str(path)) from None
+    return parse_scenario_text(text, path=str(path))
 
 
 def output_dir(explicit=None, name: str = "") -> Path:
@@ -344,29 +327,19 @@ def _write_norm_series(traj: Trajectory, path: Path) -> Path:
     with np.errstate(divide="ignore", invalid="ignore"):
         sup_z = [np.max(np.abs(f.u / f.v)) if np.all(f.v != 0.0) else np.nan for f in fields]
     sup_r = np.array([np.max(f.r) for f in fields])
-    return write_table(
-        path,
-        ("t", "l1", "l2", "l4", "linf", "sup_abs_z", "sup_r_ratio"),
-        (
-            [f.t for f in fields],
-            *([lp_norm(f, p) for f in fields] for p in (1, 2, 4, np.inf)),
-            sup_z,
-            sup_r / max(sup_r[0], 1e-300),
-        ),
-    )
+    norms = ([lp_norm(f, p) for f in fields] for p in (1, 2, 4, np.inf))
+    return write_table(path, ("t", "l1", "l2", "l4", "linf", "sup_abs_z", "sup_r_ratio"),
+                       ([f.t for f in fields], *norms, sup_z, sup_r / max(sup_r[0], 1e-300)))
 
 
 def _snapshot_selection(sc: Scenario, items: list) -> list:
     """The entries the `snapshots` mode selects from a per-output list
     that starts with the initial state."""
     mode = sc.get("snapshots", "all")
-    if mode not in ("all", "final", "none"):
+    selections = {"all": list(items), "final": items[-1:], "none": []}
+    if mode not in selections:
         raise ValidationError("snapshots", f"expected all/final/none, got {mode!r}")
-    if mode == "all":
-        return list(items)
-    if mode == "final":
-        return items[-1:]
-    return []
+    return selections[mode]
 
 
 def _schedule_key(sc: Scenario) -> str:
@@ -381,10 +354,8 @@ def _check_snapshot_names(sc: Scenario, times) -> None:
     for t in times:
         name = snapshot_path(".", sc.name, t).name
         if name in seen and seen[name] != t:
-            raise ValidationError(
-                _schedule_key(sc),
-                f"t = {seen[name]!r} and t = {t!r} would both be written to {name}",
-            )
+            raise ValidationError(_schedule_key(sc), f"t = {seen[name]!r} and t = {t!r} "
+                                  f"would both be written to {name}")
         seen[name] = t
 
 
@@ -402,39 +373,110 @@ def check_rate_schedule(sc: Scenario, cfg: SolverConfig, check: str) -> None:
         )
 
 
-def _check_check_values(sc: Scenario) -> None:
-    """Refuse the check values that a check would refuse, or misread, only
-    after the march: a `check.decay.p` that lp_norm refuses, and a tolerance
-    that is negative or not finite (nan fails every check, inf passes any)."""
-    if sc.has("check.decay.p"):
-        try:
-            _check_p(sc.get("check.decay.p"))
-        except ConfigError as exc:
-            raise ValidationError("check.decay.p", str(exc)) from None
-    for key in ("check.containment.tol", "check.invariants.tol"):
-        tol = sc.get(key, 0.0)
-        if not 0.0 <= tol < math.inf:
-            raise ValidationError(key, f"must be finite and nonnegative, got {tol}")
+# -- checks: one entry each, in manifest order ---------------------------------
 
 
-def _containment_region(sc: Scenario, phi: PhiModel, init: StateField) -> RegionSigma | None:
-    """Sigma of `check.containment`, its `auto` bounds taken from the
-    initial field; None when the check is off."""
+class Check(NamedTuple):
+    """The check that `check.<name> = on` enables, `options` typing its
+    `check.<name>.*` keys. `set_up` calls `prepare(s)` for every check, on
+    or off: it makes the check's refusals and returns what `run` needs, or
+    None when the check is off. `run(s, prepared, traj)` returns the verdict
+    and the values of the check's manifest lines. Each imports the harness
+    it runs, so parsing and the march load neither analysis nor region."""
+
+    name: str
+    options: dict
+    prepare: Callable
+    run: Callable
+
+    @property
+    def keys(self) -> dict:
+        on = f"check.{self.name}"
+        return {on: _ON_OFF, **{f"{on}.{key}": kind for key, kind in self.options.items()}}
+
+
+def _tolerance(sc: Scenario, key: str) -> dict:
+    """{"tol": value} if `key` is set; nan would fail every check, inf pass any."""
+    tol = sc.get(key, 0.0)
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(key, f"must be finite and nonnegative, got {tol}")
+    return sc._set_values(tol=key)
+
+
+def _prepare_decay(s: SetUp):
+    sc = s.scenario
+    p = sc.get("check.decay.p", 2.0)
+    try:
+        _check_p(p)  # the p that lp_norm would refuse after the march
+    except ConfigError as exc:
+        raise ValidationError("check.decay.p", str(exc)) from None
+    if not sc.get("check.decay", False):
+        return None
+    check_rate_schedule(sc, s.config, "check.decay")
+    return {"p": p, **sc._set_values(weighted="check.decay.weighted")}
+
+
+def _run_decay(s: SetUp, options, traj: Trajectory):
+    from .analysis import decay_harness
+
+    rep = decay_harness(traj, d=s.damping, phi=s.phi, **options)
+    return rep.passed, {"fitted_rate": rep.fitted_rate, "theorem_rate": rep.theorem_rate}
+
+
+def _prepare_containment(s: SetUp):
+    """Sigma, its `auto` bounds taken from the initial field, and the tolerance."""
+    sc = s.scenario
+    options = _tolerance(sc, "check.containment.tol")
     if not sc.get("check.containment", False):
         return None
     from .region import RegionSigma
 
-    z0 = z_invariant(init.u, init.v)
+    z0 = z_invariant(s.init.u, s.init.v)
     c0 = sc.get("check.containment.c0", "auto")
     c1 = sc.get("check.containment.c1", 0.0)
     c2 = sc.get("check.containment.c2", "auto")
     if c0 == "auto":
-        c0 = float(np.max(phi.phi(float(np.max(init.r)))))
+        c0 = float(np.max(s.phi.phi(float(np.max(s.init.r)))))
     if c1 == "auto":
         c1 = float(np.min(z0))
     if c2 == "auto":
         c2 = float(np.max(z0))
-    return RegionSigma(c0=c0, c1=c1, c2=c2)
+    return {"sigma": RegionSigma(c0=c0, c1=c1, c2=c2), **options}
+
+
+def _run_containment(s: SetUp, options, traj: Trajectory):
+    from .region import trajectory_containment
+
+    rep = trajectory_containment(traj, phi=s.phi, **options)
+    return rep.passed, {**asdict(options["sigma"]), "max_violation": rep.max_violation}
+
+
+def _prepare_invariants(s: SetUp):
+    sc = s.scenario
+    options = _tolerance(sc, "check.invariants.tol")
+    if not sc.get("check.invariants", False):
+        return None
+    # with a = b it fits a rate only if sup |Z| moves, which the march decides
+    if s.damping.a > s.damping.b:
+        check_rate_schedule(sc, s.config, "check.invariants")
+    return options
+
+
+def _run_invariants(s: SetUp, options, traj: Trajectory):
+    from .analysis import riemann_invariant_diagnostics
+
+    rep = riemann_invariant_diagnostics(traj, s.phi, s.damping, **options)
+    return rep.passed, {"fitted_z_rate": rep.fitted_z_rate,
+                        "expected_z_rate": rep.expected_z_rate}
+
+
+CHECKS = (
+    Check("decay", {"p": _NUMBER, "weighted": _ON_OFF}, _prepare_decay, _run_decay),
+    Check("containment", {**dict.fromkeys(("c0", "c1", "c2"), _NUMBER_OR_AUTO), "tol": _NUMBER},
+          _prepare_containment, _run_containment),
+    Check("invariants", {"tol": _NUMBER}, _prepare_invariants, _run_invariants),
+)
+_KNOWN_KEYS.update(item for check in CHECKS for item in check.keys.items())
 
 
 @dataclass
@@ -446,31 +488,20 @@ class SetUp:
     damping: Damping
     init: StateField
     config: SolverConfig
-    out_dir: Path
-    sigma: RegionSigma | None = None  # the region check.containment checks
+    out_dir: Path | None = None  # made once every refusal has passed
+    checks: dict = field(default_factory=dict)  # {name: what its prepare returned}, checks on
 
 
 def set_up(sc: Scenario, out_root=None) -> SetUp:
-    """Build the scenario's models, config, initial field and containment
-    region, check its snapshot names, check values and the schedule of
-    each check that fits a rate, create <output root>/<name>/ and warn if
-    phi fails the structure condition: all before a march, once per
-    scenario. The invariants check fits a rate when a > b; with a = b it
-    fits one only if sup |Z| moves, which the march decides."""
-    phi = sc.phi_model()
-    d = sc.damping()
-    grid = sc.grid()
-    cfg = sc.solver_config()
-    _check_check_values(sc)
-    if sc.get("check.decay", False):
-        check_rate_schedule(sc, cfg, "check.decay")
-    if sc.get("check.invariants", False) and d.a > d.b:
-        check_rate_schedule(sc, cfg, "check.invariants")
-    init = sc.initial_field(grid)
-    sigma = _containment_region(sc, phi, init)
-    times = [init.t, *cfg.output_times]
-    _check_snapshot_names(sc, _snapshot_selection(sc, times))
-    s = SetUp(sc, phi, d, init, cfg, output_dir(out_root, sc.name), sigma)
+    """Build the scenario's models, config and initial field, let each
+    check make its refusals and prepare its run, check the snapshot names,
+    create <output root>/<name>/ and warn if phi fails the structure
+    condition: all before a march, once per scenario."""
+    phi, d, grid, cfg = sc.phi_model(), sc.damping(), sc.grid(), sc.solver_config()
+    s = SetUp(sc, phi, d, sc.initial_field(grid), cfg)
+    s.checks = {c.name: prep for c in CHECKS if (prep := c.prepare(s)) is not None}
+    _check_snapshot_names(sc, _snapshot_selection(sc, [s.init.t, *cfg.output_times]))
+    s.out_dir = output_dir(out_root, sc.name)
     if not phi.c1_report.satisfied:
         warnings.warn(
             f"{phi.label} fails the structure condition (r phi' vanishes); "
@@ -488,50 +519,18 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
 def run_set_up(s: SetUp) -> RunResult:
     """March a set-up scenario, run its enabled checks, write its artifacts."""
     t_wall = time.perf_counter()
-    sc, phi, d, init, out_dir = s.scenario, s.phi, s.damping, s.init, s.out_dir
-    traj = simulate(init, phi, d, s.config)
+    sc, phi, out_dir = s.scenario, s.phi, s.out_dir
+    traj = simulate(s.init, phi, s.damping, s.config)
 
     checks: dict[str, bool] = {}
     details: list[str] = []
-
-    # each check imports the harness it runs, so parsing and the march
-    # load neither analysis nor region (set_up loads region for the
-    # containment check's Sigma and analysis for a rate check's schedule)
-    if sc.get("check.decay", False):
-        from .analysis import decay_harness
-
-        p = sc.get("check.decay.p", 2.0)
-        rep = decay_harness(traj, p, d, phi, **sc._set_values(weighted="check.decay.weighted"))
-        checks["decay"] = rep.passed
-        details.append(f"check.decay.fitted_rate = {_fmt(rep.fitted_rate)}")
-        details.append(f"check.decay.theorem_rate = {_fmt(rep.theorem_rate)}")
-        details.append(f"check.decay.passed = {str(rep.passed).lower()}")
-
-    if s.sigma is not None:
-        from .region import trajectory_containment
-
-        rep = trajectory_containment(
-            traj, s.sigma, phi, **sc._set_values(tol="check.containment.tol")
-        )
-        checks["containment"] = rep.passed
-        details.append(f"check.containment.c0 = {_fmt(s.sigma.c0)}")
-        details.append(f"check.containment.c1 = {_fmt(s.sigma.c1)}")
-        details.append(f"check.containment.c2 = {_fmt(s.sigma.c2)}")
-        details.append(f"check.containment.max_violation = {_fmt(rep.max_violation)}")
-        details.append(f"check.containment.passed = {str(rep.passed).lower()}")
-
-    if sc.get("check.invariants", False):
-        from .analysis import riemann_invariant_diagnostics
-
-        rep = riemann_invariant_diagnostics(
-            traj, phi, d, **sc._set_values(tol="check.invariants.tol")
-        )
-        checks["invariants"] = rep.passed
-        details.append(f"check.invariants.fitted_z_rate = {_fmt(rep.fitted_z_rate)}")
-        details.append(f"check.invariants.expected_z_rate = {_fmt(rep.expected_z_rate)}")
-        details.append(f"check.invariants.passed = {str(rep.passed).lower()}")
-
-    passed = all(checks.values()) if checks else True
+    for check in CHECKS:
+        if check.name in s.checks:
+            ok, values = check.run(s, s.checks[check.name], traj)
+            checks[check.name] = ok
+            details += [f"check.{check.name}.{key} = {_fmt(x)}" for key, x in values.items()]
+            details.append(f"check.{check.name}.passed = {str(ok).lower()}")
+    passed = all(checks.values())
 
     artifacts = [write_snapshot(f, phi, sc.name, out_dir)
                  for f in _snapshot_selection(sc, traj.fields)]
@@ -552,11 +551,4 @@ def run_set_up(s: SetUp) -> RunResult:
         fh.write(f"passed = {str(passed).lower()}\n")
     artifacts.append(manifest)
 
-    return RunResult(
-        name=sc.name,
-        out_dir=out_dir,
-        passed=passed,
-        checks=checks,
-        artifacts=artifacts,
-        trajectory=traj,
-    )
+    return RunResult(sc.name, out_dir, passed, checks, artifacts, traj)

@@ -211,6 +211,17 @@ def test_decay_harness_insufficient_data():
         an.decay_harness(traj, 2, md.Damping(0.3, 0.3))
 
 
+def test_decay_harness_flags_a_rate_just_below_its_band():
+    # the band starts 0.05 max(a, b) below min(a, b); this rate is a further
+    # 0.1 max(a, b) below, yet over t <= 0.6 the norms stay inside the envelope
+    d = md.Damping(0.5, 0.3)
+    rate = 0.3 - 0.15 * 0.5
+    rep = an.decay_harness(synthetic_traj(rate, rate, t_end=0.6), 2, d)
+    assert rep.fitted_rate == pytest.approx(rate, abs=1e-10)
+    assert rep.rate_band[0] == pytest.approx(0.275)
+    assert rep.pointwise_ok and not rep.rate_band_ok and not rep.passed
+
+
 # -- entropy residuals --------------------------------------------------------------
 
 
@@ -300,6 +311,35 @@ def test_riemann_invariant_diagnostics_exact():
     assert rep.fitted_z_rate == pytest.approx(0.4, abs=1e-10)
     assert rep.max_z_envelope_deviation <= 1e-12
     assert rep.w_max_principle_ok and rep.z_envelope_ok and rep.passed
+
+
+def uniform_traj(times, r, z):
+    """Cells all at radius r[k] with Z = u/v = z[k] at times[k]."""
+    grid = sv.Grid1D(0.0, 1.0, 8)
+    fields = [sv.StateField(grid, np.full(8, zk * rk / np.hypot(1.0, zk)),
+                            np.full(8, rk / np.hypot(1.0, zk)), t)
+              for t, rk, zk in zip(times, r, z)]
+    return sv.Trajectory(fields, n_steps=len(fields), avg_dt=times[-1] / len(fields))
+
+
+def test_riemann_invariant_diagnostics_flags_sup_w_up_ten_percent():
+    times = np.linspace(0.0, 1.0, 6)
+    r = np.where(times > 0, 0.55, 0.5)  # phi = r, so sup W grows by 10%
+    z = 2.0 * np.exp(-0.4 * times)  # on its envelope
+    rep = an.riemann_invariant_diagnostics(
+        uniform_traj(times, r, z), md.PhiModel.power(1.0), md.Damping(0.6, 0.2), tol=0.05)
+    assert rep.z_envelope_ok and rep.max_z_envelope_deviation <= 1e-12
+    assert not rep.w_max_principle_ok and not rep.passed
+
+
+def test_riemann_invariant_diagnostics_flags_sup_z_ten_percent_off_its_envelope():
+    times = np.linspace(0.0, 1.0, 6)
+    z = 2.0 * np.exp(-0.4 * times) * np.where(times > 0, 1.1, 1.0)
+    rep = an.riemann_invariant_diagnostics(
+        uniform_traj(times, np.full(6, 0.5), z), md.PhiModel.power(1.0), md.Damping(0.6, 0.2),
+        tol=0.05)
+    assert rep.max_z_envelope_deviation == pytest.approx(0.1, rel=1e-9)
+    assert rep.w_max_principle_ok and not rep.z_envelope_ok and not rep.passed
 
 
 def test_riemann_invariant_diagnostics_axis():

@@ -690,6 +690,15 @@ def test_out_of_range_inputs_exit_1_with_one_error_line(tmp_path, capsys, old, n
     assert message in err
 
 
+@pytest.mark.parametrize("command", ["run", "simulate", "decay", "convergence"])
+def test_a_scenario_file_that_is_not_utf8_exits_1_with_one_error_line(tmp_path, capsys, command):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"\xff\xfe name = x\n")
+    code = main([command, str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: line 1, col 1: byte 0xff is not UTF-8\n"
+
+
 def test_the_retired_diffusion_number_is_an_unknown_key(tmp_path, capsys):
     text = SMALL.format(name="retired") + "viscous.diffusion_number = 0.4\n"
     code, err = _run_text(tmp_path, capsys, "retired", text)

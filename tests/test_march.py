@@ -280,6 +280,32 @@ def test_march_redoes_a_step_whose_guard_trips(r0, a, b, step_rule):
 
 
 @pytest.mark.parametrize(
+    "r0, a, b, step_rule",
+    [((0.6, 0.25), 2.0, 1.0, {"cfl": 1.0}),
+     ((1.2, 0.1), 10.0, 10.0, {"cfl": 0.9, "eps": 0.003})],
+    ids=["cfl-1", "viscous"],
+)
+def test_a_redone_step_is_the_step_at_the_guards_speed(monkeypatch, r0, a, b, step_rule):
+    phi, init = _damping_speeds_up_case(*r0)
+    d = md.Damping(a, b)
+    cfg = sv.SolverConfig(t_end=0.2, **step_rule)
+    dx = init.grid.dx
+    with pytest.raises(StabilityViolation) as exc:
+        sv.step_once(init, phi, d, cfg.stable_dt(dx, sv.max_wavespeed(init, phi)), eps=cfg.eps)
+    redone = sv.step_once(init, phi, d, cfg.stable_dt(dx, exc.value.speed), eps=cfg.eps)
+    steps = []  # each step of the march that the guard let through
+
+    def record(*args, _step=sv.step_once, **kw):
+        steps.append(_step(*args, **kw))
+        return steps[-1]
+
+    monkeypatch.setattr(sv, "step_once", record)
+    sv.simulate(init, phi, d, cfg)
+    first = steps[0]
+    assert first.t == redone.t and _same_bits(first.u, redone.u) and _same_bits(first.v, redone.v)
+
+
+@pytest.mark.parametrize(
     "step_rule, key",
     [({"cfl": 1e-308}, "cfl"),
      ({"eps": 1e300}, "eps")],

@@ -352,3 +352,21 @@ def test_the_readme_key_table_lists_every_key_with_its_type():
     table = {key: noun.strip() for key, noun in rows}
     assert len(table) == len(rows)  # no key twice
     assert table == {key: noun for key, (_, noun) in sn._KNOWN_KEYS.items()}
+
+
+def test_every_check_key_belongs_to_exactly_one_check():
+    owners = {}
+    for check in sn.CHECKS:
+        for key in check.keys:
+            assert key == f"check.{check.name}" or key.startswith(f"check.{check.name}.")
+            owners.setdefault(key, []).append(check.name)
+    assert {key for key in sn._KNOWN_KEYS if key.startswith("check.")} == set(owners)
+    assert all(len(names) == 1 for names in owners.values())
+
+
+def test_a_byte_that_is_not_utf8_is_a_parse_error_at_its_position(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"name = demo\nphi = caf\xe9\n")
+    with pytest.raises(ParseError, match="^" + re.escape(
+            f"{path}: line 2, col 10: byte 0xe9 is not UTF-8") + "$"):
+        sn.parse_scenario(path)
