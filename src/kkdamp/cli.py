@@ -2,7 +2,8 @@
 
 Subcommands:
 
-    run           scenario file(s): set up all, then simulate + checks (--jobs N workers)
+    run           scenario file(s): set up all, then simulate + checks, one
+                  worker per CPU by default (--jobs N; --jobs 1 marches serially)
     simulate      scenario file: snapshots only, checks skipped
     decay         scenario file: norm series + decay verdict, its checks skipped
     entropy-pair  tabulate q(r) for a power entropy and a phi model
@@ -14,13 +15,19 @@ Exit codes:
 
     0  every requested check passes
     1  a check failed, the model refused a value that parses (`--p 0.5`,
-       `--epsilons 0.1,nan`, `--m 0.5`, `--r-max -1`), or a file could not
-       be read or written
+       `--epsilons 0.1,nan`, `--m 0.5`, `--r-max -1`), a file could not
+       be read or written, or a `run` worker process died
     2  usage error: an option value that does not parse, or that breaks a
        limit the CLI sets itself (`--n < 0`, `--jobs < 1`, `--n` or
        `--samples` above MAX_ROWS)
 
 The output root is --output-dir unless KKD_OUTPUT_DIR is set.
+
+`run` marches its scenarios in worker processes, one per CPU the process
+may use and at most one per scenario, unless `--jobs` says otherwise; with
+one worker it marches in this process. Peak memory grows to one march per
+worker. After a march error the other workers finish their scenarios, and
+the first error in scenario order is reported.
 
 Each handler imports the modules it runs, so a short command such as
 `eigen` loads only the model.
@@ -29,6 +36,7 @@ Each handler imports the modules it runs, so a short command such as
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -62,7 +70,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate scenario(s) and run their checks")
     p_run.add_argument("scenarios", nargs="+", help="scenario file(s)")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel scenario runs")
+    p_run.add_argument(
+        "--jobs",
+        type=int,
+        default=None,
+        help="worker processes (default one per CPU; 1 marches serially in this process; "
+        "peak memory grows to one march per worker)",
+    )
     add_output_dir(p_run)
 
     p_sim = sub.add_parser("simulate", help="simulate one scenario, skip checks")
@@ -149,16 +163,25 @@ def _verdict(res) -> tuple[bool, str]:
 
 
 def _run_verdict(s) -> tuple[bool, str]:
-    """March one set-up; only its verdict, not the trajectory, leaves a `run --jobs` worker."""
+    """March one set-up; only its verdict, not the trajectory, leaves a `run` worker."""
     from .scenario import run_set_up
 
     return _verdict(run_set_up(s))
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; all of the machine's where the
+    platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on macOS and Windows
+        return os.cpu_count() or 1
+
+
 def _cmd_run(args) -> int:
     from .scenario import parse_scenario, set_up
 
-    if args.jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         raise UsageError(f"--jobs: must be >= 1, got {args.jobs}")
     scenarios, paths = [], {}
     for sc in map(parse_scenario, args.scenarios):
@@ -168,12 +191,21 @@ def _cmd_run(args) -> int:
         paths[sc.name] = sc.path
         scenarios.append(sc)
     setups = [set_up(sc, args.output_dir) for sc in scenarios]  # every error before a march
-    if args.jobs > 1 and len(setups) > 1:
+    workers = min(args.jobs or _usable_cpus(), len(setups))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        # workers march the set-ups built here; at most one worker per scenario
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(setups))) as pool:
-            verdicts = list(pool.map(_run_verdict, setups))
+        # workers march the set-ups built here; on a march error the others
+        # finish theirs, and the first error in scenario order is raised
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                verdicts = list(pool.map(_run_verdict, setups))
+        except BrokenProcessPool:
+            print("error: a worker process died before its scenario finished (killed by a "
+                  "signal or out of memory); --jobs 1 marches in this process",
+                  file=sys.stderr)
+            return 1
     else:
         verdicts = list(map(_run_verdict, setups))
     for _, line in verdicts:

@@ -8,7 +8,7 @@ class KKDampError(Exception):
 
     def __reduce__(self):
         # args holds the formatted message, not the arguments of __init__:
-        # unpickle without calling it, so an error raised in a `run --jobs`
+        # unpickle without calling it, so an error raised in a `run`
         # worker reaches the parent with its type, message and attributes
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 

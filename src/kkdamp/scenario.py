@@ -24,6 +24,7 @@ carry the wall-clock data and are excluded from that guarantee).
 
 from __future__ import annotations
 
+import codecs
 import math
 import os
 import time
@@ -292,12 +293,15 @@ def parse_scenario_text(text: str, path: str | None = None) -> Scenario:
 
 
 def parse_scenario(path) -> Scenario:
-    """Parse the UTF-8 scenario file at `path`."""
+    """Parse the UTF-8 scenario file at `path`; a leading byte-order mark is
+    skipped."""
     data = Path(path).read_bytes()
+    # not the utf-8-sig codec: its error offsets count from after the mark
+    skip = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
-        text = data.decode("utf-8")
+        text = data[skip:].decode("utf-8")
     except UnicodeDecodeError as exc:
-        at = exc.start  # the first byte that does not decode
+        at = skip + exc.start  # the first byte of the file that does not decode
         line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
         raise ParseError(line, col, f"byte 0x{data[at]:02x} is not UTF-8", str(path)) from None
     return parse_scenario_text(text, path=str(path))

@@ -24,19 +24,27 @@ def _digest_lines(data: bytes) -> str:
     return h.hexdigest()
 
 
+SHIPPED = sorted(str(p) for p in (ROOT / "scenarios").glob("*.cfg"))
+
+
+def _assert_written_match(out, expected: list) -> None:
+    """The files under `out` are `expected`, each with its reference digest."""
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == sorted(expected)
+    for rel in written:
+        assert _digest_lines((out / rel).read_bytes()) == REFERENCE[rel], rel
+
+
 @pytest.mark.filterwarnings("ignore:const.1 fails the structure condition:UserWarning")
 def test_shipped_artifacts_match_the_reference(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
     out = tmp_path / "out"
-    shipped = sorted(str(p) for p in (ROOT / "scenarios").glob("*.cfg"))
-    assert main(["run", *shipped, "--output-dir", str(out)]) == 0
+    assert main(["run", *SHIPPED, "--output-dir", str(out)]) == 0  # one worker per CPU
     assert main(["entropy-pair", "--m", "2", "--phi", "power:1", "--r-max", "1",
                  "--output-dir", str(out)]) == 0
-    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
-    assert written == sorted(k for k in REFERENCE if not k.startswith("stdout:"))
-    assert len(written) == 21  # the 20 files of `run` and the entropy table
-    for rel in written:
-        assert _digest_lines((out / rel).read_bytes()) == REFERENCE[rel], rel
+    expected = [k for k in REFERENCE if not k.startswith("stdout:")]
+    assert len(expected) == 21  # the 20 files of `run` and the entropy table
+    _assert_written_match(out, expected)
 
     def header(rel, n):
         return (out / rel).read_text().splitlines()[:n]
@@ -53,3 +61,11 @@ def test_shipped_artifacts_match_the_reference(tmp_path, capsys, monkeypatch):
         "# entropy flux table: eta = r**2, phi = power:1",
         "# r\tq",
     ]
+
+
+@pytest.mark.filterwarnings("ignore:const.1 fails the structure condition:UserWarning")
+def test_shipped_artifacts_marched_serially_match_the_reference(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
+    out = tmp_path / "out"
+    assert main(["run", *SHIPPED, "--jobs", "1", "--output-dir", str(out)]) == 0
+    _assert_written_match(out, [k for k in REFERENCE if "/" in k])  # the 20 files of `run`

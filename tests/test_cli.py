@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import resource
+import signal
 import subprocess
 import sys
 import tempfile
@@ -145,6 +146,53 @@ def test_run_jobs_starts_no_more_workers_than_scenarios(tmp_path, capsys, monkey
     assert code == 0
     assert _RecordingPool.workers == [workers]
     assert "one: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "affinity, cpu_count, names, workers",
+    [(4, 8, "ab", [2]), (1, 8, "ab", []), (None, 3, "abcd", [3]), (None, None, "abcd", [])],
+    ids=["four-cpus", "one-cpu", "no-affinity", "cpu-count-unknown"],
+)
+def test_run_starts_one_worker_per_usable_cpu_by_default(tmp_path, capsys, monkeypatch,
+                                                         affinity, cpu_count, names, workers):
+    # the CPUs this process may use, else all of the machine's, else one
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "workers", [])
+    if affinity is None:  # as on macOS and Windows
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    paths = [str(write_scenario(tmp_path, n, SMALL.format(name=n))) for n in names]
+    assert main(["run", *paths, "--output-dir", str(tmp_path / "out")]) == 0
+    assert _RecordingPool.workers == workers
+    assert capsys.readouterr().out.count(": pass") == len(names)
+
+
+_PYTEST_PID = os.getpid()
+
+
+def _die_in_a_worker(s):
+    """Stands in for `cli._run_verdict`: a worker that is killed, as by the
+    OOM killer. Module-level, so it pickles by reference."""
+    assert os.getpid() != _PYTEST_PID, "must run in a worker process"
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_run_reports_a_worker_that_died_on_one_line(tmp_path, capsys, monkeypatch):
+    import kkdamp.cli
+
+    monkeypatch.setattr(kkdamp.cli, "_run_verdict", _die_in_a_worker)
+    paths = [str(write_scenario(tmp_path, n, SMALL.format(name=n))) for n in ("one", "two")]
+    assert main(["run", *paths, "--jobs", "2", "--output-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a worker process died")
+    assert "--jobs 1 marches in this process" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_run_jobs_marches_the_parents_set_ups(tmp_path, capsys, monkeypatch):
@@ -697,6 +745,29 @@ def test_a_scenario_file_that_is_not_utf8_exits_1_with_one_error_line(tmp_path, 
     code = main([command, str(path), "--output-dir", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == f"error: {path}: line 1, col 1: byte 0xff is not UTF-8\n"
+
+
+def test_a_scenario_file_that_starts_with_a_byte_order_mark_runs(tmp_path, capsys):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + SMALL.format(name="bom").encode())
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("bom: pass")
+
+
+@pytest.mark.parametrize(
+    "data, line, col",
+    [(b"\xef\xbb\xbfname = x\xff\n", 1, 12), (b"\xef\xbb\xbfname = x\n\xff\n", 2, 1)],
+    ids=["first-line", "second-line"],
+)
+def test_a_bad_byte_after_a_byte_order_mark_is_reported_where_it_is(tmp_path, capsys,
+                                                                     data, line, col):
+    # the mark's three bytes count: the column is the bad byte's in the file
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(data)
+    assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line {line}, col {col}: byte 0xff is not UTF-8\n"
+    )
 
 
 def test_the_retired_diffusion_number_is_an_unknown_key(tmp_path, capsys):

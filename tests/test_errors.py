@@ -41,7 +41,7 @@ def test_the_package_exports_exactly_the_error_types():
 
 @pytest.mark.parametrize("exc", CASES, ids=lambda e: type(e).__name__)
 def test_errors_survive_pickling(exc):
-    # a `run --jobs` worker sends its error back to the parent this way
+    # a `run` worker sends its error back to the parent this way
     back = pickle.loads(pickle.dumps(exc))
     assert type(back) is type(exc)
     assert str(back) == str(exc)

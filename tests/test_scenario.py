@@ -176,7 +176,7 @@ SHIPPED = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.
 @pytest.mark.parametrize("path", [*SHIPPED, "tabulated"],
                          ids=[*(p.stem for p in SHIPPED), "tabulated"])
 def test_set_up_pickles_and_marches_bit_identically(tmp_path, path):
-    # a SetUp is a plain value: `run --jobs` sends it to a worker process
+    # a SetUp is a plain value: `run` sends it to a worker process
     if path == "tabulated":
         rs = np.linspace(0.0, 4.0, 41)
         s = dataclasses.replace(sn.set_up(sn.parse_scenario_text(GOOD), tmp_path),

@@ -43,7 +43,8 @@ def test_eigen_region_check_and_shipped_scenarios_never_import_scipy(tmp_path):
         "codes = [\n"
         "    main(['eigen', '--phi', 'power:2', '--state', '3,4']),\n"
         "    main(['region-check', '--phi', 'power:1', '--a', '0.6', '--b', '0.2', '--c1', '0']),\n"
-        f"    main(['run', *{cfgs!r}, '--output-dir', {str(tmp_path / 'out')!r}]),\n"
+        # --jobs 1: the marches run in this process, where sys.modules shows them
+        f"    main(['run', *{cfgs!r}, '--jobs', '1', '--output-dir', {str(tmp_path / 'out')!r}]),\n"
         "]\n"
         "print(codes, 'scipy' in sys.modules)\n",
         tmp_path,
@@ -94,3 +95,16 @@ def test_importing_the_scenario_module_leaves_the_checks_out(tmp_path):
     assert "kkdamp.solver" in loaded
     assert not loaded & {"kkdamp.analysis", "kkdamp.region", "kkdamp.entropy",
                          "kkdamp.viscous"}
+
+
+def test_a_serial_run_leaves_the_process_pool_out(tmp_path):
+    # one scenario, or --jobs 1 over several, marches in this process
+    cfgs = sorted(str(p) for p in SCENARIOS.glob("*.cfg"))[:2]
+    for argv in ([cfgs[0]], [*cfgs, "--jobs", "1"]):
+        loaded = _loaded_after(
+            "from kkdamp.cli import main\n"
+            f"assert main(['run', *{argv!r}, '--output-dir', {str(tmp_path / 'out')!r}]) == 0",
+            tmp_path,
+        )
+        assert "kkdamp.scenario" in loaded
+        assert "concurrent.futures.process" not in loaded, argv
