@@ -26,8 +26,9 @@ The output root is --output-dir unless KKD_OUTPUT_DIR is set.
 `run` marches its scenarios in worker processes, one per CPU the process
 may use and at most one per scenario, unless `--jobs` says otherwise; with
 one worker it marches in this process. Peak memory grows to one march per
-worker. After a march error the other workers finish their scenarios, and
-the first error in scenario order is reported.
+worker. A march error does not stop the other marches: every scenario is
+marched, the verdict lines of those that finished are printed in scenario
+order, then one `error:` line for the first error, and `run` exits 1.
 
 Each handler imports the modules it runs, so a short command such as
 `eigen` loads only the model.
@@ -162,11 +163,16 @@ def _verdict(res) -> tuple[bool, str]:
                         + (f" [{enabled}]" if enabled else "") + f" -> {res.out_dir}")
 
 
-def _run_verdict(s) -> tuple[bool, str]:
-    """March one set-up; only its verdict, not the trajectory, leaves a `run` worker."""
+def _run_verdict(s):
+    """March one set-up; only its verdict, not the trajectory, leaves a `run`
+    worker. An error that `main` reports on one line is returned, not
+    raised, so the other marches go on."""
     from .scenario import run_set_up
 
-    return _verdict(run_set_up(s))
+    try:
+        return _verdict(run_set_up(s))
+    except (KKDampError, OSError) as exc:
+        return exc
 
 
 def _usable_cpus() -> int:
@@ -196,20 +202,23 @@ def _cmd_run(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        # workers march the set-ups built here; on a march error the others
-        # finish theirs, and the first error in scenario order is raised
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                verdicts = list(pool.map(_run_verdict, setups))
+                outcomes = list(pool.map(_run_verdict, setups))
         except BrokenProcessPool:
             print("error: a worker process died before its scenario finished (killed by a "
                   "signal or out of memory); --jobs 1 marches in this process",
                   file=sys.stderr)
             return 1
     else:
-        verdicts = list(map(_run_verdict, setups))
+        outcomes = list(map(_run_verdict, setups))
+    # every set-up was marched: the verdicts in scenario order, then the first error
+    errors = [o for o in outcomes if isinstance(o, Exception)]
+    verdicts = [o for o in outcomes if not isinstance(o, Exception)]
     for _, line in verdicts:
         print(line)
+    if errors:
+        raise errors[0]
     return 0 if all(passed for passed, _ in verdicts) else 1
 
 

@@ -19,11 +19,16 @@ eps)`, which is the CFL limit dx / speed when eps = 0. `step_once`
 guards that limit and `stable_dt` keeps dt at a fraction of it. Per step
 the top wave speed of the current state sets dt; for every family but a
 tabulated one it is evaluated only on the few cells that can hold the top
-radius (see `max_wavespeed`). On the padded damped state one hypot and
-one phi evaluation over every cell feed the r <= r_max check, the step
-guard and the face fluxes; each phi family supplies the wave speed from r
-and that phi(r) (`PhiModel.wave_speed`), so `power` never evaluates
-r phi'. Finiteness is validated once per step.
+radius (see `max_wavespeed`). `step_once` marches the grid in tiles of
+TILE cells: on each tile's damped slice, with a one-cell halo, one hypot
+and one phi evaluation per cell feed the r <= r_max check, the step guard
+and the face fluxes, and the tile writes its cells into the two new state
+arrays. Its temporaries are tile-sized, about 0.6 MB in all, so from
+16 TILE cells on a step holds under three state-sized arrays beyond its
+input: the two new ones and the tile buffers (the untiled step held
+eight). Each phi family supplies the wave speed from r and that
+phi(r) (`PhiModel.wave_speed`), so `power` never evaluates r phi'.
+Finiteness is validated once per step.
 `write_table` owns the format of every artifact table: snapshots, norm
 series, the viscosity sweep and entropy-flux tables.
 """
@@ -56,6 +61,10 @@ DIFFUSION_NUMBER = 0.4
 # The most steps one march may take. `simulate` refuses a march whose first
 # step predicts more, and stops one that reaches it.
 MAX_STEPS = 10_000_000
+
+# `step_once` marches the grid in tiles of this many cells, so each of its
+# temporaries is tile-sized (64 KB)
+TILE = 8192
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,7 @@ class StateField:
         n = self.grid.n_cells
         if self.u.shape != (n,) or self.v.shape != (n,):
             raise ValidationError("state", f"u, v must have shape ({n},)")
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
+        if not (np.isfinite(self.u).all() and np.isfinite(self.v).all()):
             raise NonFinite(f"non-finite state entries at t = {self.t:g}")
 
     @property
@@ -210,18 +219,6 @@ class Trajectory:
         return iter(self.fields)
 
 
-def _pad(arr: np.ndarray, boundary: str, factor: float) -> np.ndarray:
-    """arr * factor with one ghost cell on each side: the opposite edge cell
-    on periodic grids, the same edge cell on outflow grids."""
-    out = np.empty(arr.size + 2)
-    np.multiply(arr, factor, out=out[1:-1])
-    if boundary == "periodic":
-        out[0], out[-1] = out[-2], out[1]
-    else:
-        out[0], out[-1] = out[1], out[-2]
-    return out
-
-
 def _cell_speeds(r: np.ndarray, phi: PhiModel) -> tuple[np.ndarray, np.ndarray]:
     """phi(r) and max(|lambda_1|, |lambda_2|) per cell, after checking
     r <= r_max, so no nan reaches the speed formula. The family supplies
@@ -309,26 +306,72 @@ def step_once(
     update plus eps w_xx, taken on the damped data with one ghost cell per
     side, whose face dissipation is the local two-sided wave speed.
 
-    hypot, phi and the family's wave speed are evaluated once, on the
-    padded damped data, and the r <= r_max check, the one step guard
-    dt <= explicit_limit (StabilityViolation, carrying the top speed) and
-    the Rusanov dissipation all read those cell speeds. A negative or non-finite eps raises the
-    ConfigError that SolverConfig raises for it. Every operation matches
-    the unfused formulas 0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i) and
-    w - dt/dx (flux_i+1/2 - flux_i-1/2) + nu (w_i+1 - 2 w_i + w_i-1)
-    term by term, so results are bit-identical to them."""
+    The grid is marched in tiles of TILE cells. Each tile builds its damped
+    slice with a one-cell halo in tile-sized buffers; hypot, phi and the
+    family's wave speed are evaluated once on it, and the r <= r_max check
+    (OutOfRange names the first offending tile's top radius) and the
+    Rusanov dissipation read those cell speeds; the tile writes its cells
+    straight into the two new state arrays. The one step guard
+    dt <= explicit_limit (StabilityViolation, carrying the top speed of
+    every tile) runs after the last tile. A negative or non-finite eps
+    raises the ConfigError that SolverConfig raises for it. Every cell
+    takes the unfused formulas 0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i)
+    and w - dt/dx (flux_i+1/2 - flux_i-1/2) + nu (w_i+1 - 2 w_i + w_i-1)
+    term by term, so results are bit-identical to them whatever the tiling."""
     _check_dt(dt)
     _check_eps(eps)
     if dt == 0.0:
         return StateField(f.grid, f.u.copy(), f.v.copy(), f.t + dt)
     half = 0.5 * dt
     decay = (np.exp(-d.a * half), np.exp(-d.b * half))
-    ue, ve = (_pad(c, f.grid.boundary, k) for c, k in zip((f.u, f.v), decay))
-    pe, speed = _cell_speeds(np.hypot(ue, ve), phi)
-    dx = f.grid.dx
-    top = max(float(speed.max()), WAVESPEED_FLOOR)
-    limit = explicit_limit(dx, top, eps)
+    n, dx = f.grid.n_cells, f.grid.dx
+    # the cells behind the ghosts left of cell 0 and right of cell n - 1
+    ghosts = (n - 1, 0) if f.grid.boundary == "periodic" else (0, n - 1)
+    lam = dt / dx
     nu = eps * dt / (dx * dx) if eps != 0.0 else 0.0
+    new = (np.empty(n), np.empty(n))
+    top = WAVESPEED_FLOOR
+    m = 0
+    for lo in range(0, n, TILE):
+        hi = min(lo + TILE, n)
+        if hi - lo != m:  # made once, and again only for a shorter last tile
+            m = hi - lo
+            ue, ve, work = np.empty(m + 2), np.empty(m + 2), np.empty(m + 2)
+            flux, half_alpha = np.empty(m + 1), np.empty(m + 1)
+        # entry j of ue and ve holds cell lo - 1 + j, damped
+        a, b = max(lo, 1), min(hi + 2, n + 1)
+        for e, c, k in ((ue, f.u, decay[0]), (ve, f.v, decay[1])):
+            np.multiply(c[a - 1 : b - 1], k, out=e[a - lo : b - lo])
+            if lo == 0:
+                e[0] = c[ghosts[0]] * k
+            if hi == n:
+                e[-1] = c[ghosts[1]] * k
+        # r goes into `work`: phi and the wave speed come back as new
+        # arrays, so `work` is free for the flux once they are taken
+        pe, speed = _cell_speeds(np.hypot(ue, ve, out=work), phi)
+        top = max(float(speed.max()), top)
+        limit = explicit_limit(dx, top, eps)
+        if dt > limit * (1.0 + 1e-9):
+            continue  # the step is refused after the last tile: no flux for it
+        ha = np.maximum(speed[:-1], speed[1:], out=half_alpha)
+        ha *= 0.5
+        for e, k, out in ((ue, decay[0], new[0]), (ve, decay[1], new[1])):
+            fw = np.multiply(e, pe, out=work)
+            fl = np.add(fw[:-1], fw[1:], out=flux)
+            fl *= 0.5
+            jump = np.subtract(e[1:], e[:-1], out=work[:-1])
+            jump *= ha
+            fl -= jump
+            delta = np.subtract(fl[1:], fl[:-1], out=work[:-2])
+            delta *= lam
+            w = np.subtract(e[1:-1], delta, out=out[lo:hi])
+            if eps != 0.0:
+                lap = np.multiply(e[1:-1], 2.0, out=work[:-2])
+                np.subtract(e[2:], lap, out=lap)
+                lap += e[:-2]
+                lap *= nu
+                w += lap
+            w *= k  # the second damping half
     if dt > limit * (1.0 + 1e-9):
         raise StabilityViolation(
             f"dt={dt:g} exceeds stable step {limit:g}: speed dt/dx + 2 eps dt/dx^2 = "
@@ -336,30 +379,6 @@ def step_once(
             f"eps dt/dx^2 = {nu:g})",
             speed=top,
         )
-    half_alpha = np.maximum(speed[:-1], speed[1:])
-    half_alpha *= 0.5
-    del speed  # freed before the flux buffers are allocated
-    lam = dt / dx
-    work = np.empty(ue.size)  # scratch shared by both channels
-    new = []
-    for e, k in zip((ue, ve), decay):
-        fw = np.multiply(e, pe, out=work)
-        flux = fw[:-1] + fw[1:]
-        flux *= 0.5
-        jump = np.subtract(e[1:], e[:-1], out=work[:-1])
-        jump *= half_alpha
-        flux -= jump
-        delta = np.subtract(flux[1:], flux[:-1], out=work[:-2])
-        delta *= lam
-        w = e[1:-1] - delta
-        if eps != 0.0:
-            lap = np.multiply(e[1:-1], 2.0, out=work[:-2])
-            np.subtract(e[2:], lap, out=lap)
-            lap += e[:-2]
-            lap *= nu
-            w += lap
-        w *= k  # the second damping half
-        new.append(w)
     return StateField(f.grid, new[0], new[1], f.t + dt)
 
 

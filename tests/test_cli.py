@@ -103,6 +103,23 @@ def test_run_parallel_jobs(tmp_path, capsys, monkeypatch, extra, code, error):
     assert (tmp_path / "out" / "job_two").exists()
 
 
+@pytest.mark.parametrize("jobs", [["--jobs", "1"], []], ids=["serial", "default"])
+@pytest.mark.parametrize("names", [("one", "err", "two"), ("err", "one", "two")])
+def test_a_march_error_stops_no_other_march(tmp_path, capsys, jobs, names):
+    # every scenario is marched; the finished ones' verdict lines come in
+    # scenario order, then one line for the error
+    paths = [str(write_scenario(tmp_path, n, SMALL.format(name=n)
+                                + ("cfl = 1e-8\n" if n == "err" else ""))) for n in names]
+    assert main(["run", *paths, *jobs, "--output-dir", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.partition(":")[0] for line in lines] == ["one", "two"]
+    assert all(": pass" in line for line in lines)
+    assert captured.err.startswith("error: cfl: dt = ") and captured.err.count("\n") == 1
+    for n in ("one", "two"):
+        assert (tmp_path / "out" / n / f"{n}_manifest.txt").exists()
+
+
 @pytest.mark.filterwarnings("default:const.1 fails the structure condition:UserWarning")
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_prints_a_warning_as_one_line(tmp_path, capfd, jobs):

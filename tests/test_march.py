@@ -3,6 +3,7 @@ discrete invariants, the stalled-march guard, step rejection, the step
 budget, and early validation of check values."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kkdamp import scenario as sn
 from kkdamp import solver as sv
 from kkdamp.cli import main
 from kkdamp.errors import (
+    OutOfRange,
     ParseError,
     StabilityViolation,
     ValidationError,
@@ -88,15 +90,17 @@ def _step_data(kind, x):
     return u, v
 
 
+@pytest.mark.parametrize("n_cells", [48, sv.TILE + 1, 2 * sv.TILE + 3])
 @pytest.mark.parametrize("eps", [0.0, 1e-4])
 @pytest.mark.parametrize("kind", ["smooth", "signed", "subnormal"])
 @pytest.mark.parametrize("phi_name", list(STEP_PHIS))
 @pytest.mark.parametrize("boundary", sv.BOUNDARIES)
-def test_step_once_is_bit_identical_to_the_split_formula(boundary, phi_name, kind, eps):
+def test_step_once_is_bit_identical_to_the_split_formula(boundary, phi_name, kind, eps, n_cells):
     # one D(dt/2) H(dt) D(dt/2) step against damping_substep, the flux formula
     # and the centred Laplacian, across phi families of growing, shifted and
-    # negative constant speed, on smooth, sign-changing and subnormal data
-    grid = sv.Grid1D(0.0, 1.0, 48, boundary)
+    # negative constant speed, on smooth, sign-changing and subnormal data,
+    # on one tile and across the seams of two and three
+    grid = sv.Grid1D(0.0, 1.0, n_cells, boundary)
     init = sv.StateField(grid, *_step_data(kind, grid.centers))
     phi = STEP_PHIS[phi_name]()
     d = md.Damping(0.7, 0.2)
@@ -116,6 +120,55 @@ def test_step_once_is_bit_identical_to_the_split_formula(boundary, phi_name, kin
     h = sv.hyperbolic_substep(init, phi, dt)
     want_u, want_v = reference_flux_update(init, phi, dt)
     assert _same_bits(h.u, want_u) and _same_bits(h.v, want_v)
+
+
+@pytest.mark.parametrize("boundary", sv.BOUNDARIES)
+def test_a_radius_past_r_max_in_the_last_tile_is_refused(boundary):
+    n = 2 * sv.TILE + 3
+    u, v = np.full(n, 0.5), np.full(n, 0.5)
+    u[n - 2] = 1.5  # in the last tile, and the ghost of no other tile
+    init = sv.StateField(sv.Grid1D(0.0, 1.0, n, boundary), u, v)
+    with pytest.raises(OutOfRange, match=r"state radius 1\.58114 is outside \[0, r_max=1\]"):
+        sv.step_once(init, md.PhiModel.power(1.0, r_max=1.0), md.Damping(0.0, 0.0), 1e-6)
+
+
+@pytest.mark.parametrize("boundary", sv.BOUNDARIES)
+def test_a_guard_trip_carries_the_top_speed_of_every_tile(boundary):
+    # the guard trips in the second tile, the third holds the top speed and
+    # the fourth a lower one that still trips it
+    n = 4 * sv.TILE
+    grid = sv.Grid1D(0.0, 1.0, n, boundary)
+    u, v = np.full(n, 0.3), np.full(n, 0.3)
+    phi = md.PhiModel.power(1.0)
+    dt = sv.explicit_limit(grid.dx, sv.max_wavespeed(sv.StateField(grid, u, v), phi), 0.0)
+    u[3 * sv.TILE + 9] = 0.7
+    u[sv.TILE + 5] = 0.6
+    lower = sv.max_wavespeed(sv.StateField(grid, u, v), phi)
+    u[2 * sv.TILE + 7] = 0.9
+    init = sv.StateField(grid, u, v)
+    with pytest.raises(StabilityViolation) as exc:
+        sv.step_once(init, phi, md.Damping(0.0, 0.0), dt)
+    assert exc.value.speed == sv.max_wavespeed(init, phi) > lower
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+def test_a_step_holds_at_most_three_state_sized_arrays(eps):
+    # the two new arrays and the tile buffers; the untiled step held eight
+    n = 16 * sv.TILE
+    grid = sv.Grid1D(0.0, 2 * np.pi, n)
+    x = grid.centers
+    init = sv.StateField(grid, 0.5 + 0.2 * np.sin(x), 0.4 + 0.1 * np.cos(x))
+    phi = md.PhiModel.power(1.0)
+    dt = 0.4 * sv.explicit_limit(grid.dx, sv.max_wavespeed(init, phi), eps)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        sv.step_once(init, phi, md.Damping(0.6, 0.2), dt, eps=eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 3 * init.u.nbytes
 
 
 def reference_march(init, phi, d, cfg):
@@ -146,26 +199,29 @@ def reference_march(init, phi, d, cfg):
     return fields, n_steps
 
 
+@pytest.mark.parametrize("n_cells", [64, 2 * sv.TILE + 3])
 @pytest.mark.parametrize("eps", [0.0, 0.05])
 @pytest.mark.parametrize("boundary", sv.BOUNDARIES)
-def test_simulate_is_bit_identical_to_the_unfused_split_step(boundary, eps):
+def test_simulate_is_bit_identical_to_the_unfused_split_step(boundary, eps, n_cells):
     # 64 cells on [0, 1]: the 0.8 explicit_limit bound binds when eps > 0
-    # (15 steps).
-    grid = sv.Grid1D(0.0, 1.0, 64, boundary)
+    # (15 steps). The times and eps scale with dx, so the three-tile grid
+    # takes as few steps.
+    grid = sv.Grid1D(0.0, 1.0, n_cells, boundary)
     x = grid.centers
     r0 = 0.6 + 0.2 * np.sin(2 * np.pi * x) + 0.1 * np.cos(6 * np.pi * x)
     theta = np.pi / 4 + 0.3 * np.cos(2 * np.pi * x)
     init = sv.StateField(grid, r0 * np.cos(theta), r0 * np.sin(theta))
     phi = md.PhiModel.power(1.5)
     d = md.Damping(0.7, 0.2)
-    cfg = sv.SolverConfig(t_end=0.02, output_times=[0.008, 0.014, 0.02], eps=eps)
+    times = [t * 64 / n_cells for t in (0.008, 0.014, 0.02)]
+    cfg = sv.SolverConfig(t_end=times[-1], output_times=times, eps=eps * 64 / n_cells)
     u0, v0 = init.u.copy(), init.v.copy()
     traj = sv.simulate(init, phi, d, cfg)
     # the trajectory starts with init itself, which the march leaves untouched
     assert traj[0] is init and _same_bits(init.u, u0) and _same_bits(init.v, v0)
     ref, n_steps = reference_march(init, phi, d, cfg)
     assert traj.n_steps == n_steps > 0
-    assert list(traj.times) == [0.0, 0.008, 0.014, 0.02]
+    assert list(traj.times) == [0.0, *times]
     for got, want in zip(traj.fields, ref, strict=True):
         assert np.array_equal(got.u, want.u)
         assert np.array_equal(got.v, want.v)
