@@ -22,12 +22,17 @@ tabulated one it is evaluated only on the few cells that can hold the top
 radius (see `max_wavespeed`). `step_once` marches the grid in tiles of
 TILE cells: on each tile's damped slice, with a one-cell halo, one hypot
 and one phi evaluation per cell feed the r <= r_max check, the step guard
-and the face fluxes, and the tile writes its cells into the two new state
-arrays. Its temporaries are tile-sized, about 0.6 MB in all, so from
-16 TILE cells on a step holds under three state-sized arrays beyond its
-input: the two new ones and the tile buffers (the untiled step held
-eight). Each phi family supplies the wave speed from r and that
-phi(r) (`PhiModel.wave_speed`), so `power` never evaluates r phi'.
+and the face fluxes, and the tile writes its cells into the two state
+arrays the step returns: new ones, or the pair passed as `out`. Its
+temporaries are tile-sized, about 0.6 MB in all, so from 16 TILE cells on
+a step holds under three state-sized arrays beyond its input: the two it
+returns and the tile buffers (the untiled step held eight). From
+RECYCLE_CELLS cells on `simulate` recycles state arrays: each step writes
+into the arrays of the state two steps back, which `max_wavespeed` first
+takes as scratch for u*u and v*v, so a long march makes no state-sized
+array per step. `init` and the snapshots are never recycled. Each phi
+family supplies the wave speed from r and that phi(r)
+(`PhiModel.wave_speed`), so `power` never evaluates r phi'.
 Finiteness is validated once per step.
 `write_table` owns the format of every artifact table: snapshots, norm
 series, the viscosity sweep and entropy-flux tables.
@@ -65,6 +70,13 @@ MAX_STEPS = 10_000_000
 # `step_once` marches the grid in tiles of this many cells, so each of its
 # temporaries is tile-sized (64 KB)
 TILE = 8192
+
+# `simulate` recycles state arrays on grids of at least this many cells,
+# whose arrays are at least glibc's default 128 KB mmap threshold. Freed
+# ones went back to the OS there (137 page faults per step at 32768 cells,
+# 521 at 131072). Smaller arrays come from malloc's free lists without
+# faults, and checking a recycled pair twice a step cost about 4% at 2048.
+RECYCLE_CELLS = 2 * TILE
 
 
 @dataclass(frozen=True)
@@ -230,9 +242,13 @@ def _cell_speeds(r: np.ndarray, phi: PhiModel) -> tuple[np.ndarray, np.ndarray]:
     return p, phi.wave_speed(r, p)
 
 
-def max_wavespeed(f: StateField, phi: PhiModel) -> float:
+def max_wavespeed(
+    f: StateField, phi: PhiModel, *, scratch: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
     """max over cells of max(|lambda_1|, |lambda_2|), floored at 1e-14 so
-    time steps stay finite on identically zero data.
+    time steps stay finite on identically zero data. `scratch`, a pair of
+    arrays like step_once's `out` (ValidationError otherwise), receives
+    u*u and v*v in place of two new arrays; what it held is never read.
 
     When phi.speed_grows_with_r, the top speed is the speed at the top
     radius, so hypot, phi and the wave speed are evaluated only on the
@@ -249,9 +265,10 @@ def max_wavespeed(f: StateField, phi: PhiModel) -> float:
     phi (and a field whose squares overflow) still does."""
     u, v = f.u, f.v
     if phi.speed_grows_with_r:
+        uu, vv = (None, None) if scratch is None else _check_pair(f, scratch, "scratch")
         with np.errstate(over="ignore"):
-            s = u * u
-            s += v * v
+            s = np.multiply(u, u, out=uu)
+            s += np.multiply(v, v, out=vv)
         top = float(s.max())
         if top < math.inf:
             near = (s >= top * (1.0 - 1e-9) - 1e-300).nonzero()[0]
@@ -286,6 +303,26 @@ def _check_eps(eps: float) -> None:
         raise ConfigError(f"eps must be finite and nonnegative, got {eps}")
 
 
+def _check_pair(f: StateField, pair, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """pair as two writable float arrays of f's shape that share memory
+    neither with each other nor with f.u or f.v, so a step may overwrite
+    them while it reads f."""
+    u, v = f.u, f.v
+    try:
+        a, b = pair
+        fits = (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.shape == b.shape == u.shape and a.dtype == b.dtype == np.float64
+                and a.flags.writeable and b.flags.writeable)
+    except (TypeError, ValueError):  # not a pair
+        fits = False
+    if not fits:
+        raise ValidationError(name, f"need two writable float64 arrays of shape {u.shape}")
+    if any(np.may_share_memory(w, x) for w, x in ((a, b), (a, u), (a, v), (b, u), (b, v))):
+        raise ValidationError(name, "the two arrays may share memory with each other or "
+                              "with the state's u or v")
+    return a, b
+
+
 def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
     """Exact integration of u_t = -a u, v_t = -b v over dt. Leaves t
     unchanged; the flux update owns the clock."""
@@ -299,7 +336,13 @@ def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
 
 
 def step_once(
-    f: StateField, phi: PhiModel, d: Damping, dt: float, *, eps: float = 0.0
+    f: StateField,
+    phi: PhiModel,
+    d: Damping,
+    dt: float,
+    *,
+    eps: float = 0.0,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> StateField:
     """One Strang split step of size dt: D(dt/2) H(dt) D(dt/2). D multiplies
     u and v by damping_substep's factors; H is the conservative Rusanov flux
@@ -311,7 +354,11 @@ def step_once(
     family's wave speed are evaluated once on it, and the r <= r_max check
     (OutOfRange names the first offending tile's top radius) and the
     Rusanov dissipation read those cell speeds; the tile writes its cells
-    straight into the two new state arrays. The one step guard
+    straight into the two state arrays of the result: new ones, or the
+    pair `out`, which the result then wraps. `out` must be two writable
+    float64 arrays of the grid's shape that share memory neither with each
+    other nor with f.u or f.v (ValidationError otherwise); a refused step
+    may have written into them. The one step guard
     dt <= explicit_limit (StabilityViolation, carrying the top speed of
     every tile) runs after the last tile. A negative or non-finite eps
     raises the ConfigError that SolverConfig raises for it. Every cell
@@ -320,16 +367,18 @@ def step_once(
     term by term, so results are bit-identical to them whatever the tiling."""
     _check_dt(dt)
     _check_eps(eps)
+    n, dx = f.grid.n_cells, f.grid.dx
+    new = (np.empty(n), np.empty(n)) if out is None else _check_pair(f, out, "out")
     if dt == 0.0:
-        return StateField(f.grid, f.u.copy(), f.v.copy(), f.t + dt)
+        np.copyto(new[0], f.u)
+        np.copyto(new[1], f.v)
+        return StateField(f.grid, *new, f.t + dt)
     half = 0.5 * dt
     decay = (np.exp(-d.a * half), np.exp(-d.b * half))
-    n, dx = f.grid.n_cells, f.grid.dx
     # the cells behind the ghosts left of cell 0 and right of cell n - 1
     ghosts = (n - 1, 0) if f.grid.boundary == "periodic" else (0, n - 1)
     lam = dt / dx
     nu = eps * dt / (dx * dx) if eps != 0.0 else 0.0
-    new = (np.empty(n), np.empty(n))
     top = WAVESPEED_FLOOR
     m = 0
     for lo in range(0, n, TILE):
@@ -390,12 +439,19 @@ def simulate(
 ) -> Trajectory:
     """March from init.t to cfg.t_end; the trajectory is init itself, then
     one snapshot per time in cfg.output_times (hit exactly by truncating
-    the final step of each segment). No step writes into its input, so
-    the snapshots share the march's arrays rather than copying them. dt is
-    cfg.stable_dt at the current data's wave speed, recomputed every step.
-    Damping can make the damped state the kernel sees faster than the
-    current one; a step whose guard trips is redone once at cfg.stable_dt
-    of the kernel's own top speed.
+    the final step of each segment). The snapshots share the march's
+    arrays rather than copying them. dt is cfg.stable_dt at the current
+    data's wave speed, recomputed every step. Damping can make the damped
+    state the kernel sees faster than the current one; a step whose guard
+    trips is redone once at cfg.stable_dt of the kernel's own top speed.
+
+    On a grid of at least RECYCLE_CELLS cells each step writes into the
+    arrays of the state two steps back (`step_once`'s `out`, and first
+    `max_wavespeed`'s scratch; a redone step writes into them again), so
+    the states between two snapshots are overwritten two steps later.
+    init and the snapshots are never written into: where the state two
+    steps back is one of them, as for the first two steps, the step gets
+    new arrays. On smaller grids every step gets new arrays.
 
     Raises ValidationError, naming the config field that sets dt, when the
     first step predicts more than MAX_STEPS steps to t_end, and
@@ -410,14 +466,20 @@ def simulate(
     targets = cfg.output_times
     if targets[0] < init.t - 1e-12:
         raise ConfigError("output time precedes the initial time")
-    dx = init.grid.dx
+    n, dx = init.grid.n_cells, init.grid.dx
     elapsed = targets[-1] - init.t
     f = init
     out = [init]
     n_steps = 0
+    recycle = n >= RECYCLE_CELLS
+    # when recycling, the next step writes into spare, the arrays of the
+    # state one step behind f, or into new ones where that state is init
+    # or a snapshot; reusable says whether f is neither
+    spare, reusable = None, False
     for target in targets:
         while f.t < target * (1.0 - 1e-15) - 1e-15:
-            speed = max_wavespeed(f, phi)
+            pair = (spare or (np.empty(n), np.empty(n))) if recycle else None
+            speed = max_wavespeed(f, phi, scratch=pair)
             stable = cfg.stable_dt(dx, speed)
             dt = min(stable, target - f.t)
             if f.t + dt == f.t:
@@ -431,14 +493,17 @@ def simulate(
             if n_steps >= MAX_STEPS:
                 raise StabilityViolation(f"march reached {MAX_STEPS} steps at t={f.t:.17g}")
             try:
-                f = step_once(f, phi, d, dt, eps=cfg.eps)
+                g = step_once(f, phi, d, dt, eps=cfg.eps, out=pair)
             except StabilityViolation as exc:
                 # stable_dt at the guard's speed is below the limit that
                 # tripped, so it is also below dt and target - f.t
                 redo = cfg.stable_dt(dx, exc.speed)
-                f = step_once(f, phi, d, redo, eps=cfg.eps)
+                g = step_once(f, phi, d, redo, eps=cfg.eps, out=pair)
+            spare = (f.u, f.v) if reusable else None
+            f, reusable = g, recycle
             n_steps += 1
         out.append(StateField(f.grid, f.u, f.v, target))  # target clamps away last-step rounding
+        reusable = False
     return Trajectory(
         fields=out,
         n_steps=n_steps,

@@ -1,6 +1,6 @@
 """The one marching loop: bit-identity against the unfused split step,
-discrete invariants, the stalled-march guard, step rejection, the step
-budget, and early validation of check values."""
+recycled state arrays, discrete invariants, the stalled-march guard, step
+rejection, the step budget, and early validation of check values."""
 
 import math
 import tracemalloc
@@ -298,12 +298,12 @@ def test_stalled_march_raises_instead_of_spinning():
         sv.simulate(init, md.PhiModel.power(20.0), md.Damping(0.1, 0.1), cfg)
 
 
-def _damping_speeds_up_case(mean=0.6, amplitude=0.25):
+def _damping_speeds_up_case(mean=0.6, amplitude=0.25, n_cells=64):
     """phi = 2 - r on [0, 1.5]: damping shrinks r and so raises the wave
     speed, and the kernel sees the damped state."""
     rs = np.linspace(0.0, 1.5, 61)
     phi = md.PhiModel.tabulated(rs, 2.0 - rs)
-    grid = sv.Grid1D(0.0, 2 * np.pi, 64, "periodic")
+    grid = sv.Grid1D(0.0, 2 * np.pi, n_cells, "periodic")
     r0 = mean + amplitude * np.sin(grid.centers)
     init = sv.StateField(grid, r0 * np.cos(np.pi / 4), r0 * np.sin(np.pi / 4))
     return phi, init
@@ -352,13 +352,83 @@ def test_a_redone_step_is_the_step_at_the_guards_speed(monkeypatch, r0, a, b, st
     steps = []  # each step of the march that the guard let through
 
     def record(*args, _step=sv.step_once, **kw):
-        steps.append(_step(*args, **kw))
-        return steps[-1]
+        g = _step(*args, **kw)
+        # a copy: the march writes into a step's arrays again two steps later
+        steps.append(sv.StateField(g.grid, g.u.copy(), g.v.copy(), g.t))
+        return g
 
     monkeypatch.setattr(sv, "step_once", record)
     sv.simulate(init, phi, d, cfg)
     first = steps[0]
     assert first.t == redone.t and _same_bits(first.u, redone.u) and _same_bits(first.v, redone.v)
+
+
+@pytest.mark.parametrize("n_cells", [64, 2 * sv.TILE + 3])
+def test_a_recycling_march_is_the_march_on_fresh_arrays(monkeypatch, n_cells):
+    # cfl = 1 and a speed that damping raises trip the guard on later steps
+    # too, whose refused attempts write into recycled arrays on three tiles;
+    # 64 cells are fewer than RECYCLE_CELLS and recycle nothing
+    recycled = n_cells >= sv.RECYCLE_CELLS
+    phi, init = _damping_speeds_up_case(n_cells=n_cells)
+    d = md.Damping(2.0, 1.0)
+    dx = init.grid.dx
+    cfg = sv.SolverConfig(t_end=8 * dx, output_times=[3 * dx, 8 * dx], cfl=1.0)
+    u0, v0 = init.u.copy(), init.v.copy()
+    step, wavespeed = sv.step_once, sv.max_wavespeed
+    steps, refused = [], []
+
+    def record(*args, out=None, **kw):
+        try:
+            steps.append(step(*args, out=out, **kw))
+        except StabilityViolation:
+            refused.append(out)
+            raise
+        return steps[-1]
+
+    monkeypatch.setattr(sv, "step_once", record)
+    traj = sv.simulate(init, phi, d, cfg)
+    # the same march with new arrays for every step and every dt choice
+    monkeypatch.setattr(sv, "step_once", lambda *args, out=None, **kw: step(*args, **kw))
+    monkeypatch.setattr(sv, "max_wavespeed", lambda f, phi, scratch=None: wavespeed(f, phi))
+    fresh = sv.simulate(init, phi, d, cfg)
+    assert traj.n_steps == fresh.n_steps == len(steps) > 4
+    assert recycled is any(out is not None and np.shares_memory(out[0], g.u)
+                           for out in refused for g in steps)
+    assert traj[0] is init and _same_bits(init.u, u0) and _same_bits(init.v, v0)
+    for got, want in zip(traj.fields, fresh.fields, strict=True):
+        assert got.t == want.t and _same_bits(got.u, want.u) and _same_bits(got.v, want.v)
+    # step k + 2 writes into step k's arrays unless step k is a snapshot: a
+    # snapshot's arrays are those of the last step that wrote into them
+    last = {id(g.u): k for k, g in enumerate(steps)}
+    kept = {last[id(f.u)] for f in traj[1:]}
+    assert len(kept) == 2 and len(steps) - 1 in kept
+    for k in range(len(steps) - 2):
+        for a, b in ((steps[k].u, steps[k + 2].u), (steps[k].v, steps[k + 2].v)):
+            assert np.shares_memory(a, b) is (recycled and k not in kept)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-4])
+def test_a_march_holds_at_most_seven_state_sized_arrays(eps):
+    # after the first snapshot: it, the current state, the step's new arrays
+    # and the tile buffers (6.57); a persistent scratch pair for the dt
+    # choice would make 8.57
+    n = 16 * sv.TILE
+    grid = sv.Grid1D(0.0, 2 * np.pi, n)
+    x = grid.centers
+    init = sv.StateField(grid, 0.5 + 0.2 * np.sin(x), 0.4 + 0.1 * np.cos(x))
+    phi = md.PhiModel.power(1.0)
+    dt = sv.SolverConfig(t_end=1.0, eps=eps).stable_dt(grid.dx, sv.max_wavespeed(init, phi))
+    cfg = sv.SolverConfig(t_end=7.5 * dt, output_times=[3.5 * dt, 7.5 * dt], eps=eps)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        traj = sv.simulate(init, phi, md.Damping(0.6, 0.2), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps >= 6
+    assert peak - before <= 7 * init.u.nbytes
 
 
 @pytest.mark.parametrize(
