@@ -84,7 +84,6 @@ class CumulativeIntegral:
             self._build(n)
             err = np.max(np.abs(self(probes) - direct))
             if err <= self.abs_tol:
-                self.n_nodes = n
                 self.probe_error = float(err)
                 return
             if n >= max_nodes:

@@ -23,14 +23,13 @@ radius (see `max_wavespeed`). `step_once` marches the grid in tiles of
 TILE cells: on each tile's damped slice, with a one-cell halo, one hypot
 and one phi evaluation per cell feed the r <= r_max check, the step guard
 and the face fluxes, and the tile writes its cells into the two state
-arrays the step returns: new ones, or the pair passed as `out`. Its
-temporaries are tile-sized, about 0.6 MB in all, so from 16 TILE cells on
-a step holds under three state-sized arrays beyond its input: the two it
-returns and the tile buffers (the untiled step held eight). From
-RECYCLE_CELLS cells on `simulate` recycles state arrays: each step writes
-into the arrays of the state two steps back, which `max_wavespeed` first
-takes as scratch for u*u and v*v, so a long march makes no state-sized
-array per step. `init` and the snapshots are never recycled. Each phi
+arrays the step returns. Its temporaries are tile-sized, about 0.6 MB in
+all, so from 16 TILE cells on a step holds under three state-sized arrays
+beyond its input: the two it returns and the tile buffers (the untiled
+step held eight). `simulate` recycles state arrays: each step writes into
+the arrays of the state two steps back, which `max_wavespeed` first takes
+as scratch for u*u and v*v, so a long march makes no state-sized array
+per step. `init` and the snapshots are never recycled. Each phi
 family supplies the wave speed from r and that phi(r)
 (`PhiModel.wave_speed`), so `power` never evaluates r phi'.
 Finiteness is validated once per step.
@@ -70,13 +69,6 @@ MAX_STEPS = 10_000_000
 # `step_once` marches the grid in tiles of this many cells, so each of its
 # temporaries is tile-sized (64 KB)
 TILE = 8192
-
-# `simulate` recycles state arrays on grids of at least this many cells,
-# whose arrays are at least glibc's default 128 KB mmap threshold. Freed
-# ones went back to the OS there (137 page faults per step at 32768 cells,
-# 521 at 131072). Smaller arrays come from malloc's free lists without
-# faults, and checking a recycled pair twice a step cost about 4% at 2048.
-RECYCLE_CELLS = 2 * TILE
 
 
 @dataclass(frozen=True)
@@ -242,13 +234,9 @@ def _cell_speeds(r: np.ndarray, phi: PhiModel) -> tuple[np.ndarray, np.ndarray]:
     return p, phi.wave_speed(r, p)
 
 
-def max_wavespeed(
-    f: StateField, phi: PhiModel, *, scratch: tuple[np.ndarray, np.ndarray] | None = None
-) -> float:
+def max_wavespeed(f: StateField, phi: PhiModel, *, _scratch=None) -> float:
     """max over cells of max(|lambda_1|, |lambda_2|), floored at 1e-14 so
-    time steps stay finite on identically zero data. `scratch`, a pair of
-    arrays like step_once's `out` (ValidationError otherwise), receives
-    u*u and v*v in place of two new arrays; what it held is never read.
+    time steps stay finite on identically zero data.
 
     When phi.speed_grows_with_r, the top speed is the speed at the top
     radius, so hypot, phi and the wave speed are evaluated only on the
@@ -265,7 +253,7 @@ def max_wavespeed(
     phi (and a field whose squares overflow) still does."""
     u, v = f.u, f.v
     if phi.speed_grows_with_r:
-        uu, vv = (None, None) if scratch is None else _check_pair(f, scratch, "scratch")
+        uu, vv = _scratch or (None, None)  # simulate's spare pair, unchecked
         with np.errstate(over="ignore"):
             s = np.multiply(u, u, out=uu)
             s += np.multiply(v, v, out=vv)
@@ -303,26 +291,6 @@ def _check_eps(eps: float) -> None:
         raise ConfigError(f"eps must be finite and nonnegative, got {eps}")
 
 
-def _check_pair(f: StateField, pair, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """pair as two writable float arrays of f's shape that share memory
-    neither with each other nor with f.u or f.v, so a step may overwrite
-    them while it reads f."""
-    u, v = f.u, f.v
-    try:
-        a, b = pair
-        fits = (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-                and a.shape == b.shape == u.shape and a.dtype == b.dtype == np.float64
-                and a.flags.writeable and b.flags.writeable)
-    except (TypeError, ValueError):  # not a pair
-        fits = False
-    if not fits:
-        raise ValidationError(name, f"need two writable float64 arrays of shape {u.shape}")
-    if any(np.may_share_memory(w, x) for w, x in ((a, b), (a, u), (a, v), (b, u), (b, v))):
-        raise ValidationError(name, "the two arrays may share memory with each other or "
-                              "with the state's u or v")
-    return a, b
-
-
 def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
     """Exact integration of u_t = -a u, v_t = -b v over dt. Leaves t
     unchanged; the flux update owns the clock."""
@@ -336,13 +304,7 @@ def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
 
 
 def step_once(
-    f: StateField,
-    phi: PhiModel,
-    d: Damping,
-    dt: float,
-    *,
-    eps: float = 0.0,
-    out: tuple[np.ndarray, np.ndarray] | None = None,
+    f: StateField, phi: PhiModel, d: Damping, dt: float, *, eps: float = 0.0, _out=None
 ) -> StateField:
     """One Strang split step of size dt: D(dt/2) H(dt) D(dt/2). D multiplies
     u and v by damping_substep's factors; H is the conservative Rusanov flux
@@ -354,13 +316,9 @@ def step_once(
     family's wave speed are evaluated once on it, and the r <= r_max check
     (OutOfRange names the first offending tile's top radius) and the
     Rusanov dissipation read those cell speeds; the tile writes its cells
-    straight into the two state arrays of the result: new ones, or the
-    pair `out`, which the result then wraps. `out` must be two writable
-    float64 arrays of the grid's shape that share memory neither with each
-    other nor with f.u or f.v (ValidationError otherwise); a refused step
-    may have written into them. The one step guard
-    dt <= explicit_limit (StabilityViolation, carrying the top speed of
-    every tile) runs after the last tile. A negative or non-finite eps
+    straight into the two new state arrays of the result. The one step
+    guard dt <= explicit_limit (StabilityViolation, carrying the top speed
+    of every tile) runs after the last tile. A negative or non-finite eps
     raises the ConfigError that SolverConfig raises for it. Every cell
     takes the unfused formulas 0.5 (F_i + F_i+1) - 0.5 alpha (w_i+1 - w_i)
     and w - dt/dx (flux_i+1/2 - flux_i-1/2) + nu (w_i+1 - 2 w_i + w_i-1)
@@ -368,7 +326,7 @@ def step_once(
     _check_dt(dt)
     _check_eps(eps)
     n, dx = f.grid.n_cells, f.grid.dx
-    new = (np.empty(n), np.empty(n)) if out is None else _check_pair(f, out, "out")
+    new = _out or (np.empty(n), np.empty(n))  # simulate's spare pair, unchecked
     if dt == 0.0:
         np.copyto(new[0], f.u)
         np.copyto(new[1], f.v)
@@ -445,13 +403,12 @@ def simulate(
     state the kernel sees faster than the current one; a step whose guard
     trips is redone once at cfg.stable_dt of the kernel's own top speed.
 
-    On a grid of at least RECYCLE_CELLS cells each step writes into the
-    arrays of the state two steps back (`step_once`'s `out`, and first
-    `max_wavespeed`'s scratch; a redone step writes into them again), so
-    the states between two snapshots are overwritten two steps later.
-    init and the snapshots are never written into: where the state two
-    steps back is one of them, as for the first two steps, the step gets
-    new arrays. On smaller grids every step gets new arrays.
+    Each step writes into the arrays of the state two steps back, which
+    `max_wavespeed` first takes as scratch for u*u and v*v (a redone step
+    writes into them again), so the states between two snapshots are
+    overwritten two steps later. init and the snapshots are never written
+    into: where the state two steps back is one of them, as for the first
+    two steps, the step gets new arrays.
 
     Raises ValidationError, naming the config field that sets dt, when the
     first step predicts more than MAX_STEPS steps to t_end, and
@@ -471,15 +428,14 @@ def simulate(
     f = init
     out = [init]
     n_steps = 0
-    recycle = n >= RECYCLE_CELLS
-    # when recycling, the next step writes into spare, the arrays of the
-    # state one step behind f, or into new ones where that state is init
-    # or a snapshot; reusable says whether f is neither
+    # the next step writes into spare, the arrays of the state one step
+    # behind f, or into new ones where that state is init or a snapshot;
+    # reusable says whether f is neither
     spare, reusable = None, False
     for target in targets:
         while f.t < target * (1.0 - 1e-15) - 1e-15:
-            pair = (spare or (np.empty(n), np.empty(n))) if recycle else None
-            speed = max_wavespeed(f, phi, scratch=pair)
+            pair = spare or (np.empty(n), np.empty(n))
+            speed = max_wavespeed(f, phi, _scratch=pair)
             stable = cfg.stable_dt(dx, speed)
             dt = min(stable, target - f.t)
             if f.t + dt == f.t:
@@ -493,14 +449,14 @@ def simulate(
             if n_steps >= MAX_STEPS:
                 raise StabilityViolation(f"march reached {MAX_STEPS} steps at t={f.t:.17g}")
             try:
-                g = step_once(f, phi, d, dt, eps=cfg.eps, out=pair)
+                g = step_once(f, phi, d, dt, eps=cfg.eps, _out=pair)
             except StabilityViolation as exc:
                 # stable_dt at the guard's speed is below the limit that
                 # tripped, so it is also below dt and target - f.t
                 redo = cfg.stable_dt(dx, exc.speed)
-                g = step_once(f, phi, d, redo, eps=cfg.eps, out=pair)
+                g = step_once(f, phi, d, redo, eps=cfg.eps, _out=pair)
             spare = (f.u, f.v) if reusable else None
-            f, reusable = g, recycle
+            f, reusable = g, True
             n_steps += 1
         out.append(StateField(f.grid, f.u, f.v, target))  # target clamps away last-step rounding
         reusable = False

@@ -1,6 +1,6 @@
 """tools/bench_pairs.py runs each checkout's harness in interleaved,
-order-alternating pairs and reports medians, the parent's quartiles and
-the change's wins."""
+order-alternating pairs and reports medians, the parent's quartiles, the
+relative change, the change's wins and medians worse than their bound."""
 
 import importlib.util
 import json
@@ -44,9 +44,23 @@ def test_pairs_alternate_and_count_wins(tmp_path, capsys):
     assert bench_pairs.main(argv) == 0
     assert (tmp_path / "log").read_text().split() == ["parent", "change", "change", "parent"] * 2
     out = capsys.readouterr().out
-    assert "ns_per_cell_step: 21.5 (IQR 20.25-28) -> 17.5, better in 3 of 4" in out
+    assert "ns_per_cell_step: 21.5 (IQR 20.25-28) -> 17.5 (-18.6%), better in 3 of 4\n" in out
     # where higher is better the same values win only the second pair
-    assert "peak_rss_mb: 21.5 (IQR 20.25-28) -> 17.5, better in 1 of 4" in out
+    assert "peak_rss_mb: 21.5 (IQR 20.25-28) -> 17.5 (-18.6%), better in 1 of 4\n" in out
+
+
+def test_a_median_worse_than_its_bound_is_flagged(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", [10, 10])
+    change = _checkout(tmp_path, "change", [12, 13])
+    rules = [{"name": "ns_per_cell_step", "better": "lower", "bound": 0.25},
+             {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": rules}))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out
+    # a median worse by exactly its bound passes, as the bound allows it
+    assert "ns_per_cell_step: 10 (IQR 10-10) -> 12.5 (+25.0%), better in 0 of 2\n" in out
+    assert "peak_rss_mb: 10 (IQR 10-10) -> 12.5 (+25.0%), better in 0 of 2, " \
+        "worse beyond bound\n" in out
 
 
 def test_a_failed_run_stops_with_exit_1(tmp_path, capsys):

@@ -189,7 +189,7 @@ def test_max_wavespeed_is_bit_identical_to_every_cell(f, phi):
     # stale scratch is never read
     n = f.grid.n_cells
     scratch = (np.full(n, np.nan), np.full(n, np.nan))
-    assert _outcome(partial(sv.max_wavespeed, scratch=scratch), f, phi) == want
+    assert _outcome(partial(sv.max_wavespeed, _scratch=scratch), f, phi) == want
 
 
 def test_max_wavespeed_takes_a_falling_table_speed_at_the_smallest_radius():
@@ -261,46 +261,33 @@ def test_direct_step_calls_check_their_arguments(call, message):
         call(make_field(), md.PhiModel.power(1.0))
 
 
-def _bad_pairs(f):
-    n = f.grid.n_cells
-    frozen = np.empty(n)
-    frozen.flags.writeable = False
-    shared = np.empty(n)
-    return {
-        "u": (f.u, np.empty(n)),
-        "v-view": (np.empty(n), f.v[::-1]),
-        "one-array": (shared, shared),
-        "short": (np.empty(n - 1), np.empty(n)),
-        "float32": (np.empty(n), np.empty(n, dtype=np.float32)),
-        "read-only": (np.empty(n), frozen),
-        "three": (np.empty(n), np.empty(n), np.empty(n)),
-        "not-arrays": ([0.0] * n, np.empty(n)),
-    }
-
-
-@pytest.mark.parametrize("kind", list(_bad_pairs(make_field())))
-def test_step_once_and_max_wavespeed_refuse_arrays_they_may_not_write(kind):
-    f, phi = make_field(), md.PhiModel.power(1.0)
-    u0, v0 = f.u.copy(), f.v.copy()
-    message = "share memory" if kind in ("u", "v-view", "one-array") else "writable float64"
-    for dt in (0.01, 0.0):
-        with pytest.raises(ValidationError, match=f"^out: .*{message}") as exc:
-            sv.step_once(f, phi, DAMPED, dt, out=_bad_pairs(f)[kind])
-        assert exc.value.field == "out"
-    with pytest.raises(ValidationError, match=f"^scratch: .*{message}"):
-        sv.max_wavespeed(f, phi, scratch=_bad_pairs(f)[kind])
-    assert np.array_equal(f.u, u0) and np.array_equal(f.v, v0)
-
-
+@pytest.mark.parametrize("eps", [0.0, 0.003])
 @pytest.mark.parametrize("dt", [0.01, 0.0])
-def test_step_once_writes_into_out_and_wraps_it(dt):
+def test_step_once_writes_into_out_and_wraps_it(dt, eps):
     f, phi = make_field(), md.PhiModel.power(1.0)
     n = f.grid.n_cells
     out = (np.full(n, np.nan), np.full(n, np.nan))
-    got = sv.step_once(f, phi, DAMPED, dt, out=out)
-    want = sv.step_once(f, phi, DAMPED, dt)
+    got = sv.step_once(f, phi, DAMPED, dt, eps=eps, _out=out)
+    want = sv.step_once(f, phi, DAMPED, dt, eps=eps)
     assert got.u is out[0] and got.v is out[1] and got.t == want.t
     assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda f, phi, pair: sv.step_once(f, phi, DAMPED, 0.01, out=pair),
+     lambda f, phi, pair: sv.max_wavespeed(f, phi, scratch=pair)],
+    ids=["step_once-out", "max_wavespeed-scratch"],
+)
+def test_step_once_and_max_wavespeed_take_no_public_out_or_scratch(call):
+    # the recycled pair is simulate's private hand-off: the public names
+    # it once had are type errors, and the state is left as it was
+    f, phi = make_field(), md.PhiModel.power(1.0)
+    n = f.grid.n_cells
+    u0, v0 = f.u.copy(), f.v.copy()
+    with pytest.raises(TypeError):
+        call(f, phi, (np.empty(n), np.empty(n)))
+    assert np.array_equal(f.u, u0) and np.array_equal(f.v, v0)
 
 
 def test_a_positional_scheme_is_a_type_error():

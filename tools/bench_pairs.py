@@ -7,9 +7,12 @@ Each pair runs `python3 benchmarks/run.py --workload W --seed S --seconds T
 own harness, unchanged. Odd pairs run PARENT first and even pairs CHANGE
 first, so drift in the machine's speed falls on both sides alike. For each
 end-to-end metric the script prints both sides' medians, PARENT's
-quartiles and how many pairs CHANGE won (ties count for neither side);
-which direction is better comes from CHANGE's BENCHMARK.json. A run that
-exits non-zero or reports `"correct": false` stops the script with exit 1.
+quartiles, the relative change of the medians and how many pairs CHANGE
+won (ties count for neither side). Which direction is better, and the
+bound on a metric's relative worsening, come from CHANGE's BENCHMARK.json;
+a metric whose median worsens by more than its bound is flagged `worse
+beyond bound`. A run that exits non-zero or reports `"correct": false`
+stops the script with exit 1.
 """
 
 from __future__ import annotations
@@ -44,27 +47,36 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarise(parent: list, change: list, better: str) -> dict:
-    """Medians, PARENT's quartiles and CHANGE's wins over paired runs of
-    one metric; better is "lower" or "higher"."""
+def summarise(parent: list, change: list, better: str, bound: float | None = None) -> dict:
+    """Medians, PARENT's quartiles, the relative change of the medians and
+    CHANGE's wins over paired runs of one metric; better is "lower" or
+    "higher". worse_beyond_bound says whether CHANGE's median is worse than
+    PARENT's by more than bound, a fraction of PARENT's median."""
     sign = 1.0 if better == "lower" else -1.0
     q1, med, q3 = quartiles(parent)
+    change_median = quartiles(change)[1]
+    relative = (change_median - med) / abs(med) if med else 0.0
     return {
         "parent_median": med,
         "parent_q1": q1,
         "parent_q3": q3,
-        "change_median": quartiles(change)[1],
+        "change_median": change_median,
+        "relative": relative,
+        "worse_beyond_bound": bound is not None and sign * relative > bound,
         "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change, strict=True)),
         "pairs": len(parent),
     }
 
 
-def directions(checkout: Path) -> dict:
-    """metric name -> "lower" or "higher", from the checkout's BENCHMARK.json."""
+def rules(checkout: Path) -> dict:
+    """metric name -> (better, bound): "lower" or "higher", and the bound
+    on relative worsening (None where none is set), from the checkout's
+    BENCHMARK.json."""
     path = checkout / "BENCHMARK.json"
     if not path.is_file():
         return {}
-    return {m["name"]: m["better"] for m in json.loads(path.read_text())["end_to_end"]}
+    return {m["name"]: (m["better"], m.get("bound"))
+            for m in json.loads(path.read_text())["end_to_end"]}
 
 
 def main(argv=None) -> int:
@@ -90,14 +102,15 @@ def main(argv=None) -> int:
     except (RuntimeError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    better = directions(args.change)
+    rule = rules(args.change)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs:")
     for metric in runs["change"][0]:
         s = summarise([r[metric] for r in runs["parent"]], [r[metric] for r in runs["change"]],
-                      better.get(metric, "lower"))
+                      *rule.get(metric, ("lower", None)))
+        flag = ", worse beyond bound" if s["worse_beyond_bound"] else ""
         print(f"  {metric}: {s['parent_median']:.4g} (IQR {s['parent_q1']:.4g}-"
-              f"{s['parent_q3']:.4g}) -> {s['change_median']:.4g}, "
-              f"better in {s['wins']} of {s['pairs']}")
+              f"{s['parent_q3']:.4g}) -> {s['change_median']:.4g} ({s['relative']:+.1%}), "
+              f"better in {s['wins']} of {s['pairs']}{flag}")
     return 0
 
 
