@@ -223,7 +223,8 @@ def _cmd_run(args) -> int:
 
 
 def _set_up_without_checks(args):
-    """Set up `args.scenario` without its `check.*` keys, which the command skips."""
+    """Set up `args.scenario` without its `check.*` keys, which the command
+    skips once the parser has typed them."""
     from .scenario import parse_scenario, set_up
 
     sc = parse_scenario(args.scenario)
@@ -231,16 +232,10 @@ def _set_up_without_checks(args):
     return set_up(sc, args.output_dir)
 
 
-def _run_without_checks(args):
-    """Set up and run `args.scenario` without its `check.*` keys: (SetUp, RunResult)."""
+def _cmd_simulate(args) -> int:
     from .scenario import run_set_up
 
-    s = _set_up_without_checks(args)
-    return s, run_set_up(s)
-
-
-def _cmd_simulate(args) -> int:
-    _, res = _run_without_checks(args)
+    res = run_set_up(_set_up_without_checks(args))
     print(f"{res.name}: wrote {len(res.artifacts)} files -> {res.out_dir}")
     return 0
 

@@ -187,7 +187,8 @@ class PhiModel:
         vals = self.phi(rs) - c
         if abs(vals[0]) < 1e-14:
             return 0.0
-        sign_change = np.nonzero(vals[:-1] * vals[1:] <= 0.0)[0]
+        # by signs: the product of two values can overflow, or underflow to 0
+        sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) <= 0.0)[0]
         if sign_change.size == 0:
             raise ConfigError(
                 f"level phi = {c} not attained on (0, {self.r_max}] for {self.label}"
@@ -203,17 +204,20 @@ class PhiModel:
 
     def _check_structure_condition(self) -> C1Report:
         small = self.r_max * 10.0 ** -np.arange(2.0, 13.0)
-        limit_vals = small * self.phi(small)
-        scale = max(1.0, abs(float(limit_vals[0])))
-        limit_ok = abs(float(limit_vals[-1])) <= 1e-8 * scale
-
         rs = np.concatenate(
             [
                 self.r_max * 10.0 ** -np.linspace(6.0, 1.0, 64),
                 np.linspace(self.r_max / 256.0, self.r_max, 512),
             ]
         )
-        min_gap = float(np.min(np.abs(self.r_dphi(rs))))
+        # a huge r_max or gamma overflows to inf here; inf compares as the
+        # value it stands for, so the tests below hold
+        with np.errstate(over="ignore"):
+            limit_vals = small * self.phi(small)
+            abs_r_dphi = np.abs(self.r_dphi(rs))
+        scale = max(1.0, abs(float(limit_vals[0])))
+        limit_ok = abs(float(limit_vals[-1])) <= 1e-8 * scale
+        min_gap = float(np.min(abs_r_dphi))
         return C1Report(satisfied=bool(limit_ok and min_gap > 0.0), min_abs_r_dphi=min_gap)
 
     # -- families --------------------------------------------------------

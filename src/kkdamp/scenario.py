@@ -3,13 +3,14 @@
 Format: one `key = value` per line, '#' comments and blank lines ignored.
 Keys are dotted lowercase identifiers, each with one value type in
 `_KNOWN_KEYS`. Every value is typed when the file is parsed: unknown keys,
-malformed lines, and malformed values raise ParseError with 1-based line
-and column (and the file's path), so a `run` refuses its whole batch
-before any march. `name` must be one file-name component.
-Semantically invalid values and combinations (a missing required key,
-a < b, an unknown phi family or word choice, a non-finite `init.*` number,
-a check value its check would refuse, too few output times for a check
-that fits a rate) raise in `set_up`, which builds a scenario's models and
+malformed lines and values wrong on their own (`a = abc`, `init = vortex`,
+a non-finite `init.*` number, a check option its check would refuse) raise
+ParseError with 1-based line and column (and the file's path), so a `run`
+refuses its whole batch before any march. `name` must be one file-name
+component. The values a model constructor takes (phi, damping, grid,
+march config, `init.mollify_eps`, containment bounds) and combinations (a
+missing required key, a < b, too few output times for a rate fit) are
+refused by their owner in `set_up`, which builds a scenario's models and
 initial field once, before any march.
 `run_set_up` marches, checks and writes under <output root>/<name>/:
 
@@ -80,9 +81,28 @@ def _file_name(text: str) -> str:
     return text
 
 
+def _value_type(convert: Callable, accept: Callable, noun: str) -> tuple:
+    """A value type that also refuses, as malformed, a converted value that
+    `accept` is false for."""
+    def typed(text: str):
+        if not accept(value := convert(text)):
+            raise ValueError(text)
+        return value
+    return typed, noun
+
+
+def _words(*words: str) -> tuple:
+    """A value type for one of `words`, as written."""
+    return _value_type(str, words.__contains__, "/".join(words))
+
+
 # value types: (converter, noun for the error message); a converter raises
-# ValueError on a malformed value
-_NUMBER = (float, "a number")  # "inf" and "nan" included
+# ValueError, or the ConfigError of a rule's owner, on a malformed value
+_NUMBER = (float, "a number")  # "inf" and "nan" too: the model that takes it judges
+_FINITE = _value_type(float, math.isfinite, "a finite number")
+_TOLERANCE = _value_type(float, lambda tol: 0.0 <= tol < math.inf, "a finite number >= 0")
+# _check_p returns None or raises: lp_norm's rule keeps its one owner
+_NORM_ORDER = _value_type(float, lambda p: _check_p(p) is None, "a number >= 1 or inf")
 _INTEGER = (int, "an integer")
 _ON_OFF = (_on_off, "on/off")
 _NUMBERS = (lambda text: [float(tok) for tok in text.split(",")], "comma-separated numbers")
@@ -94,12 +114,14 @@ _FILE_NAME = (_file_name, "one file-name component")
 # keys are merged in from CHECKS
 _KNOWN_KEYS = {
     **dict.fromkeys(
-        "r_max a b x_lo x_hi t_end cfl viscous.eps init.u init.v init.mean init.amplitude "
-        "init.wavenumber init.angle init.angle_amplitude init.angle_wavenumber init.u_left "
-        "init.v_left init.u_right init.v_right init.x_jump init.mollify_eps".split(), _NUMBER),
+        "r_max a b x_lo x_hi t_end cfl viscous.eps init.mollify_eps".split(), _NUMBER),
+    **{f"init.{key}": _FINITE for key in "u v mean amplitude wavenumber angle angle_amplitude "
+       "angle_wavenumber u_left v_left u_right v_right x_jump".split()},
     **dict.fromkeys("n_cells n_outputs".split(), _INTEGER),
     "output_times": _NUMBERS,
-    **dict.fromkeys("phi boundary scheme splitting snapshots init init.file".split(), _TEXT),
+    **dict.fromkeys("phi boundary scheme splitting init.file".split(), _TEXT),
+    "init": _words("constant", "sine_radial", "riemann_step", "from_file"),
+    "snapshots": _words("all", "final", "none"),
     "name": _FILE_NAME,
 }
 
@@ -194,10 +216,6 @@ class Scenario:
             scheme="scheme", splitting="splitting", cfl="cfl", eps="viscous.eps"))
 
     def initial_field(self, grid: Grid1D) -> StateField:
-        for key, e in self.entries.items():  # init.mollify_eps has its own rule
-            if (key.startswith("init.") and _KNOWN_KEYS[key] is _NUMBER
-                    and key != "init.mollify_eps" and not math.isfinite(e.value)):
-                raise ValidationError(key, f"must be finite, got {e.value}")
         kind = self.get("init")
         x = grid.centers
         if kind == "constant":
@@ -220,7 +238,7 @@ class Scenario:
             left = x < self.get("init.x_jump")
             u = np.where(left, self.get("init.u_left"), self.get("init.u_right"))
             v = np.where(left, self.get("init.v_left"), self.get("init.v_right"))
-        elif kind == "from_file":
+        else:  # from_file
             e = self._entry("init.file")
             try:
                 data = read_snapshot(e.value)
@@ -245,9 +263,6 @@ class Scenario:
                     "init.file", f"file has boundary {boundary}, grid has {grid.boundary}"
                 )
             u, v = data["u"], data["v"]
-        else:
-            e = self._entry("init")
-            raise ParseError(e.line, e.col, f"unknown initial profile {kind!r}", self.path)
 
         eps = self.get("init.mollify_eps", 0.0)
         if eps != 0.0:  # 0 is off; mollify_profile refuses nan and negatives
@@ -284,7 +299,7 @@ def parse_scenario_text(text: str, path: str | None = None) -> Scenario:
         convert, noun = _KNOWN_KEYS[key]
         try:
             typed = convert(value)
-        except ValueError:
+        except (ValueError, ConfigError):
             raise ParseError(ln, col, f"{key}: expected {noun}, got {value!r}", path)
         sc.entries[key] = Entry(text=value, value=typed, line=ln, col=col)
     if "name" not in sc.entries:
@@ -339,11 +354,8 @@ def _write_norm_series(traj: Trajectory, path: Path) -> Path:
 def _snapshot_selection(sc: Scenario, items: list) -> list:
     """The entries the `snapshots` mode selects from a per-output list
     that starts with the initial state."""
-    mode = sc.get("snapshots", "all")
     selections = {"all": list(items), "final": items[-1:], "none": []}
-    if mode not in selections:
-        raise ValidationError("snapshots", f"expected all/final/none, got {mode!r}")
-    return selections[mode]
+    return selections[sc.get("snapshots", "all")]
 
 
 def _schedule_key(sc: Scenario) -> str:
@@ -382,9 +394,10 @@ def check_rate_schedule(sc: Scenario, cfg: SolverConfig, check: str) -> None:
 
 class Check(NamedTuple):
     """The check that `check.<name> = on` enables, `options` typing its
-    `check.<name>.*` keys. `set_up` calls `prepare(s)` for every check, on
-    or off: it makes the check's refusals and returns what `run` needs, or
-    None when the check is off. `run(s, prepared, traj)` returns the verdict
+    `check.<name>.*` keys, so the parser refuses a value the check would
+    misread. `set_up` calls `prepare(s)` for each check that is on: it makes
+    the refusals that need the set-up (the rate schedule, Sigma) and
+    returns what `run` needs. `run(s, prepared, traj)` returns the verdict
     and the values of the check's manifest lines. Each imports the harness
     it runs, so parsing and the march load neither analysis nor region."""
 
@@ -399,25 +412,10 @@ class Check(NamedTuple):
         return {on: _ON_OFF, **{f"{on}.{key}": kind for key, kind in self.options.items()}}
 
 
-def _tolerance(sc: Scenario, key: str) -> dict:
-    """{"tol": value} if `key` is set; nan would fail every check, inf pass any."""
-    tol = sc.get(key, 0.0)
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(key, f"must be finite and nonnegative, got {tol}")
-    return sc._set_values(tol=key)
-
-
 def _prepare_decay(s: SetUp):
     sc = s.scenario
-    p = sc.get("check.decay.p", 2.0)
-    try:
-        _check_p(p)  # the p that lp_norm would refuse after the march
-    except ConfigError as exc:
-        raise ValidationError("check.decay.p", str(exc)) from None
-    if not sc.get("check.decay", False):
-        return None
     check_rate_schedule(sc, s.config, "check.decay")
-    return {"p": p, **sc._set_values(weighted="check.decay.weighted")}
+    return {"p": sc.get("check.decay.p", 2.0), **sc._set_values(weighted="check.decay.weighted")}
 
 
 def _run_decay(s: SetUp, options, traj: Trajectory):
@@ -430,9 +428,6 @@ def _run_decay(s: SetUp, options, traj: Trajectory):
 def _prepare_containment(s: SetUp):
     """Sigma, its `auto` bounds taken from the initial field, and the tolerance."""
     sc = s.scenario
-    options = _tolerance(sc, "check.containment.tol")
-    if not sc.get("check.containment", False):
-        return None
     from .region import RegionSigma
 
     z0 = z_invariant(s.init.u, s.init.v)
@@ -445,7 +440,8 @@ def _prepare_containment(s: SetUp):
         c1 = float(np.min(z0))
     if c2 == "auto":
         c2 = float(np.max(z0))
-    return {"sigma": RegionSigma(c0=c0, c1=c1, c2=c2), **options}
+    return {"sigma": RegionSigma(c0=c0, c1=c1, c2=c2),
+            **sc._set_values(tol="check.containment.tol")}
 
 
 def _run_containment(s: SetUp, options, traj: Trajectory):
@@ -457,13 +453,10 @@ def _run_containment(s: SetUp, options, traj: Trajectory):
 
 def _prepare_invariants(s: SetUp):
     sc = s.scenario
-    options = _tolerance(sc, "check.invariants.tol")
-    if not sc.get("check.invariants", False):
-        return None
     # with a = b it fits a rate only if sup |Z| moves, which the march decides
     if s.damping.a > s.damping.b:
         check_rate_schedule(sc, s.config, "check.invariants")
-    return options
+    return sc._set_values(tol="check.invariants.tol")
 
 
 def _run_invariants(s: SetUp, options, traj: Trajectory):
@@ -475,10 +468,11 @@ def _run_invariants(s: SetUp, options, traj: Trajectory):
 
 
 CHECKS = (
-    Check("decay", {"p": _NUMBER, "weighted": _ON_OFF}, _prepare_decay, _run_decay),
-    Check("containment", {**dict.fromkeys(("c0", "c1", "c2"), _NUMBER_OR_AUTO), "tol": _NUMBER},
+    Check("decay", {"p": _NORM_ORDER, "weighted": _ON_OFF}, _prepare_decay, _run_decay),
+    Check("containment",
+          {**dict.fromkeys(("c0", "c1", "c2"), _NUMBER_OR_AUTO), "tol": _TOLERANCE},
           _prepare_containment, _run_containment),
-    Check("invariants", {"tol": _NUMBER}, _prepare_invariants, _run_invariants),
+    Check("invariants", {"tol": _TOLERANCE}, _prepare_invariants, _run_invariants),
 )
 _KNOWN_KEYS.update(item for check in CHECKS for item in check.keys.items())
 
@@ -498,12 +492,12 @@ class SetUp:
 
 def set_up(sc: Scenario, out_root=None) -> SetUp:
     """Build the scenario's models, config and initial field, let each
-    check make its refusals and prepare its run, check the snapshot names,
-    create <output root>/<name>/ and warn if phi fails the structure
-    condition: all before a march, once per scenario."""
+    check that is on make its refusals and prepare its run, check the
+    snapshot names, create <output root>/<name>/ and warn if phi fails the
+    structure condition: all before a march, once per scenario."""
     phi, d, grid, cfg = sc.phi_model(), sc.damping(), sc.grid(), sc.solver_config()
     s = SetUp(sc, phi, d, sc.initial_field(grid), cfg)
-    s.checks = {c.name: prep for c in CHECKS if (prep := c.prepare(s)) is not None}
+    s.checks = {c.name: c.prepare(s) for c in CHECKS if sc.get(f"check.{c.name}", False)}
     _check_snapshot_names(sc, _snapshot_selection(sc, [s.init.t, *cfg.output_times]))
     s.out_dir = output_dir(out_root, sc.name)
     if not phi.c1_report.satisfied:

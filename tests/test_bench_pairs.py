@@ -68,3 +68,19 @@ def test_a_failed_run_stops_with_exit_1(tmp_path, capsys):
     change = _checkout(tmp_path, "change", [17, 18])
     assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2"]) == 1
     assert "parent: 1 of 1 operations failed" in capsys.readouterr().err
+
+
+def test_the_summary_ends_with_one_json_line(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", [10, 12])
+    change = _checkout(tmp_path, "change", [11, 9])
+    argv = [str(parent), str(change), "--workload", "w", "--pairs", "2", "--seconds", "3",
+            "--seed", "7"]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert {k: record[k] for k in ("workload", "seed", "pairs", "seconds")} == {
+        "workload": "w", "seed": 7, "pairs": 2, "seconds": 3.0}
+    # no BENCHMARK.json in the change: lower is better and no bound is set
+    assert record["metrics"]["ns_per_cell_step"] == bench_pairs.summarise([10, 12], [11, 9],
+                                                                          "lower")
+    assert record["metrics"]["ns_per_cell_step"]["wins"] == 1
+    assert set(record["metrics"]) == {"ns_per_cell_step", "peak_rss_mb"}

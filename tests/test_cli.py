@@ -626,9 +626,14 @@ def test_run_refuses_two_scenarios_with_one_name(tmp_path, capsys, jobs):
     [
         ("a = 0.5", "a = abc", "line 3, col 5: a: expected a number, got 'abc'"),
         ("snapshots = final", "snapshots = final\ncheck.containment.tol = lots",
-         "line 17, col 25: check.containment.tol: expected a number, got 'lots'"),
+         "line 17, col 25: check.containment.tol: expected a finite number >= 0, got 'lots'"),
+        ("init = sine_radial", "init = bogus",
+         "line 11, col 8: init: expected constant/sine_radial/riemann_step/from_file, "
+         "got 'bogus'"),
+        ("snapshots = final", "snapshots = first",
+         "line 16, col 13: snapshots: expected all/final/none, got 'first'"),
     ],
-    ids=["damping", "containment-tol"],
+    ids=["damping", "containment-tol", "init-kind", "snapshots-mode"],
 )
 def test_run_refuses_a_batch_with_a_malformed_value_before_any_march(tmp_path, capsys,
                                                                      old, new, message):
@@ -644,14 +649,15 @@ def test_run_refuses_a_batch_with_a_malformed_value_before_any_march(tmp_path, c
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_run_refuses_a_batch_whose_set_up_fails_before_any_march(tmp_path, capsys, jobs):
     good = write_scenario(tmp_path, "good")
+    # each value is well-formed on its own; the damping refuses the pair
     bad = write_scenario(
-        tmp_path, "bad", SMALL.format(name="bad").replace("init = sine_radial", "init = bogus")
+        tmp_path, "bad", SMALL.format(name="bad").replace("a = 0.5", "a = 0.1")
     )
     out = tmp_path / "out"
     code = main(["run", str(good), str(bad), "--jobs", jobs, "--output-dir", str(out)])
     assert code == 1
     assert capsys.readouterr().err == (
-        f"error: {bad}: line 11, col 8: unknown initial profile 'bogus'\n"
+        "error: damping: need a >= b (damping-order condition C2), got a=0.1 < b=0.2\n"
     )
     # every scenario is set up before any marches: at most empty directories
     assert [p for p in out.rglob("*") if not p.is_dir()] == []
@@ -715,6 +721,21 @@ def test_os_errors_exit_1_with_one_line_naming_the_path(tmp_path, capsys, monkey
     assert err.startswith(f"error: {culprit.format(**paths)}: ") and err.count("\n") == 1
     assert afile.read_text() == ""
     assert marches == []  # the output directory is made before the march
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [("run {cfg} --output-dir {out}", 0, ""),
+     ("region-check --a 0.6 --b 0.2 --c0 1e300", 1,
+      "error: level phi = 1e+300 not attained on (0, 10.0] for power:1\n")],
+    ids=["run-r_max-1e300", "region-check-c0-1e300"],
+)
+def test_huge_valid_values_print_no_numpy_warning(tmp_path, capsys, argv, code, err):
+    # a numpy warning would be a `warning:` line, or an error under this suite's filters
+    text = SMALL.format(name="huge").replace("a = 0.5", "r_max = 1e300\na = 0.5")
+    cfg = write_scenario(tmp_path, "huge", text)
+    assert main(argv.format(cfg=cfg, out=tmp_path / "out").split()) == code
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize("samples", ["1", "2"])
@@ -804,21 +825,26 @@ RIEMANN = ("init = sine_radial\ninit.mean = 0.5\ninit.amplitude = 0.2",
     "old, new, message",
     [
         ("snapshots", "check.decay.p = 0.5\nsnapshots",
-         "check.decay.p: p must be >= 1 or inf, got 0.5"),
+         "{bad}: line 16, col 17: check.decay.p: expected a number >= 1 or inf, got '0.5'"),
         ("snapshots", "check.containment.tol = nan\nsnapshots",
-         "check.containment.tol: must be finite and nonnegative, got nan"),
+         "{bad}: line 16, col 25: check.containment.tol: expected a finite number >= 0, "
+         "got 'nan'"),
         ("snapshots", "check.containment.tol = inf\nsnapshots",
-         "check.containment.tol: must be finite and nonnegative, got inf"),
+         "{bad}: line 16, col 25: check.containment.tol: expected a finite number >= 0, "
+         "got 'inf'"),
         ("snapshots", "check.invariants.tol = -1\nsnapshots",
-         "check.invariants.tol: must be finite and nonnegative, got -1.0"),
+         "{bad}: line 16, col 24: check.invariants.tol: expected a finite number >= 0, "
+         "got '-1'"),
         ("snapshots", "check.containment = on\ncheck.containment.c0 = nan\nsnapshots",
          "region: C0, C1, C2 must be finite"),
         ("snapshots", "check.containment = on\ncheck.containment.c1 = 5\nsnapshots",
          "region: need C1 < C2, got C1=5.0, C2=1.0000000000000002"),
-        (RIEMANN[0], RIEMANN[1].format("nan"), "init.x_jump: must be finite, got nan"),
-        ("snapshots", "init.angle = -inf\nsnapshots", "init.angle: must be finite, got -inf"),
+        (RIEMANN[0], RIEMANN[1].format("nan"),
+         "{bad}: line 16, col 15: init.x_jump: expected a finite number, got 'nan'"),
+        ("snapshots", "init.angle = -inf\nsnapshots",
+         "{bad}: line 16, col 14: init.angle: expected a finite number, got '-inf'"),
         ("snapshots", "init.angle_wavenumber = inf\nsnapshots",
-         "init.angle_wavenumber: must be finite, got inf"),
+         "{bad}: line 16, col 25: init.angle_wavenumber: expected a finite number, got 'inf'"),
     ],
     ids=["decay-p", "containment-tol-nan", "containment-tol-inf", "invariants-tol-negative",
          "containment-c0-nan", "containment-c1-above-c2", "x_jump-nan", "angle-inf", "angle_wavenumber-inf"],
@@ -832,9 +858,27 @@ def test_a_bad_check_or_init_value_refuses_the_batch_before_any_march(
     out = tmp_path / "out"
     code = main(["run", str(good), str(bad), "--output-dir", str(out)])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {message}\n"  # and no warning line
+    # and no warning line
+    assert capsys.readouterr().err == f"error: {message}\n".format(bad=bad)
     assert marches == []
     assert [p for p in out.rglob("*") if not p.is_dir()] == []
+
+
+@pytest.mark.parametrize("command", ["run", "simulate", "decay", "convergence"])
+def test_every_command_refuses_a_bad_check_option_at_parse(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # simulate, decay and convergence skip the checks, but the file is parsed whole first
+    marches = _count_marches(monkeypatch)
+    text = SMALL.format(name="bad").replace("snapshots", "check.containment.tol = nan\nsnapshots")
+    bad, out = write_scenario(tmp_path, "bad", text), tmp_path / "out"
+    code = main([command, str(bad), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 16, col 25: check.containment.tol: expected a finite number >= 0, "
+        "got 'nan'\n"
+    )
+    assert marches == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -346,3 +347,13 @@ def test_level_radius_and_sup():
     assert shifted.level_radius(5.0) == pytest.approx(2.0, abs=1e-10)
     with pytest.raises(ConfigError):
         phi.level_radius(99.0)
+
+
+def test_a_huge_gamma_r_max_or_level_gives_its_result_without_a_numpy_warning():
+    # intermediates overflow to inf; the results are those the overflow always gave
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert md.PhiModel.power(1e300).c1_report == md.C1Report(False, 0.0)
+        assert md.PhiModel.power(1.0, r_max=1e300).c1_report == md.C1Report(True, 1e294)
+        with pytest.raises(ConfigError, match=r"level phi = 1e\+300 not attained"):
+            md.PhiModel.power(1.0).level_radius(1e300)

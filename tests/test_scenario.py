@@ -105,9 +105,10 @@ def test_damping_order_is_validated():
 
 def test_unknown_init_profile():
     text = GOOD.replace("init = sine_radial", "init = vortex")
-    sc = sn.parse_scenario_text(text)
-    with pytest.raises(ParseError):
-        sc.initial_field(sc.grid())
+    with pytest.raises(ParseError, match="^" + re.escape(
+            "line 12, col 8: init: expected constant/sine_radial/riemann_step/from_file, "
+            "got 'vortex'") + "$"):
+        sn.parse_scenario_text(text)
 
 
 def test_negative_radius_profile_rejected():
@@ -352,6 +353,18 @@ def test_the_readme_key_table_lists_every_key_with_its_type():
     table = {key: noun.strip() for key, noun in rows}
     assert len(table) == len(rows)  # no key twice
     assert table == {key: noun for key, (_, noun) in sn._KNOWN_KEYS.items()}
+
+
+def test_set_up_prepares_only_the_checks_that_are_on(tmp_path, monkeypatch):
+    prepared = []
+    monkeypatch.setattr(sn, "CHECKS", tuple(
+        c._replace(prepare=lambda s, name=c.name: prepared.append(name) or name)
+        for c in sn.CHECKS))
+    text = GOOD.replace("check.containment = on", "check.containment = off").replace(
+        "check.invariants = on\n", "")
+    s = sn.set_up(sn.parse_scenario_text(text), tmp_path)
+    assert prepared == ["decay"]
+    assert s.checks == {"decay": "decay"}
 
 
 def test_every_check_key_belongs_to_exactly_one_check():

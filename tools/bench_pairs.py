@@ -11,7 +11,9 @@ quartiles, the relative change of the medians and how many pairs CHANGE
 won (ties count for neither side). Which direction is better, and the
 bound on a metric's relative worsening, come from CHANGE's BENCHMARK.json;
 a metric whose median worsens by more than its bound is flagged `worse
-beyond bound`. A run that exits non-zero or reports `"correct": false`
+beyond bound`. After that summary the script prints one JSON line: the
+workload, seed, pairs and seconds, and under "metrics" each metric's
+`summarise` fields. A run that exits non-zero or reports `"correct": false`
 stops the script with exit 1.
 """
 
@@ -104,13 +106,17 @@ def main(argv=None) -> int:
         return 1
     rule = rules(args.change)
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs:")
+    summaries = {}
     for metric in runs["change"][0]:
-        s = summarise([r[metric] for r in runs["parent"]], [r[metric] for r in runs["change"]],
-                      *rule.get(metric, ("lower", None)))
+        s = summaries[metric] = summarise(
+            [r[metric] for r in runs["parent"]], [r[metric] for r in runs["change"]],
+            *rule.get(metric, ("lower", None)))
         flag = ", worse beyond bound" if s["worse_beyond_bound"] else ""
         print(f"  {metric}: {s['parent_median']:.4g} (IQR {s['parent_q1']:.4g}-"
               f"{s['parent_q3']:.4g}) -> {s['change_median']:.4g} ({s['relative']:+.1%}), "
               f"better in {s['wins']} of {s['pairs']}{flag}")
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "pairs": args.pairs,
+                      "seconds": args.seconds, "metrics": summaries}))
     return 0
 
 
