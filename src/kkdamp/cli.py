@@ -17,9 +17,14 @@ Exit codes:
     1  a check failed, the model refused a value that parses (`--p 0.5`,
        `--epsilons 0.1,nan`, `--m 0.5`, `--r-max -1`), a file could not
        be read or written, or a `run` worker process died
-    2  usage error: an option value that does not parse, or that breaks a
+    2  usage error: an unknown command or option, a missing option or
+       value, an option value that does not parse, or one that breaks a
        limit the CLI sets itself (`--n < 0`, `--jobs < 1`, `--n` or
        `--samples` above MAX_ROWS)
+
+Every refusal is one `error:` line on stderr. argparse types each option
+value, and its usage errors reach `main` as UsageError, not as a usage
+block and SystemExit; `--help` and `--version` exit 0.
 
 The output root is --output-dir unless KKD_OUTPUT_DIR is set.
 
@@ -54,51 +59,89 @@ from .model import (
 )
 
 
+MAX_ROWS = 10**7  # `entropy-pair --n` and `region-check --samples`; 80 MB per array
+
+
+class UsageError(Exception):
+    """A command line that cannot be used; `main` prints it and returns 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises a usage error as UsageError instead of
+    printing its usage and exiting; `add_subparsers` hands on the class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _values(kind=float, count=None, minimum=None, maximum=None):
+    """An argparse type: an option's comma-separated values converted by
+    `kind`, the value itself when `count` is 1. A value that does not
+    convert, a wrong `count` or one outside [minimum, maximum] is refused."""
+
+    def convert(text: str):
+        try:
+            values = [kind(tok) for tok in text.split(",")]
+        except ValueError:
+            values = []
+        if not values or count not in (None, len(values)):
+            noun = "integer" if kind is int else "number"
+            expected = f"one {noun}" if count == 1 else f"{count or 'comma-separated'} {noun}s"
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        if minimum is not None and min(values) < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {min(values)}")
+        if maximum is not None and max(values) > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {max(values)}")
+        return values[0] if count == 1 else values
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kkdamp",
         description="Damped symmetric Keyfitz-Kranzer system: solver and diagnostics.",
     )
     parser.add_argument("--version", action="version", version=f"kkdamp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_dir(p):
-        p.add_argument(
-            "--output-dir",
-            default=None,
-            help="output root (KKD_OUTPUT_DIR takes precedence; default ./kkd_out)",
-        )
+    def add_command(name, handler, help, output_dir=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if output_dir:
+            p.add_argument("--output-dir", default=None, help="output root "
+                           "(KKD_OUTPUT_DIR takes precedence; default ./kkd_out)")
+        return p
 
-    p_run = sub.add_parser("run", help="simulate scenario(s) and run their checks")
+    p_run = add_command("run", _cmd_run, help="simulate scenario(s) and run their checks")
     p_run.add_argument("scenarios", nargs="+", help="scenario file(s)")
     p_run.add_argument(
         "--jobs",
-        type=int,
+        type=_values(int, count=1, minimum=1),
         default=None,
         help="worker processes (default one per CPU; 1 marches serially in this process; "
         "peak memory grows to one march per worker)",
     )
-    add_output_dir(p_run)
 
-    p_sim = sub.add_parser("simulate", help="simulate one scenario, skip checks")
+    p_sim = add_command("simulate", _cmd_simulate, help="simulate one scenario, skip checks")
     p_sim.add_argument("scenario")
-    add_output_dir(p_sim)
 
-    p_dec = sub.add_parser("decay", help="norm decay fit for one scenario")
+    p_dec = add_command("decay", _cmd_decay, help="norm decay fit for one scenario")
     p_dec.add_argument("scenario")
-    p_dec.add_argument("--p", default="2", help="norm order (number or 'inf')")
+    p_dec.add_argument("--p", type=_values(count=1), default="2",
+                       help="norm order (number or 'inf')")
     p_dec.add_argument("--weighted", action="store_true", help="use the exp(-sqrt(1+x^2)) weight")
-    add_output_dir(p_dec)
 
-    p_ent = sub.add_parser("entropy-pair", help="tabulate q(r) for eta = r**m")
+    p_ent = add_command("entropy-pair", _cmd_entropy_pair, help="tabulate q(r) for eta = r**m")
     p_ent.add_argument("--m", type=float, required=True)
     p_ent.add_argument("--phi", required=True, help="e.g. power:1, shifted:1,1, const:1")
     p_ent.add_argument("--r-max", type=float, default=R_MAX_DEFAULT)
-    p_ent.add_argument("--n", default="200", help="table rows")
+    p_ent.add_argument("--n", type=_values(int, count=1, minimum=0, maximum=MAX_ROWS),
+                       default="200", help="table rows")
     p_ent.add_argument("--out", default=None, help="output file (default under output root)")
-    add_output_dir(p_ent)
 
-    p_reg = sub.add_parser("region-check", help="boundary flow signs for Sigma")
+    p_reg = add_command("region-check", _cmd_region_check, help="boundary flow signs for Sigma",
+                        output_dir=False)
     p_reg.add_argument("--phi", default="power:1")
     p_reg.add_argument("--a", type=float, required=True)
     p_reg.add_argument("--b", type=float, required=True)
@@ -106,54 +149,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--c1", type=float, default=0.5)
     p_reg.add_argument("--c2", type=float, default=2.0)
     p_reg.add_argument("--r-max", type=float, default=R_MAX_DEFAULT)
-    p_reg.add_argument("--samples", type=int, default=64)
+    p_reg.add_argument("--samples", type=_values(int, count=1, maximum=MAX_ROWS), default=64)
     p_reg.add_argument(
         "--skip-lower",
         action="store_true",
         help="exclude the {Z=C1} piece from the verdict (it is outward for C1 > 0)",
     )
 
-    p_con = sub.add_parser("convergence", help="vanishing-viscosity sweep")
+    p_con = add_command("convergence", _cmd_convergence, help="vanishing-viscosity sweep")
     p_con.add_argument("scenario")
     p_con.add_argument(
-        "--epsilons", default="0.1,0.05,0.025,0.0125", help="comma list, decreasing"
+        "--epsilons", type=_values(), default="0.1,0.05,0.025,0.0125",
+        help="comma list, decreasing"
     )
-    add_output_dir(p_con)
 
-    p_eig = sub.add_parser("eigen", help="eigenstructure at one state")
+    p_eig = add_command("eigen", _cmd_eigen, help="eigenstructure at one state",
+                        output_dir=False)
     p_eig.add_argument("--phi", required=True)
-    p_eig.add_argument("--state", required=True, help="u,v")
+    p_eig.add_argument("--state", type=_values(count=2), required=True, help="u,v")
     p_eig.add_argument("--r-max", type=float, default=R_MAX_DEFAULT)
 
     return parser
-
-
-MAX_ROWS = 10**7  # `entropy-pair --n` and `region-check --samples`; 80 MB per array
-
-
-class UsageError(Exception):
-    """An option value that cannot be used; `main` prints it and returns 2."""
-
-
-def _check_rows(option: str, rows: int) -> None:
-    if rows > MAX_ROWS:
-        raise UsageError(f"{option}: must be <= {MAX_ROWS}, got {rows}")
-
-
-def _parse_values(option: str, text: str, kind=float, count=None, minimum=None) -> list:
-    """The comma-separated values of an option, converted by `kind`; one that
-    does not convert, a wrong `count` or one below `minimum` is a UsageError."""
-    try:
-        values = [kind(tok) for tok in text.split(",")]
-    except ValueError:
-        values = []
-    if not values or count not in (None, len(values)):
-        noun = "integer" if kind is int else "number"
-        expected = f"one {noun}" if count == 1 else f"{count or 'comma-separated'} {noun}s"
-        raise UsageError(f"{option}: expected {expected}, got {text!r}")
-    if minimum is not None and min(values) < minimum:
-        raise UsageError(f"{option}: must be >= {minimum}, got {text!r}")
-    return values
 
 
 def _verdict(res) -> tuple[bool, str]:
@@ -187,8 +203,6 @@ def _usable_cpus() -> int:
 def _cmd_run(args) -> int:
     from .scenario import parse_scenario, set_up
 
-    if args.jobs is not None and args.jobs < 1:
-        raise UsageError(f"--jobs: must be >= 1, got {args.jobs}")
     scenarios, paths = [], {}
     for sc in map(parse_scenario, args.scenarios):
         if sc.name in paths:
@@ -245,13 +259,12 @@ def _cmd_decay(args) -> int:
     from .scenario import check_rate_schedule, run_set_up
     from .solver import _check_p
 
-    (p,) = _parse_values("--p", args.p, count=1)
-    _check_p(p)  # before the march
+    _check_p(args.p)  # before the march
     s = _set_up_without_checks(args)
     check_rate_schedule(s.scenario, s.config, "decay")
     res = run_set_up(s)
-    rep = decay_harness(res.trajectory, p, s.damping, s.phi, args.weighted)
-    print(f"p = {args.p} weighted = {args.weighted}")
+    rep = decay_harness(res.trajectory, args.p, s.damping, s.phi, args.weighted)
+    print(f"p = {args.p:g} weighted = {args.weighted}")
     print(f"fitted_rate = {_fmt(rep.fitted_rate)}")
     print(f"theorem_rate = {_fmt(rep.theorem_rate)}")
     print(f"rate_band = [{_fmt(rep.rate_band[0])}, {_fmt(rep.rate_band[1])}]")
@@ -269,11 +282,9 @@ def _cmd_entropy_pair(args) -> int:
     from .scenario import output_dir
     from .solver import write_table
 
-    (n_rows,) = _parse_values("--n", args.n, int, count=1, minimum=0)
-    _check_rows("--n", n_rows)
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     pair = power_entropy_pair(args.m, phi)
-    rs = np.linspace(0.0, phi.r_max, n_rows)
+    rs = np.linspace(0.0, phi.r_max, args.n)
     if args.out is not None:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -293,7 +304,6 @@ def _cmd_entropy_pair(args) -> int:
 def _cmd_region_check(args) -> int:
     from .region import RegionSigma, boundary_flow_check
 
-    _check_rows("--samples", args.samples)
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     c0 = args.c0 if args.c0 is not None else float(phi.phi(0.5 * phi.r_max))
     sigma = RegionSigma(c0=c0, c1=args.c1, c2=args.c2)
@@ -320,9 +330,8 @@ def _cmd_convergence(args) -> int:
     from .solver import write_table
     from .viscous import vanishing_viscosity_sweep
 
-    eps_values = _parse_values("--epsilons", args.epsilons)
     s = _set_up_without_checks(args)
-    report = vanishing_viscosity_sweep(s.init, s.phi, s.damping, s.config, eps_values)
+    report = vanishing_viscosity_sweep(s.init, s.phi, s.damping, s.config, args.epsilons)
     rows = report.rows
     out_path = write_table(
         s.out_dir / f"{s.scenario.name}_viscosity_sweep.tsv",
@@ -337,7 +346,7 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_eigen(args) -> int:
-    s = State(*_parse_values("--state", args.state, count=2))
+    s = State(*args.state)
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     lam1, lam2 = eigenvalues(s, phi)
     basis = eigenvectors(s)
@@ -360,21 +369,11 @@ def _show_warning(message, *_):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "simulate": _cmd_simulate,
-        "decay": _cmd_decay,
-        "entropy-pair": _cmd_entropy_pair,
-        "region-check": _cmd_region_check,
-        "convergence": _cmd_convergence,
-        "eigen": _cmd_eigen,
-    }
     try:
+        args = build_parser().parse_args(argv)
         with warnings.catch_warnings():  # forked --jobs workers inherit it
             warnings.showwarning = _show_warning
-            return handlers[args.command](args)
+            return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

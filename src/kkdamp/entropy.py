@@ -30,6 +30,7 @@ class EntropyPair:
     deta: Callable          # eta'
     q: Callable
     label: str
+    # the flux's cumulative integral F is within quadrature_tol * max(1, max |F|)
     quadrature_tol: float
     m: float | None = None  # exponent when eta = r**m, else None
 

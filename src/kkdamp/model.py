@@ -19,6 +19,7 @@ grad(lambda_2) . r2_hat = 2 phi'(r) + r phi''(r).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
@@ -320,7 +321,9 @@ class PhiModel:
     def from_file(cls, path, r_max: float | None = None) -> "PhiModel":
         """Two-column whitespace table (r, phi); '#' comment lines allowed."""
         try:
-            data = np.loadtxt(path, comments="#", ndmin=2)
+            with warnings.catch_warnings():  # an empty table is refused below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(path, comments="#", ndmin=2)
         except OSError as exc:
             raise ConfigError(f"cannot read phi table: {exc}") from exc
         if data.shape[1] != 2:

@@ -50,10 +50,12 @@ class CumulativeIntegral:
     zero (integrands like s**(m-1) phi'(s) may be singular there but
     integrable), accumulated and interpolated with a cubic spline. The
     spline is spot-checked against direct adaptive quadrature at probe
-    points; on failure the node count doubles, up to `max_nodes`, after
-    which QuadratureFailure is raised. So it is when the probe integrals or
-    the cumulative sums are not finite or the spline cannot be built (its
-    slopes overflow); each message names r_max.
+    points, to within `abs_tol * max(1, max |F(probe)|)`: absolute for
+    integrals up to 1, relative beyond, where an absolute 1e-10 would be
+    below the rounding of F itself. On failure the node count doubles, up
+    to `max_nodes`, after which QuadratureFailure is raised. So it is when
+    the probe integrals or the cumulative sums are not finite or the spline
+    cannot be built (its slopes overflow); each message names r_max.
     """
 
     def __init__(
@@ -79,16 +81,17 @@ class CumulativeIntegral:
         if not np.all(np.isfinite(direct)):
             raise self._failure("probe integrals are not finite")
 
+        tol = self.abs_tol * max(1.0, float(np.max(np.abs(direct))))
         n = int(n_init)
         while True:
             self._build(n)
             err = np.max(np.abs(self(probes) - direct))
-            if err <= self.abs_tol:
+            if err <= tol:
                 self.probe_error = float(err)
                 return
             if n >= max_nodes:
                 raise self._failure(
-                    f"not within {self.abs_tol:g} at {max_nodes} nodes (probe error {err:.3e})"
+                    f"not within {tol:g} at {max_nodes} nodes (probe error {err:.3e})"
                 )
             n *= 2
 

@@ -41,13 +41,12 @@ class PieceReport:
 
     `outward_max` is the largest sampled component of g along the outward
     normal of Sigma on that piece; the piece passes when it is <= 0 up to
-    rounding. `reversed_min` records the same dot product for the sign
-    convention h = (+a u, +b v), so either orientation can be audited."""
+    rounding. Under the opposite sign convention h = (+a u, +b v) every
+    component flips sign, so -outward_max is that flow's smallest one."""
 
     name: str
     outward_max: float
     outward_min: float
-    reversed_min: float
     passed: bool
     n_samples: int
 
@@ -83,7 +82,6 @@ def _piece(name: str, dots_outward: np.ndarray) -> PieceReport:
         name=name,
         outward_max=float(np.max(dots_outward)),
         outward_min=float(np.min(dots_outward)),
-        reversed_min=float(np.min(-dots_outward)),
         passed=bool(np.max(dots_outward) <= 1e-12),
         n_samples=int(dots_outward.size),
     )

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kkdamp
-from kkdamp.cli import main
+from kkdamp.cli import build_parser, main
 
 SMALL = """\
 name = {name}
@@ -54,15 +55,9 @@ def _count_marches(monkeypatch) -> list:
 
 
 def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["definitely-not-a-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["entropy-pair"])  # missing required options
-    assert exc.value.code == 2
+    assert main(["definitely-not-a-command"]) == 2
+    assert main([]) == 2
+    assert main(["entropy-pair"]) == 2  # missing required options
 
 
 def test_run_single_scenario(tmp_path, capsys, monkeypatch):
@@ -548,6 +543,27 @@ def test_missing_tabulated_phi_file_is_a_parse_error(tmp_path, capsys):
     assert "no_table.txt" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("table_text", ["", "# r phi\n# nothing tabulated\n"],
+                         ids=["empty", "comments-only"])
+@pytest.mark.parametrize(
+    "argv",
+    ["eigen --phi tabulated:{table} --state 1,1",
+     "region-check --phi tabulated:{table} --a 0.6 --b 0.2",
+     "run {cfg} --output-dir {out}"],
+    ids=["eigen", "region-check", "scenario"],
+)
+def test_a_phi_table_without_data_is_refused_with_one_error_line(tmp_path, capsys, argv,
+                                                                 table_text):
+    table = tmp_path / "table.txt"
+    table.write_text(table_text)
+    cfg = write_scenario(tmp_path, "tab", SMALL.format(name="tab").replace(
+        "phi = power:1", f"phi = tabulated:{table}"))
+    assert main(argv.format(table=table, cfg=cfg, out=tmp_path / "out").split()) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert err.endswith(f"{table}: expected two columns (r, phi)\n") and out == ""
+
+
 def test_unknown_phi_family_is_a_parse_error_at_the_phi_value(tmp_path, capsys):
     text = SMALL.format(name="fam").replace("phi = power:1", "phi = vortex:2")
     code, err = _run_text(tmp_path, capsys, "fam", text)
@@ -666,16 +682,17 @@ def test_run_refuses_a_batch_whose_set_up_fails_before_any_march(tmp_path, capsy
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("decay {cfg} --p foo --output-dir {out}", "--p: expected one number, got 'foo'"),
+        ("decay {cfg} --p foo --output-dir {out}",
+         "argument --p: expected one number, got 'foo'"),
         ("convergence {cfg} --epsilons a,b --output-dir {out}",
-         "--epsilons: expected comma-separated numbers, got 'a,b'"),
-        ("eigen --phi power:1 --state a,b", "--state: expected 2 numbers, got 'a,b'"),
-        ("eigen --phi power:1 --state 1,2,3", "--state: expected 2 numbers, got '1,2,3'"),
+         "argument --epsilons: expected comma-separated numbers, got 'a,b'"),
+        ("eigen --phi power:1 --state a,b", "argument --state: expected 2 numbers, got 'a,b'"),
+        ("eigen --phi power:1 --state 1,2,3", "argument --state: expected 2 numbers, got '1,2,3'"),
         ("entropy-pair --m 2 --phi power:1 --n -1 --output-dir {out}",
-         "--n: must be >= 0, got '-1'"),
+         "argument --n: must be >= 0, got -1"),
         ("entropy-pair --m 2 --phi power:1 --n 2.5 --output-dir {out}",
-         "--n: expected one integer, got '2.5'"),
-        ("run {cfg} --jobs 0 --output-dir {out}", "--jobs: must be >= 1, got 0"),
+         "argument --n: expected one integer, got '2.5'"),
+        ("run {cfg} --jobs 0 --output-dir {out}", "argument --jobs: must be >= 1, got 0"),
     ],
     ids=["decay-p", "convergence-epsilons", "eigen-state", "eigen-state-count", "entropy-pair-n",
          "entropy-pair-n-integer", "run-jobs"],
@@ -686,6 +703,37 @@ def test_bad_option_values_exit_2_with_one_line(tmp_path, capsys, argv, message)
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()  # refused before anything ran
+
+
+def _typed_options() -> list:
+    """(command, option) for each option of each command whose value
+    argparse converts from text."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [(name, action.option_strings[-1]) for name, command in sub.choices.items()
+            for action in command._actions if action.option_strings and action.type is not None]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        *(([command, option, "abc"], f"argument {option}: ")
+          for command, option in _typed_options()),
+        (["definitely-not-a-command"], "argument command: invalid choice: "),
+        (["eigen", "--phi", "power:1", "--state", "3,4", "--bogus"],
+         "unrecognized arguments: --bogus"),
+        (["entropy-pair", "--phi", "power:1"], "the following arguments are required: --m"),
+        (["eigen", "--state", "3,4", "--phi"], "argument --phi: expected one argument"),
+    ],
+    ids=[*(f"{c} {o}" for c, o in _typed_options()),
+         "unknown-command", "unknown-option", "missing-option", "missing-value"],
+)
+def test_every_usage_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []  # refused before anything ran
 
 
 @pytest.mark.parametrize(
@@ -1004,9 +1052,9 @@ def _address_space_limit():
         ("run {times} --output-dir {out}", 1,
          "output_times: 64 snapshots of 1048576 cells would need more than 1 GiB"),
         ("entropy-pair --m 2 --phi power:1 --n 1000000000 --output-dir {out}", 2,
-         "--n: must be <= 10000000, got 1000000000"),
+         "argument --n: must be <= 10000000, got 1000000000"),
         ("region-check --a 0.6 --b 0.2 --samples 1000000000", 2,
-         "--samples: must be <= 10000000, got 1000000000"),
+         "argument --samples: must be <= 10000000, got 1000000000"),
     ],
     ids=["n_outputs", "output_times", "entropy-pair-n", "region-check-samples"],
 )

@@ -85,6 +85,17 @@ def test_power_pair_shifted_phi_m3():
     assert np.max(np.abs(pair.q(rs) - exact)) <= 1e-7
 
 
+@pytest.mark.parametrize("m, gamma, r_max", [(4.0, 2.0, 10.0), (6.0, 1.0, 10.0),
+                                              (2.0, 1.0, 100.0)])
+def test_power_pair_with_large_moments_is_built(m, gamma, r_max):
+    # the moment int_0^r s^(m-1) phi reaches 1.7e5 to 1.4e6 here, where an
+    # absolute 1e-10 is below its rounding: the tolerance scales with it
+    pair = ent.power_entropy_pair(m, md.PhiModel.power(gamma, r_max=r_max))
+    rs = np.linspace(0.0, r_max, 81)
+    exact = m * (gamma + 1.0) / (m + gamma) * rs ** (m + gamma)
+    assert np.max(np.abs(pair.q(rs) - exact)) <= 1e-9 * exact[-1]
+
+
 def test_power_pair_rejects_small_m():
     for m in (0.5, np.nan, np.inf):
         with pytest.raises(ConfigError):

@@ -40,7 +40,7 @@ def test_boundary_flow_signs_with_zero_lower_edge():
     assert rep.z_lower.passed and rep.z_lower.outward_max == 0.0
     assert rep.passed and rep.inward_except_lower
     # reversed orientation (source +au, +bv) flips every sign
-    assert rep.z_upper.reversed_min == pytest.approx(0.8, abs=1e-14)
+    assert -rep.z_upper.outward_max == pytest.approx(0.8, abs=1e-14)
 
 
 def test_boundary_flow_flags_positive_lower_edge():
