@@ -31,9 +31,9 @@ The output root is --output-dir unless KKD_OUTPUT_DIR is set.
 `run` marches its scenarios in worker processes, one per CPU the process
 may use and at most one per scenario, unless `--jobs` says otherwise; with
 one worker it marches in this process. Peak memory grows to one march per
-worker. A march error does not stop the other marches: every scenario is
-marched, the verdict lines of those that finished are printed in scenario
-order, then one `error:` line for the first error, and `run` exits 1.
+worker. A march error, or an output directory that cannot be made, does
+not stop the other marches: the verdicts of those that finished are
+printed in scenario order, then one `error:` line for the first error; exit 1.
 
 Each handler imports the modules it runs, so a short command such as
 `eigen` loads only the model.
@@ -285,12 +285,10 @@ def _cmd_entropy_pair(args) -> int:
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     pair = power_entropy_pair(args.m, phi)
     rs = np.linspace(0.0, phi.r_max, args.n)
-    if args.out is not None:
-        out_path = Path(args.out)
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        safe_phi = args.phi.replace(":", "_").replace(",", "_").replace("/", "_")
-        out_path = output_dir(args.output_dir) / f"entropy_pair_m{args.m:g}_{safe_phi}.tsv"
+    safe_phi = args.phi.replace(":", "_").replace(",", "_").replace("/", "_")
+    out_path = (Path(args.out) if args.out is not None
+                else output_dir(args.output_dir) / f"entropy_pair_m{args.m:g}_{safe_phi}.tsv")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_table(out_path, ("r", "q"), (rs, np.asarray(pair.q(rs), dtype=float)),
                 comments=(f"entropy flux table: eta = r**{args.m:g}, phi = {phi.label}",))
     m_sup = phi.sup_phi()
@@ -328,10 +326,12 @@ def _cmd_region_check(args) -> int:
 
 def _cmd_convergence(args) -> int:
     from .solver import write_table
-    from .viscous import vanishing_viscosity_sweep
+    from .viscous import check_epsilons, vanishing_viscosity_sweep
 
     s = _set_up_without_checks(args)
-    report = vanishing_viscosity_sweep(s.init, s.phi, s.damping, s.config, args.epsilons)
+    epsilons = check_epsilons(args.epsilons)  # before the output directory is made
+    s.out_dir.mkdir(parents=True, exist_ok=True)
+    report = vanishing_viscosity_sweep(s.init, s.phi, s.damping, s.config, epsilons)
     rows = report.rows
     out_path = write_table(
         s.out_dir / f"{s.scenario.name}_viscosity_sweep.tsv",

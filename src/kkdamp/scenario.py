@@ -11,8 +11,8 @@ component. The values a model constructor takes (phi, damping, grid,
 march config, `init.mollify_eps`, containment bounds) and combinations (a
 missing required key, a < b, too few output times for a rate fit) are
 refused by their owner in `set_up`, which builds a scenario's models and
-initial field once, before any march.
-`run_set_up` marches, checks and writes under <output root>/<name>/:
+initial field once, before any march, and writes nothing. `run_set_up`
+makes <output root>/<name>/, then marches, checks and writes there:
 
     <name>_t<time>.tsv      snapshots (x, u, v, r, W, Z), '#' headers
     <name>_norms.tsv        norm series per output time
@@ -323,12 +323,10 @@ def parse_scenario(path) -> Scenario:
 
 
 def output_dir(explicit=None, name: str = "") -> Path:
-    """<output root>/<name>, created if missing. The root is KKD_OUTPUT_DIR
+    """<output root>/<name>, not created here. The root is KKD_OUTPUT_DIR
     when set, else `explicit`, else ./kkd_out."""
     env = os.environ.get("KKD_OUTPUT_DIR")
-    out = Path(env or (DEFAULT_OUTPUT_ROOT if explicit is None else explicit)) / name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(env or (DEFAULT_OUTPUT_ROOT if explicit is None else explicit)) / name
 
 
 @dataclass
@@ -486,20 +484,19 @@ class SetUp:
     damping: Damping
     init: StateField
     config: SolverConfig
-    out_dir: Path | None = None  # made once every refusal has passed
+    out_dir: Path  # <output root>/<name>, which run_set_up makes
     checks: dict = field(default_factory=dict)  # {name: what its prepare returned}, checks on
 
 
 def set_up(sc: Scenario, out_root=None) -> SetUp:
     """Build the scenario's models, config and initial field, let each
     check that is on make its refusals and prepare its run, check the
-    snapshot names, create <output root>/<name>/ and warn if phi fails the
-    structure condition: all before a march, once per scenario."""
+    snapshot names and warn if phi fails the structure condition: once
+    per scenario, before any march, and writing nothing."""
     phi, d, grid, cfg = sc.phi_model(), sc.damping(), sc.grid(), sc.solver_config()
-    s = SetUp(sc, phi, d, sc.initial_field(grid), cfg)
+    s = SetUp(sc, phi, d, sc.initial_field(grid), cfg, output_dir(out_root, sc.name))
     s.checks = {c.name: c.prepare(s) for c in CHECKS if sc.get(f"check.{c.name}", False)}
     _check_snapshot_names(sc, _snapshot_selection(sc, [s.init.t, *cfg.output_times]))
-    s.out_dir = output_dir(out_root, sc.name)
     if not phi.c1_report.satisfied:
         warnings.warn(
             f"{phi.label} fails the structure condition (r phi' vanishes); "
@@ -515,9 +512,10 @@ def run_scenario(sc: Scenario, out_root=None) -> RunResult:
 
 
 def run_set_up(s: SetUp) -> RunResult:
-    """March a set-up scenario, run its enabled checks, write its artifacts."""
+    """Make the output directory, march, run the enabled checks, write the artifacts."""
     t_wall = time.perf_counter()
     sc, phi, out_dir = s.scenario, s.phi, s.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
     traj = simulate(s.init, phi, s.damping, s.config)
 
     checks: dict[str, bool] = {}

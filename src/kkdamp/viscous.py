@@ -40,6 +40,18 @@ class SweepReport:
     distances: np.ndarray
 
 
+def check_epsilons(eps_values: Sequence[float]) -> list:
+    """The sweep's eps values as floats: two or more, each valid, strictly decreasing."""
+    eps_values = [float(e) for e in eps_values]
+    if len(eps_values) < 2:
+        raise ConfigError("need at least two eps values")
+    for e in eps_values:
+        _check_eps(e)
+    if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
+        raise ConfigError("eps values must be strictly decreasing")
+    return eps_values
+
+
 def vanishing_viscosity_sweep(
     init: StateField,
     phi: PhiModel,
@@ -49,14 +61,7 @@ def vanishing_viscosity_sweep(
 ) -> SweepReport:
     """L1 distance between the viscous and inviscid solutions at the final
     output time, for each eps in decreasing order."""
-    eps_values = [float(e) for e in eps_values]
-    if len(eps_values) < 2:
-        raise ConfigError("need at least two eps values")
-    for e in eps_values:  # every eps before the first march
-        _check_eps(e)
-    if any(b >= a for a, b in zip(eps_values, eps_values[1:])):
-        raise ConfigError("eps values must be strictly decreasing")
-
+    eps_values = check_epsilons(eps_values)  # every eps before the first march
     reference = simulate(init, phi, d, replace(cfg, eps=0.0))
     ref = reference[-1]
     dx = init.grid.dx

@@ -12,14 +12,17 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 # a stand-in harness: each run reports the next ns_per_cell_step of values.txt
-# (peak_rss_mb too) and appends the checkout's name to log
+# (peak_rss_mb too), appends the checkout's name to log and the length of
+# the BENCH_PAIRS_PAD layout filler to pads
 FAKE_RUN = """\
-import json, pathlib
+import json, os, pathlib
 here = pathlib.Path.cwd()
 values = (here / "values.txt").read_text().split()
 (here / "values.txt").write_text(" ".join(values[1:]))
 with open(here.parent / "log", "a") as log:
     log.write(here.name + "\\n")
+with open(here.parent / "pads", "a") as pads:
+    pads.write(str(len(os.environ["BENCH_PAIRS_PAD"])) + "\\n")
 metrics = {"ns_per_cell_step": float(values[0]), "peak_rss_mb": float(values[0])}
 print("{}")
 print(json.dumps({"correct": values[0] != "0", "attempted": 1, "failed": int(values[0] == "0"),
@@ -47,6 +50,18 @@ def test_pairs_alternate_and_count_wins(tmp_path, capsys):
     assert "ns_per_cell_step: 21.5 (IQR 20.25-28) -> 17.5 (-18.6%), better in 3 of 4\n" in out
     # where higher is better the same values win only the second pair
     assert "peak_rss_mb: 21.5 (IQR 20.25-28) -> 17.5 (-18.6%), better in 1 of 4\n" in out
+
+
+def test_both_runs_of_a_pair_share_a_layout_padding_that_changes_between_pairs(tmp_path,
+                                                                                capsys):
+    parent = _checkout(tmp_path, "parent", list(range(10, 20)))
+    change = _checkout(tmp_path, "change", list(range(10, 20)))
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "10"]) == 0
+    pads = [int(n) for n in (tmp_path / "pads").read_text().split()]
+    pairs = list(zip(pads[::2], pads[1::2]))
+    assert all(first == second for first, second in pairs)
+    assert all(a[0] != b[0] for a, b in zip(pairs, pairs[1:]))
+    assert [first for first, _ in pairs] == [512 * (k % 8) for k in range(10)]
 
 
 def test_a_median_worse_than_its_bound_is_flagged(tmp_path, capsys):

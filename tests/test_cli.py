@@ -675,8 +675,8 @@ def test_run_refuses_a_batch_whose_set_up_fails_before_any_march(tmp_path, capsy
     assert capsys.readouterr().err == (
         "error: damping: need a >= b (damping-order condition C2), got a=0.1 < b=0.2\n"
     )
-    # every scenario is set up before any marches: at most empty directories
-    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+    # every scenario is set up before any marches, and a set-up writes nothing
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -909,7 +909,7 @@ def test_a_bad_check_or_init_value_refuses_the_batch_before_any_march(
     # and no warning line
     assert capsys.readouterr().err == f"error: {message}\n".format(bad=bad)
     assert marches == []
-    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["run", "simulate", "decay", "convergence"])
@@ -933,8 +933,11 @@ def test_every_command_refuses_a_bad_check_option_at_parse(tmp_path, capsys, mon
     "argv, message",
     [("convergence {cfg} --epsilons 0.1,nan", "eps must be finite and nonnegative, got nan"),
      ("convergence {cfg} --epsilons 0.1,-0.05", "eps must be finite and nonnegative, got -0.05"),
+     ("convergence {cfg} --epsilons 0.1", "need at least two eps values"),
+     ("convergence {cfg} --epsilons 0.05,0.1", "eps values must be strictly decreasing"),
      ("decay {cfg} --p 0.5", "p must be >= 1 or inf, got 0.5")],
-    ids=["convergence-nan", "convergence-negative", "decay-p"],
+    ids=["convergence-nan", "convergence-negative", "convergence-one-eps",
+         "convergence-increasing", "decay-p"],
 )
 def test_a_bad_command_value_is_refused_before_any_march(tmp_path, capsys, monkeypatch, argv,
                                                          message):
@@ -944,6 +947,7 @@ def test_a_bad_command_value_is_refused_before_any_march(tmp_path, capsys, monke
     assert code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert marches == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -973,7 +977,7 @@ def test_a_schedule_too_short_for_a_rate_fit_is_refused_before_any_march(
         f"march and needs >= 5 of them, got {got}\n"
     )
     assert marches == []
-    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+    assert not out.exists()
 
 
 def test_a_schedule_with_five_times_in_the_fit_window_runs(tmp_path, capsys):
@@ -1007,7 +1011,7 @@ def test_decay_refuses_a_schedule_too_short_for_its_fit_before_the_march(
         "march and needs >= 5 of them, got 4\n"
     )
     assert marches == []
-    assert [p for p in out.rglob("*") if not p.is_dir()] == []
+    assert not out.exists()
 
 
 def _const_scenario(tmp_path, name):

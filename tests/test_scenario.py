@@ -212,6 +212,17 @@ def test_env_var_overrides_output_root(tmp_path, monkeypatch):
     assert res.out_dir == tmp_path / "env_root" / "demo"
 
 
+def test_set_up_writes_nothing_and_the_march_makes_the_output_directory(tmp_path,
+                                                                        monkeypatch):
+    monkeypatch.delenv("KKD_OUTPUT_DIR", raising=False)
+    s = sn.set_up(sn.parse_scenario_text(GOOD), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    assert s.out_dir == tmp_path / "out" / "demo"
+    res = sn.run_set_up(s)
+    assert sorted(res.artifacts) == sorted(s.out_dir.iterdir())
+    assert len(res.artifacts) == 11  # 9 snapshots, the norm series and the manifest
+
+
 def test_riemann_and_constant_profiles():
     text = """\
 name = rp

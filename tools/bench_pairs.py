@@ -5,7 +5,12 @@
 Each pair runs `python3 benchmarks/run.py --workload W --seed S --seconds T
 --trace 0` once in each checkout, from that checkout's root and with its
 own harness, unchanged. Odd pairs run PARENT first and even pairs CHANGE
-first, so drift in the machine's speed falls on both sides alike. For each
+first, so drift in the machine's speed falls on both sides alike. Pair k
+runs both sides with the environment variable BENCH_PAIRS_PAD set to
+512 * (k % 8) filler bytes: nothing reads it, but it shifts where the
+process lays out its stack and environment, so a metric that moves with
+that layout alone varies within each side instead of splitting them. The
+padding is always on and has no option. For each
 end-to-end metric the script prints both sides' medians, PARENT's
 quartiles, the relative change of the medians and how many pairs CHANGE
 won (ties count for neither side). Which direction is better, and the
@@ -21,17 +26,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metric values of one untraced harness run in checkout."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, pad: int) -> dict:
+    """The metric values of one untraced harness run in checkout, with
+    BENCH_PAIRS_PAD set to pad filler bytes."""
     argv = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    env = {**os.environ, "BENCH_PAIRS_PAD": "x" * pad}
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: harness exited {proc.returncode}: {proc.stderr.strip()}")
@@ -97,7 +105,8 @@ def main(argv=None) -> int:
     try:
         for k in range(args.pairs):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
-                runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds))
+                runs[side].append(run_once(sides[side], args.workload, args.seed, args.seconds,
+                                           pad=512 * (k % 8)))
             line = "  ".join(f"{m} {runs['parent'][-1][m]:.4g} -> {runs['change'][-1][m]:.4g}"
                              for m in runs["change"][-1])
             print(f"pair {k + 1}: {line}", flush=True)
