@@ -8,7 +8,9 @@ which is integrated cumulatively from 0. For the power family eta = r**m
 
     q(r) = m r**m phi(r) - m (m - 1) int_0^r s**(m-1) phi(s) ds,
 
-which is what `power_entropy_pair` evaluates.
+which is what `power_entropy_pair` evaluates. Since q' = m r**(m-1) lambda_2,
+|q(r)| <= r**m sup_[0,r] |lambda_2|, and `power_entropy_pair` refuses a
+pair whose quadrature breaks that bound.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import model as md
-from .errors import ConfigError, NonLipschitz
+from .errors import ConfigError, NonLipschitz, QuadratureFailure
 from .quadrature import CumulativeIntegral
 
 
@@ -52,13 +54,32 @@ class BoundReport:
 def power_entropy_pair(
     m: float, phi: md.PhiModel, quadrature_tol: float = 1e-10
 ) -> EntropyPair:
-    """Entropy pair (r**m, q) for m >= 1 on [0, phi.r_max]."""
+    """Entropy pair (r**m, q) for m >= 1 on [0, phi.r_max].
+
+    ConfigError if m (m - 1), or s**(m - 1) on [0, r_max], overflows.
+    Since q' = m r**(m-1) lambda_2, |q(r)| <= r**m sup_[0,r] |lambda_2|.
+    QuadratureFailure if q breaks that bound at a probe radius of the
+    moment by more than m (m - 1) times the moment's error there (the
+    spline's probe error plus quad's estimate) plus a relative 1e-9, which
+    const:c needs, as it meets the bound with equality. This catches a
+    large m, whose integrand peaks at r_max between every node: probes and
+    spline then agree on a moment of about 0, and q(r_max) reads about
+    m r_max**m phi(r_max). sup |lambda_2| is taken as the running maximum
+    of the wave speed max(|phi|, |lambda_2|): at the probe radii alone for
+    power, shifted and const, whose speed grows with r and is |lambda_2|,
+    and also over 4096 even radii for a tabulated phi, a sampled sup."""
     if not 1.0 <= m < np.inf:
         raise ConfigError(f"power entropy needs finite m >= 1, got {m}")
     m = float(m)
-    moment = CumulativeIntegral(
-        lambda s: s ** (m - 1.0) * float(phi.phi(s)), phi.r_max, abs_tol=quadrature_tol
-    )
+    if not m * (m - 1.0) < np.inf:
+        raise ConfigError(f"power entropy needs a finite m (m - 1), got m = {m:g}")
+    try:
+        moment = CumulativeIntegral(
+            lambda s: s ** (m - 1.0) * float(phi.phi(s)), phi.r_max, abs_tol=quadrature_tol
+        )
+    except OverflowError as exc:  # a float s**(m - 1) raises instead of reading inf
+        raise ConfigError(f"power entropy m={m:g}: s**(m - 1) overflows on "
+                          f"[0, r_max = {phi.r_max:g}]") from exc
 
     def eta(r):
         return np.asarray(r, dtype=float) ** m
@@ -72,6 +93,21 @@ def power_entropy_pair(
     def q(r):
         r = np.asarray(r, dtype=float)
         return (m * r**m * phi.phi(r) - m * (m - 1.0) * moment(r))[()]
+
+    rs = moment.probes
+    grid = rs if phi.speed_grows_with_r else np.union1d(np.linspace(0.0, phi.r_max, 4096), rs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        speed = np.maximum.accumulate(phi.wave_speed(grid, phi.phi(grid)))
+        cap = rs**m * speed[np.searchsorted(grid, rs)]
+        q_rs = q(rs)
+        slack = 1e-9 * cap + m * (m - 1.0) * (moment.probe_error + moment.probe_errors)
+        broken = np.nonzero(~(np.abs(q_rs) <= cap + slack))[0]  # a nan q breaks it too
+    if broken.size:
+        i = broken[-1]
+        raise QuadratureFailure(
+            f"power entropy m={m:g}, {phi.label}: q({rs[i]:g}) = {q_rs[i]:g} breaks "
+            f"|q(r)| <= r**m sup |lambda_2| = {cap[i]:g}; the moment's quadrature is wrong there"
+        )
 
     return EntropyPair(
         eta=eta,

@@ -56,6 +56,8 @@ class CumulativeIntegral:
     to `max_nodes`, after which QuadratureFailure is raised. So it is when
     the probe integrals or the cumulative sums are not finite or the spline
     cannot be built (its slopes overflow); each message names r_max.
+    `probes` holds the probe radii and `probe_errors` quad's estimate of
+    each probe integral's absolute error.
     """
 
     def __init__(
@@ -74,10 +76,10 @@ class CumulativeIntegral:
         self.r_max = float(r_max)
         self.abs_tol = float(abs_tol)
 
-        probes = self.r_max * np.array(
+        self.probes = probes = self.r_max * np.array(
             [1e-4, 1e-3, 1e-2, 0.05, 0.13, 0.25, 0.41, 0.5, 0.66, 0.79, 0.9, 1.0]
         )
-        direct = np.array([self._direct(r) for r in probes])
+        direct, self.probe_errors = np.array([self._direct(r) for r in probes]).T
         if not np.all(np.isfinite(direct)):
             raise self._failure("probe integrals are not finite")
 
@@ -98,13 +100,13 @@ class CumulativeIntegral:
     def _failure(self, why: str) -> QuadratureFailure:
         return QuadratureFailure(f"cumulative integral on [0, r_max = {self.r_max:g}]: {why}")
 
-    def _direct(self, r: float) -> float:
+    def _direct(self, r: float) -> tuple[float, float]:
+        """int_0^r f by adaptive quadrature, and quad's estimate of its absolute error."""
         if r == 0.0:
-            return 0.0
+            return 0.0, 0.0
         from scipy.integrate import quad
 
-        val, _ = quad(self.f, 0.0, r, epsabs=self.abs_tol * 0.1, epsrel=1e-12, limit=400)
-        return val
+        return quad(self.f, 0.0, r, epsabs=self.abs_tol * 0.1, epsrel=1e-12, limit=400)
 
     def _build(self, n: int):
         from scipy.integrate import quad
@@ -139,6 +141,6 @@ class CumulativeIntegral:
         if small.size:
             flat_out = np.atleast_1d(out).ravel()
             for i in small:
-                flat_out[i] = self._direct(float(flat_r[i]))
+                flat_out[i] = self._direct(float(flat_r[i]))[0]
             out = flat_out.reshape(np.shape(rc))
         return out[()]

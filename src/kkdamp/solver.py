@@ -33,6 +33,8 @@ per step. `init` and the snapshots are never recycled. Each phi
 family supplies the wave speed from r and that phi(r)
 (`PhiModel.wave_speed`), so `power` never evaluates r phi'.
 Finiteness is validated once per step.
+A `Grid1D` is its four numbers: its cell centres are computed where they
+are read, so no grid holds a state-sized array.
 `write_table` owns the format of every artifact table: snapshots, norm
 series, the viscosity sweep and entropy-flux tables.
 """
@@ -43,7 +45,6 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -73,6 +74,11 @@ TILE = 8192
 
 @dataclass(frozen=True)
 class Grid1D:
+    """A uniform grid of n_cells cells on [x_lo, x_hi]. It holds these four
+    values and nothing derived: `dx` and `centers` are computed each time
+    they are read, so a grid, and each set-up or worker that keeps one,
+    carries no n-cell array. A caller reads `centers` once per use."""
+
     x_lo: float
     x_hi: float
     n_cells: int
@@ -99,7 +105,7 @@ class Grid1D:
     def dx(self) -> float:
         return (self.x_hi - self.x_lo) / self.n_cells
 
-    @cached_property
+    @property
     def centers(self) -> np.ndarray:
         return self.x_lo + (np.arange(self.n_cells) + 0.5) * self.dx
 

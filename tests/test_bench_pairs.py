@@ -1,10 +1,13 @@
 """tools/bench_pairs.py runs each checkout's harness in interleaved,
 order-alternating pairs and reports medians, the parent's quartiles, the
-relative change, the change's wins and medians worse than their bound."""
+relative change, the change's wins, medians worse than their bound and gains
+that clear the nine-tenths and IQR rule."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
@@ -99,3 +102,23 @@ def test_the_summary_ends_with_one_json_line(tmp_path, capsys):
                                                                           "lower")
     assert record["metrics"]["ns_per_cell_step"]["wins"] == 1
     assert set(record["metrics"]) == {"ns_per_cell_step", "peak_rss_mb"}
+
+
+@pytest.mark.parametrize("parent_values, change_values, resolved", [
+    ([10, 11] * 5, [8] * 10, True),
+    ([10, 11] * 5, [8] * 8 + [12] * 2, False),
+    ([10, 14] * 5, [9.5] * 10, False),
+], ids=["resolved", "too-few-wins", "gap-inside-the-iqr"])
+def test_a_gain_is_resolved_by_nine_tenths_of_wins_and_a_gap_beyond_the_iqr(
+        tmp_path, capsys, parent_values, change_values, resolved):
+    # resolved: 10 of 10 wins, medians 10.5 -> 8 against an IQR of 1;
+    # too few wins: the same gap, 8 of 10; inside the IQR: 10 of 10, but
+    # medians 12 -> 9.5 against an IQR of 4
+    parent = _checkout(tmp_path, "parent", parent_values)
+    change = _checkout(tmp_path, "change", change_values)
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "10"]) == 0
+    out = capsys.readouterr().out
+    record = json.loads(out.splitlines()[-1])
+    assert record["metrics"]["ns_per_cell_step"]["gain_resolved"] is resolved
+    summary = next(ln for ln in out.splitlines() if ln.startswith("  ns_per_cell_step: "))
+    assert summary.endswith(", gain resolved") is resolved

@@ -414,6 +414,24 @@ def test_a_multi_line_warning_prints_as_one_line(tmp_path):
     assert all(ln.startswith(("warning: ", "error: ")) for ln in lines), proc.stderr
 
 
+@pytest.mark.parametrize("m, r_max, message", [
+    ("3e6", "1", "error: power entropy m=3e+06, power:1: q(1) = 3e+06 breaks |q(r)| <= "
+     "r**m sup |lambda_2| = 2; the moment's quadrature is wrong there"),
+    ("1e8", "1", "error: power entropy m=1e+08, power:1: q(1) = 1e+08 breaks |q(r)| <= "
+     "r**m sup |lambda_2| = 2; the moment's quadrature is wrong there"),
+    ("1e160", "1", "error: power entropy needs a finite m (m - 1), got m = 1e+160"),
+    ("1000", "10", "error: power entropy m=1000: s**(m - 1) overflows on [0, r_max = 10]"),
+], ids=["peak-between-nodes", "moment-of-zero", "m-squared-overflows", "s-power-overflows"])
+def test_entropy_pair_refuses_an_m_it_cannot_integrate_with_one_line(tmp_path, m, r_max,
+                                                                     message):
+    # a fresh process, so that a numpy warning would print as it does for a user
+    # (the exact q(1) is 2m/(m+1), about 2)
+    proc = _cli_process(["entropy-pair", "--m", m, "--phi", "power:1", "--r-max", r_max,
+                         "--output-dir", tmp_path / "out"], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message + "\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_region_check_flags_lower_edge(capsys):
     code = main(["region-check", "--phi", "power:1", "--a", "0.6", "--b", "0.2"])
     assert code == 1  # default region has C1 = 0.5 > 0: outward

@@ -96,6 +96,16 @@ def test_power_pair_with_large_moments_is_built(m, gamma, r_max):
     assert np.max(np.abs(pair.q(rs) - exact)) <= 1e-9 * exact[-1]
 
 
+def test_power_pair_with_a_large_m_meets_its_closed_form():
+    # q = 2m/(m+1) r^(m+1) for phi = r: the bound check passes it, and const:c,
+    # where q = c r^m meets |q| <= r^m sup |lambda_2| with equality, too
+    m = 1e4
+    pair = ent.power_entropy_pair(m, md.PhiModel.power(1.0, r_max=1.0))
+    assert abs(pair.q(1.0) - 2.0 * m / (m + 1.0)) <= 1e-9
+    pair = ent.power_entropy_pair(1e3, md.PhiModel.constant(2.0, r_max=1.0))
+    assert pair.q(1.0) == pytest.approx(2.0, rel=1e-9)
+
+
 def test_power_pair_rejects_small_m():
     for m in (0.5, np.nan, np.inf):
         with pytest.raises(ConfigError):

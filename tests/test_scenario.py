@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,24 @@ def test_set_up_writes_nothing_and_the_march_makes_the_output_directory(tmp_path
     res = sn.run_set_up(s)
     assert sorted(res.artifacts) == sorted(s.out_dir.iterdir())
     assert len(res.artifacts) == 11  # 9 snapshots, the norm series and the manifest
+
+
+def test_a_set_up_holds_its_initial_field_and_no_other_state_sized_array(tmp_path):
+    # the grid computes its cell centres where they are read, so the set-up's
+    # grid keeps no n-cell array; with cached centres this read 3.0
+    n = 16 * sv.TILE
+    sc = sn.parse_scenario_text(GOOD.replace("n_cells = 64", f"n_cells = {n}"))
+    sn.set_up(sc, tmp_path)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        s = sn.set_up(sc, tmp_path)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert s.init.u.nbytes == 8 * n
+    # the field's u and v, and beside them only small objects (2.004 here)
+    assert retained <= 2.1 * s.init.u.nbytes
 
 
 def test_riemann_and_constant_profiles():

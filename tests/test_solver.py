@@ -42,6 +42,15 @@ def test_grid_validation():
     assert g.centers[0] == pytest.approx(g.dx / 2)
 
 
+def test_a_grid_holds_its_four_numbers_and_computes_its_centres_where_read():
+    g = sv.Grid1D(-1.5, 2.0, 1000, "outflow")
+    x = g.centers
+    assert vars(g) == {"x_lo": -1.5, "x_hi": 2.0, "n_cells": 1000, "boundary": "outflow"}
+    assert not any(isinstance(v, np.ndarray) for v in vars(g).values())
+    assert x.tobytes() == (-1.5 + (np.arange(1000) + 0.5) * g.dx).tobytes()
+    assert g.centers is not x and g.centers.tobytes() == x.tobytes()
+
+
 def test_state_field_validation():
     grid = sv.Grid1D(0.0, 1.0, 16)
     with pytest.raises(ValidationError):

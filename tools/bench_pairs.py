@@ -16,10 +16,12 @@ quartiles, the relative change of the medians and how many pairs CHANGE
 won (ties count for neither side). Which direction is better, and the
 bound on a metric's relative worsening, come from CHANGE's BENCHMARK.json;
 a metric whose median worsens by more than its bound is flagged `worse
-beyond bound`. After that summary the script prints one JSON line: the
-workload, seed, pairs and seconds, and under "metrics" each metric's
-`summarise` fields. A run that exits non-zero or reports `"correct": false`
-stops the script with exit 1.
+beyond bound`, and one flagged `gain resolved` when CHANGE won at least
+nine tenths of the pairs and its median beats PARENT's by more than
+PARENT's q3 - q1, the rule a claimed gain must meet. After that summary
+the script prints one JSON line: the workload, seed, pairs and seconds,
+and under "metrics" each metric's `summarise` fields. A run that exits
+non-zero or reports `"correct": false` stops the script with exit 1.
 """
 
 from __future__ import annotations
@@ -61,11 +63,14 @@ def summarise(parent: list, change: list, better: str, bound: float | None = Non
     """Medians, PARENT's quartiles, the relative change of the medians and
     CHANGE's wins over paired runs of one metric; better is "lower" or
     "higher". worse_beyond_bound says whether CHANGE's median is worse than
-    PARENT's by more than bound, a fraction of PARENT's median."""
+    PARENT's by more than bound, a fraction of PARENT's median.
+    gain_resolved says whether CHANGE won at least nine tenths of the pairs
+    and its median beats PARENT's by more than PARENT's q3 - q1."""
     sign = 1.0 if better == "lower" else -1.0
     q1, med, q3 = quartiles(parent)
     change_median = quartiles(change)[1]
     relative = (change_median - med) / abs(med) if med else 0.0
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change, strict=True))
     return {
         "parent_median": med,
         "parent_q1": q1,
@@ -73,8 +78,9 @@ def summarise(parent: list, change: list, better: str, bound: float | None = Non
         "change_median": change_median,
         "relative": relative,
         "worse_beyond_bound": bound is not None and sign * relative > bound,
-        "wins": sum(sign * (c - p) < 0 for p, c in zip(parent, change, strict=True)),
+        "wins": wins,
         "pairs": len(parent),
+        "gain_resolved": 10 * wins >= 9 * len(parent) and sign * (med - change_median) > q3 - q1,
     }
 
 
@@ -120,7 +126,8 @@ def main(argv=None) -> int:
         s = summaries[metric] = summarise(
             [r[metric] for r in runs["parent"]], [r[metric] for r in runs["change"]],
             *rule.get(metric, ("lower", None)))
-        flag = ", worse beyond bound" if s["worse_beyond_bound"] else ""
+        flag = (", worse beyond bound" if s["worse_beyond_bound"] else "") + (
+            ", gain resolved" if s["gain_resolved"] else "")
         print(f"  {metric}: {s['parent_median']:.4g} (IQR {s['parent_q1']:.4g}-"
               f"{s['parent_q3']:.4g}) -> {s['change_median']:.4g} ({s['relative']:+.1%}), "
               f"better in {s['wins']} of {s['pairs']}{flag}")
