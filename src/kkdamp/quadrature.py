@@ -1,4 +1,6 @@
 """Cumulative integrals F(r) = int_0^r f(s) ds with spot-checked accuracy,
+the not-a-knot cubic spline that interpolates them (numpy and LAPACK's
+tridiagonal solve on Python floats, value for value scipy's `CubicSpline`),
 the smooth compactly supported bump used for mollifiers and space-time
 test functions, and the spatial weight of the weighted decay estimates."""
 
@@ -43,21 +45,120 @@ def weight_slope(x):
     return -(x / np.sqrt(1.0 + x * x)) * weight(x)
 
 
+def solve_tridiagonal(dl, d, du, b) -> list[float]:
+    """x with A x = b, for the n x n tridiagonal A with sub-, main and
+    super-diagonals dl, d, du (n >= 2). LAPACK's `dgtsv` for one right-hand
+    side (Anderson et al., LAPACK Users' Guide, 3rd ed., 1999), row by row
+    on Python floats, so bit for bit its result: Gaussian elimination with
+    partial pivoting, whose row swaps fill a second super-diagonal, then
+    back substitution. ValueError on a zero pivot, where dgtsv returns
+    info > 0."""
+    dl, d, du, b = (np.asarray(a, dtype=float).tolist() for a in (dl, d, du, b))
+    n = len(d)
+    du2 = [0.0] * n  # the fill-in of the row swaps
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ValueError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+        else:  # swap rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                du2[i] = du[i + 1]
+                du[i + 1] = -fact * du2[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise ValueError("singular matrix")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - du2[i] * b[i + 2]) / d[i]
+    return b
+
+
+class NotAKnotSpline:
+    """The not-a-knot cubic spline through (x, y), at least 4 nodes.
+
+    Bit for bit scipy's `CubicSpline(x, y)` in its coefficients `c` and its
+    values: the same slopes, interior rows and not-a-knot end rows, the
+    system solved by `solve_tridiagonal` (scipy's `solve_banded` calls
+    LAPACK `dgtsv`), the Hermite coefficients formed as `CubicHermiteSpline`
+    forms them, and PPoly's evaluation: interval `searchsorted(x, r,
+    "right") - 1` clipped to [0, n - 2] (half-open intervals, the last one
+    closed, the end pieces extrapolated), summed in PPoly's power-series
+    order. ValueError, where scipy raised one too, for nodes that are not
+    strictly increasing, a singular system or derivatives that are not
+    finite, and also for coefficients that are not finite (scipy warned
+    and kept them)."""
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        n = len(x)
+        if n < 4:
+            raise ValueError(f"need at least 4 nodes, got {n}")
+        dx = np.diff(x)
+        if not np.all(dx > 0):
+            raise ValueError("nodes are not strictly increasing")
+        with np.errstate(over="ignore", invalid="ignore"):  # dx > 0: no division by zero
+            slope = np.diff(y) / dx
+            d = np.empty(n)
+            d[0], d[1:-1], d[-1] = dx[1], 2 * (dx[:-1] + dx[1:]), dx[-2]
+            du = np.concatenate([[x[2] - x[0]], dx[:-1]])
+            dl = np.concatenate([dx[1:], [x[-1] - x[-3]]])
+            b = np.empty(n)
+            b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+            h = x[2] - x[0]
+            b[0] = ((dx[0] + 2 * h) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / h
+            h = x[-1] - x[-3]
+            b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * h + dx[-1]) * dx[-2] * slope[-1]) / h
+            s = np.array(solve_tridiagonal(dl, d, du, b))
+            if not np.all(np.isfinite(s)):
+                raise ValueError("solved derivatives are not finite")
+            t = (s[:-1] + s[1:] - 2 * slope) / dx
+            self.c = np.stack([t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]])
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError("coefficients are not finite")
+        self.x = x
+
+    def __call__(self, r):
+        r = np.asarray(r, dtype=float)
+        i = np.clip(np.searchsorted(self.x, r, "right") - 1, 0, len(self.x) - 2)
+        s = r - self.x[i]
+        c0, c1, c2, y = self.c[:, i]
+        # PPoly's compiled loop never warns, and its sum starts from 0.0, so
+        # a -0.0 at a node reads +0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            ss = s * s
+            return 0.0 + y + c2 * s + c1 * ss + c0 * (ss * s)
+
+
 class CumulativeIntegral:
     """F(r) = int_0^r f(s) ds on [0, r_max], evaluable on arrays.
 
-    Per-segment adaptive quadrature on nodes clustered quadratically near
-    zero (integrands like s**(m-1) phi'(s) may be singular there but
-    integrable), accumulated and interpolated with a cubic spline. The
-    spline is spot-checked against direct adaptive quadrature at probe
-    points, to within `abs_tol * max(1, max |F(probe)|)`: absolute for
-    integrals up to 1, relative beyond, where an absolute 1e-10 would be
-    below the rounding of F itself. On failure the node count doubles, up
-    to `max_nodes`, after which QuadratureFailure is raised. So it is when
-    the probe integrals or the cumulative sums are not finite or the spline
-    cannot be built (its slopes overflow); each message names r_max.
-    `probes` holds the probe radii and `probe_errors` quad's estimate of
-    each probe integral's absolute error.
+    Per-segment adaptive quadrature (scipy's `quad`) on `n_init` >= 3
+    segments whose nodes cluster quadratically near zero (integrands like
+    s**(m-1) phi'(s) may be singular there but integrable), accumulated and
+    interpolated with a `NotAKnotSpline`, bit for bit scipy's
+    `CubicSpline`. The spline is spot-checked against direct adaptive
+    quadrature at probe points, to within `abs_tol * max(1, max
+    |F(probe)|)`: absolute for integrals up to 1, relative beyond, where an
+    absolute 1e-10 would be below the rounding of F itself. On failure the
+    node count doubles, up to `max_nodes`, after which QuadratureFailure is
+    raised. So it is when the probe integrals or the cumulative sums are
+    not finite, and, at the first build that meets it, `no spline: ...`
+    when the nodes are not strictly increasing (they underflow into
+    repeats), or the spline's derivatives or coefficients are not finite
+    (its slopes overflow, or its coefficients do near r_max: more nodes
+    only shrink the node spacing near 0, so no doubling mends that). Each
+    message names r_max. `probes` holds the probe radii and `probe_errors`
+    quad's estimate of each probe integral's absolute error.
     """
 
     def __init__(
@@ -72,6 +173,8 @@ class CumulativeIntegral:
             raise ConfigError(f"r_max must be positive and finite, got {r_max}")
         if abs_tol <= 0:
             raise ConfigError(f"abs_tol must be positive, got {abs_tol}")
+        if n_init < 3:  # a spline through 3 nodes or fewer is a special case, not built
+            raise ConfigError(f"n_init must be at least 3, got {n_init}")
         self.f = f
         self.r_max = float(r_max)
         self.abs_tol = float(abs_tol)
@@ -110,7 +213,6 @@ class CumulativeIntegral:
 
     def _build(self, n: int):
         from scipy.integrate import quad
-        from scipy.interpolate import CubicSpline
 
         nodes = self.r_max * np.linspace(0.0, 1.0, n + 1) ** 2
         segs = np.empty(n)
@@ -123,8 +225,8 @@ class CumulativeIntegral:
         if not np.all(np.isfinite(cumulative)):
             raise self._failure("cumulative sums are not finite")
         try:
-            self._spline = CubicSpline(nodes, cumulative)
-        except ValueError as exc:  # slopes that overflow, or nodes that underflow into repeats
+            self._spline = NotAKnotSpline(nodes, cumulative)
+        except ValueError as exc:
             raise self._failure(f"no spline: {exc}") from exc
         # below the first interior node the spline cannot deliver relative
         # accuracy (F(r) -> 0 there); route those through direct quadrature

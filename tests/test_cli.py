@@ -421,7 +421,10 @@ def test_a_multi_line_warning_prints_as_one_line(tmp_path):
      "r**m sup |lambda_2| = 2; the moment's quadrature is wrong there"),
     ("1e160", "1", "error: power entropy needs a finite m (m - 1), got m = 1e+160"),
     ("1000", "10", "error: power entropy m=1000: s**(m - 1) overflows on [0, r_max = 10]"),
-], ids=["peak-between-nodes", "moment-of-zero", "m-squared-overflows", "s-power-overflows"])
+    ("307", "10", "error: cumulative integral on [0, r_max = 10]: no spline: coefficients "
+     "are not finite"),
+], ids=["peak-between-nodes", "moment-of-zero", "m-squared-overflows", "s-power-overflows",
+        "spline-coefficients-overflow"])
 def test_entropy_pair_refuses_an_m_it_cannot_integrate_with_one_line(tmp_path, m, r_max,
                                                                      message):
     # a fresh process, so that a numpy warning would print as it does for a user

@@ -5,7 +5,13 @@ from _oracles import random_states
 from kkdamp import entropy as ent
 from kkdamp import model as md
 from kkdamp.errors import ConfigError, NonLipschitz, QuadratureFailure
-from kkdamp.quadrature import CumulativeIntegral, bump, bump_derivative
+from kkdamp.quadrature import (
+    CumulativeIntegral,
+    NotAKnotSpline,
+    bump,
+    bump_derivative,
+    solve_tridiagonal,
+)
 
 
 # -- quadrature machinery ------------------------------------------------------
@@ -38,6 +44,75 @@ def test_cumulative_integral_failure_is_reported():
 
     with pytest.raises(QuadratureFailure):
         CumulativeIntegral(nasty, 10.0, abs_tol=1e-15, n_init=4, max_nodes=8)
+
+
+def test_cumulative_integral_needs_three_segments():
+    with pytest.raises(ConfigError, match="n_init must be at least 3"):
+        CumulativeIntegral(lambda s: s, 1.0, n_init=2)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_solve_tridiagonal_is_lapack_dgtsv_bit_for_bit():
+    from scipy.linalg.lapack import dgtsv
+
+    rng = np.random.default_rng(20)
+    swapped_first = 0
+    for _ in range(400):
+        n = int(rng.integers(2, 40))
+        # magnitudes over six decades, so that some rows pivot and some do not
+        dl, d, du = (rng.normal(size=k) * 10.0 ** rng.uniform(-3, 3, k) for k in (n - 1, n, n - 1))
+        b = rng.normal(size=n)
+        swapped_first += abs(d[0]) < abs(dl[0])
+        x, info = dgtsv(dl, d, du, b)[3:]
+        assert info == 0
+        assert np.array_equal(_bits(solve_tridiagonal(dl, d, du, b)), _bits(x))
+    assert 100 < swapped_first < 300  # both branches of the elimination run
+
+
+def test_solve_tridiagonal_refuses_a_zero_pivot():
+    with pytest.raises(ValueError, match="singular matrix"):
+        solve_tridiagonal([0.0], [0.0, 1.0], [1.0], [1.0, 1.0])
+
+
+def test_not_a_knot_spline_is_scipy_cubic_spline_bit_for_bit():
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(32)
+    for k in range(120):
+        n = int(rng.integers(4, 601))
+        top = 10.0 ** rng.uniform(-3, 3)
+        if k % 2:
+            x = top * np.linspace(0.0, 1.0, n)
+        else:  # clustered quadratically near 0, as CumulativeIntegral's nodes
+            x = top * np.linspace(0.0, 1.0, n) ** 2
+        y = np.cumsum(rng.normal(size=n)) * 10.0 ** rng.uniform(-5, 5)
+        ours, scipys = NotAKnotSpline(x, y), CubicSpline(x, y)
+        assert np.array_equal(_bits(ours.c), _bits(scipys.c))
+        r = np.concatenate([
+            x,
+            0.5 * (x[1:] + x[:-1]),
+            rng.uniform(0.0, top, 200),
+            [np.nextafter(top, 0.0), np.nextafter(top, np.inf), -1e-3 * top, 1.001 * top],
+        ])
+        assert np.array_equal(_bits(ours(r)), _bits(scipys(r)))
+        assert _bits(ours(top)) == _bits(scipys(top))
+    # PPoly's sum starts from +0.0, so this cubic's -0.0 at x = 1, where
+    # every other term is -0.0 too, reads +0.0
+    x = np.arange(5.0)
+    y = -(x - 1.0) - (x - 1.0) ** 2 - (x - 1.0) ** 3
+    assert np.array_equal(_bits(NotAKnotSpline(x, y)(x)), _bits(CubicSpline(x, y)(x)))
+
+
+def test_not_a_knot_spline_refuses_what_it_cannot_build():
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        NotAKnotSpline([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="derivatives are not finite"):
+        NotAKnotSpline([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.inf, 3.0])
+    with pytest.raises(ValueError, match="at least 4 nodes"):
+        NotAKnotSpline([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
 
 
 def test_bump_properties():

@@ -53,6 +53,21 @@ def test_eigen_region_check_and_shipped_scenarios_never_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
+def test_entropy_pair_loads_scipy_integrate_and_no_interpolation(tmp_path):
+    # the moment's spline is kkdamp's own; only quad comes from scipy
+    proc = _fresh_python(
+        "import sys\n"
+        "from kkdamp.cli import main\n"
+        "code = main(['entropy-pair', '--m', '2', '--phi', 'power:1', '--r-max', '1',\n"
+        f"             '--output-dir', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy.integrate' in sys.modules,\n"
+        "      sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 True []"
+
+
 def _loaded_after(code: str, cwd) -> set:
     """The kkdamp and concurrent.futures modules a fresh process holds after
     running `code`."""
