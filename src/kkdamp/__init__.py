@@ -4,9 +4,10 @@ a split finite-volume solver with optional viscosity, and decay/entropy
 diagnostics.
 
 scipy is imported inside the functions that call it (tabulated phi,
-`PhiModel.level_radius`, the characteristics oracle and cumulative
-quadrature), and each CLI command imports the modules it runs, so
-importing the package and its CLI needs numpy alone."""
+`PhiModel.level_radius` and the characteristics oracle; the cumulative
+quadrature and its spline are kkdamp's own), and each CLI command imports
+the modules it runs, so importing the package and its CLI needs numpy
+alone."""
 
 __version__ = "0.1.0"
 

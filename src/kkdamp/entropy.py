@@ -58,16 +58,16 @@ def power_entropy_pair(
 
     ConfigError if m (m - 1), or s**(m - 1) on [0, r_max], overflows.
     Since q' = m r**(m-1) lambda_2, |q(r)| <= r**m sup_[0,r] |lambda_2|.
-    QuadratureFailure if q breaks that bound at a probe radius of the
-    moment by more than m (m - 1) times the moment's error there (the
-    spline's probe error plus quad's estimate) plus a relative 1e-9, which
-    const:c needs, as it meets the bound with equality. This catches a
-    large m, whose integrand peaks at r_max between every node: probes and
-    spline then agree on a moment of about 0, and q(r_max) reads about
-    m r_max**m phi(r_max). sup |lambda_2| is taken as the running maximum
-    of the wave speed max(|phi|, |lambda_2|): at the probe radii alone for
-    power, shifted and const, whose speed grows with r and is |lambda_2|,
-    and also over 4096 even radii for a tabulated phi, a sampled sup."""
+    QuadratureFailure if q breaks that bound at a probe radius of the moment
+    by more than m (m - 1) times the moment's error there (the spline's
+    probe error plus the quadrature's estimate) plus a relative 1e-9, which
+    const:c needs, as it meets the bound with equality. This catches a large
+    m, whose integrand peaks at r_max between every node: probes and spline
+    then agree on a moment of about 0, and q(r_max) reads about m r_max**m
+    phi(r_max). sup |lambda_2| is taken as the running maximum of the wave
+    speed max(|phi|, |lambda_2|): at the probe radii alone for power,
+    shifted and const, whose speed grows with r and is |lambda_2|, and also
+    over 4096 even radii for a tabulated phi, a sampled sup."""
     if not 1.0 <= m < np.inf:
         raise ConfigError(f"power entropy needs finite m >= 1, got {m}")
     m = float(m)
@@ -204,8 +204,9 @@ def flux_bound(pair: EntropyPair, sup_phi: float, r_working: float) -> BoundRepo
     )
     qs = np.abs(np.asarray(pair.q(rs), dtype=float))
     cap = 2.0 * pair.m * sup_phi * rs**pair.m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # a zero cap holds a zero |q| (ratio 0) and nothing else (ratio inf)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a zero cap holds a zero |q| (ratio 0) and nothing else (ratio inf);
+        # a subnormal one may overflow the ratio to inf
         ratio = np.where(cap > 0, qs / cap, np.where(qs == 0.0, 0.0, np.inf))
     max_ratio = float(np.max(ratio))
     return BoundReport(max_ratio=max_ratio, passed=max_ratio <= 1.0 + 1e-10)

@@ -404,14 +404,26 @@ def test_entropy_pair_at_an_overflowing_r_max_exits_1_without_a_traceback(tmp_pa
 
 
 def test_a_multi_line_warning_prints_as_one_line(tmp_path):
-    # scipy's IntegrationWarning message spans three lines; a fresh process,
-    # since in-process pytest turns the warning into an error
+    # the quadrature's IntegrationWarning message (quad's text) spans three
+    # lines; a fresh process, since in-process pytest turns the warning into
+    # an error
     proc = _cli_process(["entropy-pair", "--m", "2", "--phi", "power:1", "--r-max", "1e103",
                          "--out", tmp_path / "pair.tsv"], tmp_path)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert any(ln.startswith("warning: ") for ln in lines)
     assert all(ln.startswith(("warning: ", "error: ")) for ln in lines), proc.stderr
+
+
+def test_entropy_pair_flux_bound_over_an_underflowing_cap_prints_no_warning(tmp_path):
+    # r**1e4 underflows, so the cap 2 m M r**m is subnormal or 0 where q holds
+    # spline noise: the ratio overflows to inf without a numpy warning (a
+    # fresh process, so that one would print as it does for a user)
+    proc = _cli_process(["entropy-pair", "--m", "1e4", "--phi", "power:1", "--r-max", "1",
+                         "--out", tmp_path / "pair.tsv"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout.splitlines()[-1] == ("flux bound |q| <= 2 m M r^m: max ratio inf "
+                                            "(M = 1) -> VIOLATED")
 
 
 @pytest.mark.parametrize("m, r_max, message", [

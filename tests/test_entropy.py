@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from _oracles import random_states
@@ -7,9 +10,11 @@ from kkdamp import model as md
 from kkdamp.errors import ConfigError, NonLipschitz, QuadratureFailure
 from kkdamp.quadrature import (
     CumulativeIntegral,
+    IntegrationWarning,
     NotAKnotSpline,
     bump,
     bump_derivative,
+    qags,
     solve_tridiagonal,
 )
 
@@ -113,6 +118,88 @@ def test_not_a_knot_spline_refuses_what_it_cannot_build():
         NotAKnotSpline([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, np.inf, 3.0])
     with pytest.raises(ValueError, match="at least 4 nodes"):
         NotAKnotSpline([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
+
+
+def _qags_corpus():
+    """(f, a, b, epsabs, epsrel, limit) cases that drive QAGS down each of
+    its paths: first-pass convergence, bisection, extrapolation at an
+    endpoint singularity, and each of quad's five warnings."""
+    rng = np.random.default_rng(33)
+    cases = []
+    # CumulativeIntegral's own calls: moments s**(m-1) phi(s) on segments of
+    # its clustered nodes and on [0, probe], with its tolerances
+    nodes = np.linspace(0.0, 1.0, 257) ** 2
+    for m, spec in [(2.0, "power:1"), (3.0, "power:2"), (2.5, "power:0.5"), (4.0, "power:1"),
+                    (1.5, "power:0.3"), (3.0, "shifted:0.5,1"), (2.0, "const:2")]:
+        phi = md.PhiModel.from_spec(spec, r_max=10.0)
+        r_max = float(rng.choice([1.0, 3.0, 10.0]))
+
+        def moment(s, m=m, phi=phi):
+            return s ** (m - 1.0) * float(phi.phi(s))
+
+        for i in rng.choice(256, 12, replace=False):
+            cases.append((moment, r_max * nodes[i], r_max * nodes[i + 1], 1e-11 / 256, 1e-12, 200))
+        for r in r_max * np.array([1e-4, 0.05, 0.41, 1.0]):
+            cases.append((moment, 0.0, r, 1e-11, 1e-12, 400))
+    # smooth and peaked integrands on random intervals
+    for _ in range(60):
+        k, w, c = rng.uniform(0.0, 5.0), rng.uniform(0.0, 60.0), rng.uniform(0.0, 1.0)
+        width = 10.0 ** rng.uniform(-4.0, 0.0)
+        f = [lambda s, k=k, w=w: math.exp(-k * s) * math.cos(w * s),
+             lambda s, c=c, width=width: 1.0 / (width * width + (s - c) ** 2),
+             lambda s, c=c: abs(s - c) ** 1.5][int(rng.integers(3))]
+        a = rng.uniform(-1.0, 0.5)
+        cases.append((f, a, a + rng.uniform(0.1, 2.0), 10.0 ** rng.uniform(-14.0, -6.0),
+                      float(rng.choice([1e-12, 1.49e-8])), int(rng.choice([50, 200]))))
+    # integrable endpoint singularities, where QAGS extrapolates
+    for f in (lambda s: 1.0 / math.sqrt(s), math.log, lambda s: s**-0.9):
+        for _ in range(10):
+            cases.append((f, 0.0, 10.0 ** rng.uniform(-2.0, 1.0), 10.0 ** rng.uniform(-14.0, -8.0),
+                          float(rng.choice([1e-12, 1.49e-8])), int(rng.choice([50, 400]))))
+    # the subdivision limit exhausted (ier 1)
+    for limit in (1, 2, 3, 5):
+        cases.append((lambda s: math.sin(1e4 * s), 0.0, rng.uniform(0.5, 2.0), 1e-10, 1e-12,
+                      limit))
+    third = 1.0 / 3.0
+    cases += [
+        (lambda s: s * s, 0.0, 1e103, 1e-10, 1e-12, 400),  # overflows, and roundoff (ier 2)
+        (lambda s: 1e10 * math.cos(s), 0.0, 100.0, 1e-10, 1e-12, 400),  # roundoff
+        # bad integrand behaviour at a point (ier 3): a singularity at 1e10 + 1/3
+        (lambda s: abs(s - 1e10 - third) ** -0.5, 1e10, 1e10 + 1.0, 1e-10, 1e-12, 400),
+        # roundoff in the extrapolation table (ier 4)
+        (lambda s: abs(s - third) ** -0.99, 0.0, 1.0, 0.0, 1e-13, 50),
+        (lambda s: 1.0 / (s - third), 0.0, 1.0, 1e-10, 1e-12, 400),  # divergent (ier 5)
+        (lambda s: s**-1.1, 0.0, 1.0, 1.49e-8, 1.49e-8, 50),  # divergent
+        # a nan integrand: nan sums, which must take quad's branches
+        (lambda s: math.nan if 0.3 < s < 0.31 else 1.0, 0.0, 1.0, 1e-10, 1e-12, 50),
+        (math.exp, 0.5, 0.5, 1e-10, 1e-12, 50),  # an empty interval
+    ]
+    return cases
+
+
+def test_qags_is_scipy_quad_bit_for_bit():
+    from scipy.integrate import quad
+
+    first_pass = bisected = 0
+    messages = set()
+    for f, a, b, epsabs, epsrel, limit in _qags_corpus():
+        # full_output: quad returns its message instead of warning it
+        result, abserr, info, *message = quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
+                                              limit=limit, full_output=1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = qags(f, a, b, epsabs, epsrel, limit)
+        assert _bits(got).tolist() == _bits([result, abserr]).tolist(), (a, b, epsabs, limit)
+        assert [str(w.message) for w in caught] == message
+        assert all(w.category is IntegrationWarning for w in caught)
+        messages.update(message)
+        first_pass += info["last"] == 1
+        bisected += info["last"] > 1 and not message
+    assert issubclass(IntegrationWarning, UserWarning)
+    assert first_pass >= 50 and bisected >= 50
+    assert {m[:24] for m in messages} == {  # quad's five warnings, ier 1 to 5
+        "The maximum number of su", "The occurrence of roundo", "Extremely bad integrand ",
+        "The algorithm does not c", "The integral is probably"}
 
 
 def test_bump_properties():

@@ -2,11 +2,14 @@
 the CLI and the commands that never need it run with numpy alone, and each
 command loads only the kkdamp modules it runs."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kkdamp
 
@@ -53,19 +56,37 @@ def test_eigen_region_check_and_shipped_scenarios_never_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
 
 
-def test_entropy_pair_loads_scipy_integrate_and_no_interpolation(tmp_path):
-    # the moment's spline is kkdamp's own; only quad comes from scipy
+@pytest.mark.parametrize("phi", ["power:1", "shifted:0.5,1", "const:2"])
+def test_entropy_pair_loads_no_scipy(tmp_path, phi):
+    # the moment's quadrature and spline are kkdamp's own
     proc = _fresh_python(
         "import sys\n"
         "from kkdamp.cli import main\n"
-        "code = main(['entropy-pair', '--m', '2', '--phi', 'power:1', '--r-max', '1',\n"
+        f"code = main(['entropy-pair', '--m', '2', '--phi', {phi!r}, '--r-max', '1',\n"
         f"             '--output-dir', {str(tmp_path / 'out')!r}])\n"
-        "print(code, 'scipy.integrate' in sys.modules,\n"
-        "      sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n",
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n",
         tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 True []"
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_the_remaining_scipy_imports_are_brentq_and_pchip():
+    # every scipy import in the package, by module: a new one on a command
+    # path would undo the start-up gains above
+    found = set()
+    for path in sorted((SRC / "kkdamp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                found |= {(path.stem, node.module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                found |= {(path.stem, alias.name, None) for alias in node.names
+                          if alias.name.split(".")[0] == "scipy"}
+    assert found == {
+        ("model", "scipy.optimize", "brentq"),
+        ("analysis", "scipy.optimize", "brentq"),
+        ("model", "scipy.interpolate", "PchipInterpolator"),
+    }
 
 
 def _loaded_after(code: str, cwd) -> set:
