@@ -27,9 +27,8 @@ from .errors import (
     TestFunctionSupport,
 )
 from .model import Damping, PhiModel, z_invariant
-from .quadrature import bump, bump_derivative, weight, weight_slope
 # decay_harness calls lp_norm by this module's name, which the benchmark tracer counts
-from .solver import StateField, Trajectory, lp_norm
+from .solver import StateField, Trajectory, bump, bump_derivative, lp_norm, weight, weight_slope
 
 if TYPE_CHECKING:
     from .entropy import EntropyPair
@@ -158,7 +157,7 @@ def decay_harness(
 
     Unweighted (periodic mass/energy argument): rate min(a, b), and the
     fitted rate should land in [min(a,b), max(a,b)] up to the band slack.
-    Weighted (k = quadrature.weight): the Gronwall chain gives the signed
+    Weighted (k = solver.weight): the Gronwall chain gives the signed
     rate min(a,b) - 2 sup |phi| (decay only when positive), checked
     one-sidedly; requires phi for the sup, which is taken over the radii
     the data reach: [0, r_hi], r_hi the largest radius of any snapshot
@@ -408,7 +407,7 @@ def weighted_entropy_balance(
 ) -> BalanceReport:
     """Discrete check of d/dt int eta k dx = int q k' dx - int source k dx
     between consecutive snapshots (time derivative by differencing, right
-    side by trapezoid in time), with k = quadrature.weight when weighted
+    side by trapezoid in time), with k = solver.weight when weighted
     and k = 1 otherwise. With k = 1 on a periodic grid this is the plain
     entropy balance; the m = 2 pair gives the energy law."""
     times = traj.times

@@ -279,8 +279,7 @@ def _cmd_entropy_pair(args) -> int:
     import numpy as np
 
     from .entropy import flux_bound, power_entropy_pair
-    from .scenario import output_dir
-    from .solver import write_table
+    from .solver import output_dir, write_table
 
     phi = PhiModel.from_spec(args.phi, r_max=args.r_max)
     pair = power_entropy_pair(args.m, phi)

@@ -398,20 +398,27 @@ class EigenBasis(NamedTuple):
     axis_state: bool        # True when u = 0 or v = 0 (basis aligns with axes)
 
 
+def _state_radius(s: State, phi: PhiModel) -> float:
+    """s.r after phi.check_radius; OutOfRange also where phi or lambda_2 is not finite."""
+    r = phi.check_radius(s.r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(phi.lambda2(r)):
+            raise OutOfRange(f"phi or lambda_2 is not finite at state radius {r:g} ({phi.label})")
+    return r
+
+
 def flux(s: State, phi: PhiModel) -> np.ndarray:
     """F(u, v) = (u phi(r), v phi(r))."""
-    r = phi.check_radius(s.r)
+    r = _state_radius(s, phi)
     p = float(phi.phi(r))
     return np.array([s.u * p, s.v * p], dtype=float)
 
 
 def jacobian(s: State, phi: PhiModel) -> np.ndarray:
     """dF/d(u,v) = phi I + (phi'/r) w w^T. At r = 0 the limit phi(0) I is
-    returned when phi(0) is finite; otherwise the state is degenerate."""
-    r = phi.check_radius(s.r)
+    returned (`_state_radius` has checked that phi(0) is finite)."""
+    r = _state_radius(s, phi)
     if r == 0.0:
-        if not np.isfinite(phi.phi0):
-            raise DegenerateState("jacobian limit at r = 0 is not finite")
         return np.eye(2) * phi.phi0
     p = float(phi.phi(r))
     dp_over_r = float(phi.dphi(r)) / r
@@ -426,7 +433,7 @@ def jacobian(s: State, phi: PhiModel) -> np.ndarray:
 
 def eigenvalues(s: State, phi: PhiModel) -> tuple[float, float]:
     """(lambda_1, lambda_2) = (phi(r), phi(r) + r phi'(r)); r = 0 is degenerate."""
-    r = phi.check_radius(s.r)
+    r = _state_radius(s, phi)
     if r == 0.0:
         raise DegenerateState("eigenvalues coincide at r = 0")
     return float(phi.phi(r)), float(phi.lambda2(r))
@@ -452,7 +459,7 @@ def z_invariant(u, v):
 
 def riemann_invariants(s: State, phi: PhiModel) -> tuple[float, float]:
     """(W, Z) = (phi(r), u/v). W is constant along field 1, Z along field 2."""
-    r = phi.check_radius(s.r)
+    r = _state_radius(s, phi)
     return float(phi.phi(r)), z_invariant(s.u, s.v)
 
 
@@ -463,7 +470,7 @@ def classify_field(s: State, phi: PhiModel, field_index: int) -> FieldClassifica
     gives 2 phi'(r) + r phi''(r)."""
     if field_index not in (1, 2):
         raise ConfigError(f"field_index must be 1 or 2, got {field_index}")
-    r = phi.check_radius(s.r)
+    r = _state_radius(s, phi)
     if r == 0.0:
         raise DegenerateState("classification undefined at r = 0")
     if field_index == 1:

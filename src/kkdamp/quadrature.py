@@ -1,10 +1,8 @@
 """Cumulative integrals F(r) = int_0^r f(s) ds with spot-checked accuracy,
 the adaptive quadrature that computes them (QUADPACK's QAGS on Python
-floats, bit for bit scipy's `quad`), the not-a-knot cubic spline that
+floats, bit for bit scipy's `quad`) and the not-a-knot cubic spline that
 interpolates them (numpy and LAPACK's tridiagonal solve on Python floats,
-value for value scipy's `CubicSpline`), the smooth compactly supported bump
-used for mollifiers and space-time test functions, and the spatial weight of
-the weighted decay estimates."""
+value for value scipy's `CubicSpline`). Only `entropy` imports it."""
 
 from __future__ import annotations
 
@@ -13,40 +11,6 @@ import warnings
 import numpy as np
 
 from .errors import ConfigError, QuadratureFailure
-
-
-def bump(s):
-    """exp(-1 / (1 - s^2)) on |s| < 1, zero outside. Smooth, unnormalized."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - si * si))
-    return out[()]
-
-
-def bump_derivative(s):
-    """d/ds of `bump`: bump(s) * (-2 s / (1 - s^2)^2) inside the support."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    one = 1.0 - si * si
-    out[inside] = np.exp(-1.0 / one) * (-2.0 * si / (one * one))
-    return out[()]
-
-
-def weight(x):
-    """Spatial weight k(x) = exp(-h(x)) with h(x) = sqrt(1 + x^2). Since
-    |h'| <= 1, |k'| <= k: that slope bound is what lets the weighted entropy
-    flux term be absorbed into the weighted entropy itself."""
-    return np.exp(-np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2))
-
-
-def weight_slope(x):
-    """d/dx of `weight`: -h'(x) k(x) with h'(x) = x / sqrt(1 + x^2)."""
-    x = np.asarray(x, dtype=float)
-    return -(x / np.sqrt(1.0 + x * x)) * weight(x)
 
 
 def solve_tridiagonal(dl, d, du, b) -> list[float]:

@@ -18,9 +18,9 @@ makes <output root>/<name>/, then marches, checks and writes there:
     <name>_norms.tsv        norm series per output time
     <name>_manifest.txt     echo of the scenario plus check verdicts
 
-`solver.write_table` writes the tables in full precision, so files
-round-trip exactly and reruns are byte-identical (manifest comment lines
-carry the wall-clock data and are excluded from that guarantee).
+`solver` owns this layout (`output_dir`, `write_table`): tables are in full
+precision, so files round-trip exactly and reruns are byte-identical
+(manifest comment lines carry the wall-clock data and are excluded).
 """
 
 from __future__ import annotations
@@ -47,14 +47,13 @@ from .solver import (
     _check_p,
     lp_norm,
     mollify_profile,
+    output_dir,
     read_snapshot,
     simulate,
     snapshot_path,
     write_snapshot,
     write_table,
 )
-
-DEFAULT_OUTPUT_ROOT = "kkd_out"
 
 # A march keeps every snapshot, 16 B per cell plus about 0.5 KB of objects,
 # so an output count is refused where count * (n_cells + 32) passes this
@@ -320,13 +319,6 @@ def parse_scenario(path) -> Scenario:
         line, col = data.count(b"\n", 0, at) + 1, at - data.rfind(b"\n", 0, at)
         raise ParseError(line, col, f"byte 0x{data[at]:02x} is not UTF-8", str(path)) from None
     return parse_scenario_text(text, path=str(path))
-
-
-def output_dir(explicit=None, name: str = "") -> Path:
-    """<output root>/<name>, not created here. The root is KKD_OUTPUT_DIR
-    when set, else `explicit`, else ./kkd_out."""
-    env = os.environ.get("KKD_OUTPUT_DIR")
-    return Path(env or (DEFAULT_OUTPUT_ROOT if explicit is None else explicit)) / name
 
 
 @dataclass

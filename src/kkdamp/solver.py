@@ -29,19 +29,20 @@ beyond its input: the two it returns and the tile buffers (the untiled
 step held eight). `simulate` recycles state arrays: each step writes into
 the arrays of the state two steps back, which `max_wavespeed` first takes
 as scratch for u*u and v*v, so a long march makes no state-sized array
-per step. `init` and the snapshots are never recycled. Each phi
-family supplies the wave speed from r and that phi(r)
-(`PhiModel.wave_speed`), so `power` never evaluates r phi'.
-Finiteness is validated once per step.
+per step. `init` and the snapshots are never recycled. Each phi family
+supplies the wave speed from r and that phi(r) (`PhiModel.wave_speed`),
+so `power` never evaluates r phi'. Finiteness is validated once per step.
 A `Grid1D` is its four numbers: its cell centres are computed where they
-are read, so no grid holds a state-sized array.
-`write_table` owns the format of every artifact table: snapshots, norm
-series, the viscosity sweep and entropy-flux tables.
+are read, so no grid holds a state-sized array. The module owns the
+artifact layout: the output root (`output_dir`), the snapshot names and,
+in `write_table`, the format of every artifact table. `bump` and `weight`
+sit beside their users `mollify_profile` and `lp_norm`.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -53,9 +54,10 @@ import numpy as np
 from . import _fmt
 from .errors import ConfigError, NonFinite, StabilityViolation, ValidationError
 from .model import Damping, PhiModel
-from .quadrature import bump, weight
 
 BOUNDARIES = ("periodic", "outflow")
+
+DEFAULT_OUTPUT_ROOT = "kkd_out"
 
 WAVESPEED_FLOOR = 1e-14
 
@@ -141,6 +143,19 @@ class StateField:
         return cls(grid, u, v)
 
 
+def weight(x):
+    """Spatial weight k(x) = exp(-h(x)) with h(x) = sqrt(1 + x^2). Since
+    |h'| <= 1, |k'| <= k: that slope bound is what lets the weighted entropy
+    flux term be absorbed into the weighted entropy itself."""
+    return np.exp(-np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2))
+
+
+def weight_slope(x):
+    """d/dx of `weight`: -h'(x) k(x) with h'(x) = x / sqrt(1 + x^2)."""
+    x = np.asarray(x, dtype=float)
+    return -(x / np.sqrt(1.0 + x * x)) * weight(x)
+
+
 def _check_p(p: float) -> None:
     if not p >= 1:  # inf passes, nan does not
         raise ConfigError(f"p must be >= 1 or inf, got {p}")
@@ -148,7 +163,7 @@ def _check_p(p: float) -> None:
 
 def lp_norm(f: StateField, p: float, weighted: bool = False) -> float:
     """L^p norm of the radius field r = |(u, v)|, optionally weighted by
-    k = quadrature.weight: (integral of r^p k dx)^(1/p); p = inf gives the
+    k = `weight`: (integral of r^p k dx)^(1/p); p = inf gives the
     (weighted) sup."""
     _check_p(p)
     r = f.r
@@ -333,10 +348,6 @@ def step_once(
     _check_eps(eps)
     n, dx = f.grid.n_cells, f.grid.dx
     new = _out or (np.empty(n), np.empty(n))  # simulate's spare pair, unchecked
-    if dt == 0.0:
-        np.copyto(new[0], f.u)
-        np.copyto(new[1], f.v)
-        return StateField(f.grid, *new, f.t + dt)
     half = 0.5 * dt
     decay = (np.exp(-d.a * half), np.exp(-d.b * half))
     # the cells behind the ghosts left of cell 0 and right of cell n - 1
@@ -473,6 +484,27 @@ def simulate(
     )
 
 
+def bump(s):
+    """exp(-1 / (1 - s^2)) on |s| < 1, zero outside. Smooth, unnormalized."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - si * si))
+    return out[()]
+
+
+def bump_derivative(s):
+    """d/ds of `bump`: bump(s) * (-2 s / (1 - s^2)^2) inside the support."""
+    s = np.asarray(s, dtype=float)
+    out = np.zeros_like(s)
+    inside = np.abs(s) < 1.0
+    si = s[inside]
+    one = 1.0 - si * si
+    out[inside] = np.exp(-1.0 / one) * (-2.0 * si / (one * one))
+    return out[()]
+
+
 def mollify_profile(values: np.ndarray, eps: float, grid: Grid1D) -> np.ndarray:
     """Discrete mollification of cell values with the compact bump kernel
     of radius eps: weights w_k proportional to bump(k dx / eps), summed to
@@ -494,6 +526,13 @@ def mollify_profile(values: np.ndarray, eps: float, grid: Grid1D) -> np.ndarray:
     w = w / np.sum(w)
     padded = np.pad(values, half, mode="wrap" if grid.boundary == "periodic" else "edge")
     return np.convolve(padded, w, mode="valid")
+
+
+def output_dir(explicit=None, name: str = "") -> Path:
+    """<output root>/<name>, not created here. The root is KKD_OUTPUT_DIR
+    when set, else `explicit`, else ./kkd_out."""
+    env = os.environ.get("KKD_OUTPUT_DIR")
+    return Path(env or (DEFAULT_OUTPUT_ROOT if explicit is None else explicit)) / name
 
 
 def snapshot_path(out_dir, run_name: str, t: float) -> Path:

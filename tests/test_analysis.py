@@ -13,7 +13,7 @@ from kkdamp.errors import (
     ShockFormed,
     TestFunctionSupport,
 )
-from kkdamp.quadrature import bump, weight, weight_slope
+from kkdamp.solver import bump, weight, weight_slope
 
 
 # -- weight and norms -----------------------------------------------------------

@@ -335,6 +335,18 @@ def test_eigen_nan_state_exits_1_with_one_error_line(capsys):
     assert captured.out == ""
 
 
+def test_eigen_at_a_state_whose_phi_overflows_exits_1_with_one_error_line(tmp_path):
+    # a fresh process, so that a numpy overflow warning would print as a user sees it
+    proc = _cli_process(["eigen", "--phi", "power:400", "--state", "6,6"], tmp_path)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == ("error: phi or lambda_2 is not finite at state radius 8.48528 "
+                           "(power:400)\n")
+    # phi underflows to 0 there, which is finite
+    proc = _cli_process(["eigen", "--phi", "power:400", "--state", "0.1,0.1"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "lambda_2 = 0.00000000000000000e+00" in proc.stdout
+
+
 def test_eigen_bad_state_exits_2(capsys):
     assert main(["eigen", "--phi", "power:1", "--state", "3;4"]) == 2
 

@@ -12,11 +12,10 @@ from kkdamp.quadrature import (
     CumulativeIntegral,
     IntegrationWarning,
     NotAKnotSpline,
-    bump,
-    bump_derivative,
     qags,
     solve_tridiagonal,
 )
+from kkdamp.solver import bump, bump_derivative
 
 
 # -- quadrature machinery ------------------------------------------------------

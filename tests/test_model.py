@@ -179,6 +179,20 @@ def test_out_of_range_radius():
         md.eigenvalues(md.State(3.0, 4.0), phi)
 
 
+def test_a_state_whose_phi_or_lambda_2_overflows_is_out_of_range():
+    phi = md.PhiModel.power(400.0)
+    point_functions = (md.flux, md.jacobian, md.eigenvalues, md.riemann_invariants,
+                       lambda s, phi: md.classify_field(s, phi, 2))
+    # r = 8.49: phi = r**400 overflows; r = 5.82: phi = 1e306 is finite and
+    # lambda_2 = 401 phi overflows
+    for s, r in ((md.State(6.0, 6.0), "8.48528"), (md.State(10**0.765, 1e-3), "5.82103")):
+        for fn in point_functions:
+            with pytest.raises(OutOfRange, match=f"not finite at state radius {r} [(]power:400[)]"):
+                fn(s, phi)
+    # phi underflows to 0 at r = 0.14, which is finite
+    assert md.eigenvalues(md.State(0.1, 0.1), phi) == (0.0, 0.0)
+
+
 def test_nan_radius_is_out_of_range():
     phi = md.PhiModel.power(1.0)
     with pytest.raises(OutOfRange):

@@ -16,7 +16,7 @@ from kkdamp.errors import (
     StabilityViolation,
     ValidationError,
 )
-from kkdamp.quadrature import bump
+from kkdamp.solver import bump
 
 
 def make_field(n=128, lo=0.0, hi=2 * np.pi, boundary="periodic", seed=7):
@@ -316,6 +316,14 @@ def test_zero_step_returns_the_same_state():
     for g in (sv.step_once(f, phi, DAMPED, 0.0), sv.hyperbolic_substep(f, phi, 0.0)):
         assert np.array_equal(g.u, f.u) and np.array_equal(g.v, f.v)
         assert g.t == f.t
+
+
+def test_a_zero_step_checks_the_radius_as_any_step_does():
+    grid = sv.Grid1D(0.0, 1.0, 16)
+    far = sv.StateField(grid, np.full(16, 2.0), np.full(16, 2.0))  # r = 2.83
+    for dt in (0.0, 1e-3):
+        with pytest.raises(OutOfRange, match=r"is outside \[0, r_max=1\]"):
+            sv.step_once(far, md.PhiModel.power(1.0, r_max=1.0), DAMPED, dt)
 
 
 def test_damping_substep_is_exact_exponential():

@@ -108,22 +108,76 @@ def _kkdamp_only(modules: set) -> set:
     return {m for m in modules if m.startswith("kkdamp")}
 
 
-def test_eigen_loads_only_the_model(tmp_path):
-    loaded = _loaded_after(
-        "from kkdamp.cli import main\nmain(['eigen', '--phi', 'power:2', '--state', '3,4'])",
-        tmp_path,
-    )
-    assert _kkdamp_only(loaded) == CLI_BASE
+TINY = """\
+name = tiny
+phi = power:1
+a = 0.5
+b = 0.2
+x_lo = 0.0
+x_hi = 6.283185307179586
+n_cells = 32
+boundary = periodic
+t_end = 0.2
+n_outputs = 9
+init = sine_radial
+init.mean = 0.5
+init.amplitude = 0.2
+"""
+
+# the kkdamp modules each command adds to CLI_BASE; the marches load no
+# `quadrature`, and `entropy-pair` loads no `scenario`
+COMMAND_MODULES = {
+    "eigen": ("eigen --phi power:2 --state 3,4", set()),
+    "region-check": ("region-check --phi power:1 --a 0.6 --b 0.2 --c1 0", {"kkdamp.region"}),
+    "simulate": ("simulate {tiny} --output-dir {out}", {"kkdamp.scenario", "kkdamp.solver"}),
+    # --jobs 1: the marches run in this process, where sys.modules shows them
+    "run": ("run {shipped} --jobs 1 --output-dir {out}",
+            {"kkdamp.scenario", "kkdamp.solver", "kkdamp.analysis", "kkdamp.region"}),
+    "decay": ("decay {tiny} --output-dir {out}",
+              {"kkdamp.scenario", "kkdamp.solver", "kkdamp.analysis"}),
+    "convergence": ("convergence {tiny} --epsilons 0.1,0.05 --output-dir {out}",
+                    {"kkdamp.scenario", "kkdamp.solver", "kkdamp.viscous"}),
+    "entropy-pair": ("entropy-pair --m 2 --phi power:1 --r-max 1 --output-dir {out}",
+                     {"kkdamp.entropy", "kkdamp.quadrature", "kkdamp.solver"}),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_loads_exactly_the_modules_it_runs(tmp_path, command):
+    argv, adds = COMMAND_MODULES[command]
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(TINY)
+    shipped = " ".join(sorted(str(p) for p in SCENARIOS.glob("*.cfg")))
+    args = argv.format(tiny=tiny, shipped=shipped, out=tmp_path / "out").split()
+    loaded = _loaded_after(f"from kkdamp.cli import main\nassert main({args!r}) == 0", tmp_path)
+    assert _kkdamp_only(loaded) == CLI_BASE | adds
     assert "concurrent.futures.process" not in loaded
 
 
-def test_region_check_adds_only_region(tmp_path):
-    loaded = _loaded_after(
-        "from kkdamp.cli import main\n"
-        "main(['region-check', '--phi', 'power:1', '--a', '0.6', '--b', '0.2', '--c1', '0'])",
-        tmp_path,
-    )
-    assert _kkdamp_only(loaded) == CLI_BASE | {"kkdamp.region"}
+def _kkdamp_imports(node) -> set:
+    """The kkdamp modules, by stem, that an import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        base = "kkdamp." * bool(node.level) + (node.module or "")
+        if base.rstrip(".") == "kkdamp":
+            return {alias.name for alias in node.names}
+        return {base.split(".")[1]} if base.startswith("kkdamp.") else set()
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names if a.name.startswith("kkdamp.")}
+    return set()
+
+
+def test_only_entropy_imports_quadrature_and_none_imports_entropy_up_front():
+    # a module that imported `quadrature`, or `entropy` at module level, would
+    # compile the QUADPACK port on every command that loads it
+    importers, up_front = set(), set()
+    for path in sorted((SRC / "kkdamp").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if any("quadrature" in _kkdamp_imports(node) for node in ast.walk(tree)):
+            importers.add(path.stem)
+        if any("entropy" in _kkdamp_imports(node) for node in tree.body):
+            up_front.add(path.stem)
+    assert importers == {"entropy"}
+    assert up_front == set()
 
 
 def test_importing_the_scenario_module_leaves_the_checks_out(tmp_path):
