@@ -8,7 +8,9 @@ which is integrated cumulatively from 0. For the power family eta = r**m
 
     q(r) = m r**m phi(r) - m (m - 1) int_0^r s**(m-1) phi(s) ds,
 
-which is what `power_entropy_pair` evaluates. Since q' = m r**(m-1) lambda_2,
+which is what `power_entropy_pair` evaluates, the moment by cumulative
+quadrature (`quadrature.CumulativeIntegral`, whose one accuracy contract is
+`quadrature.ABS_TOL`). Since q' = m r**(m-1) lambda_2,
 |q(r)| <= r**m sup_[0,r] |lambda_2|, and `power_entropy_pair` refuses a
 pair whose quadrature breaks that bound.
 """
@@ -31,9 +33,6 @@ class EntropyPair:
     eta: Callable
     deta: Callable          # eta'
     q: Callable
-    label: str
-    # the flux's cumulative integral F is within quadrature_tol * max(1, max |F|)
-    quadrature_tol: float
     m: float | None = None  # exponent when eta = r**m, else None
 
 
@@ -51,9 +50,7 @@ class BoundReport:
     passed: bool
 
 
-def power_entropy_pair(
-    m: float, phi: md.PhiModel, quadrature_tol: float = 1e-10
-) -> EntropyPair:
+def power_entropy_pair(m: float, phi: md.PhiModel) -> EntropyPair:
     """Entropy pair (r**m, q) for m >= 1 on [0, phi.r_max].
 
     ConfigError if m (m - 1), or s**(m - 1) on [0, r_max], overflows.
@@ -74,9 +71,7 @@ def power_entropy_pair(
     if not m * (m - 1.0) < np.inf:
         raise ConfigError(f"power entropy needs a finite m (m - 1), got m = {m:g}")
     try:
-        moment = CumulativeIntegral(
-            lambda s: s ** (m - 1.0) * float(phi.phi(s)), phi.r_max, abs_tol=quadrature_tol
-        )
+        moment = CumulativeIntegral(lambda s: s ** (m - 1.0) * float(phi.phi(s)), phi.r_max)
     except OverflowError as exc:  # a float s**(m - 1) raises instead of reading inf
         raise ConfigError(f"power entropy m={m:g}: s**(m - 1) overflows on "
                           f"[0, r_max = {phi.r_max:g}]") from exc
@@ -109,22 +104,10 @@ def power_entropy_pair(
             f"|q(r)| <= r**m sup |lambda_2| = {cap[i]:g}; the moment's quadrature is wrong there"
         )
 
-    return EntropyPair(
-        eta=eta,
-        deta=deta,
-        q=q,
-        label=f"power entropy m={m:g}, {phi.label}",
-        quadrature_tol=quadrature_tol,
-        m=m,
-    )
+    return EntropyPair(eta=eta, deta=deta, q=q, m=m)
 
 
-def flux_from_eta(
-    eta: Callable,
-    deta: Callable,
-    phi: md.PhiModel,
-    label: str = "custom entropy",
-) -> EntropyPair:
+def flux_from_eta(eta: Callable, deta: Callable, phi: md.PhiModel) -> EntropyPair:
     """Entropy flux for a general radial eta via cumulative quadrature of
     psi'(s) = (s eta'(s) - eta(s)) phi'(s), then q = psi + eta phi.
 
@@ -146,17 +129,16 @@ def flux_from_eta(
         r = np.asarray(r, dtype=float)
         return (psi(r) + np.asarray(eta(r), dtype=float) * phi.phi(r))[()]
 
-    return EntropyPair(eta=eta, deta=deta, q=q, label=label, quadrature_tol=psi.abs_tol)
+    return EntropyPair(eta=eta, deta=deta, q=q)
 
 
 def verify_pair(pair: EntropyPair, phi: md.PhiModel, states) -> PairingReport:
     """Residual | grad(eta) . dF - grad(q) | at sample states, with both
     gradients taken by central differences in (u, v) (relative step 1e-6)
     so the check does not reuse the analytic construction it is verifying.
-    Passes at max(1e-6, 10 * pair.quadrature_tol): the difference gradients
-    floor the achievable residual near sqrt(eps), so a quadrature tolerance
-    matters only when it is coarser than that."""
-    tol = max(1e-6, 10.0 * pair.quadrature_tol)
+    Passes at 1e-6: the difference gradients floor the achievable residual
+    near sqrt(eps), far above the flux's quadrature tolerance
+    (`quadrature.ABS_TOL`)."""
 
     def eta_of(u, v):
         return float(pair.eta(np.hypot(u, v)))
@@ -183,7 +165,7 @@ def verify_pair(pair: EntropyPair, phi: md.PhiModel, states) -> PairingReport:
         )
         a_mat = md.jacobian(md.State(u, v), phi)
         worst = max(worst, float(np.max(np.abs(grad_eta @ a_mat - grad_q))))
-    return PairingReport(max_residual=worst, passed=bool(worst <= tol))
+    return PairingReport(max_residual=worst, passed=bool(worst <= 1e-6))
 
 
 def flux_bound(pair: EntropyPair, sup_phi: float, r_working: float) -> BoundReport:

@@ -117,7 +117,6 @@ class PhiModel:
 
     def __init__(
         self,
-        family: str,
         label: str,
         r_max: float,
         phi_fn: Callable,
@@ -129,7 +128,6 @@ class PhiModel:
     ):
         if not np.isfinite(r_max) or r_max <= 0:
             raise ConfigError(f"r_max must be positive and finite, got {r_max}")
-        self.family = family
         self.label = label
         self.r_max = float(r_max)
         self._phi = phi_fn
@@ -230,7 +228,6 @@ class PhiModel:
             raise ConfigError(f"power family needs finite gamma > 0, got {gamma}")
         g = float(gamma)
         return cls(
-            family="power",
             label=f"power:{g:g}",
             r_max=r_max,
             phi_fn=partial(_power, g=g),
@@ -254,7 +251,6 @@ class PhiModel:
         g = float(gamma)
         r_dphi = partial(_scaled_power, k=g, g=g)
         return cls(
-            family="shifted",
             label=f"shifted:{c:g},{g:g}",
             r_max=r_max,
             phi_fn=partial(_shifted, c=c, g=g),
@@ -275,7 +271,6 @@ class PhiModel:
         c = float(c)
         r_dphi = partial(_constant, c=0.0)
         return cls(
-            family="constant",
             label=f"const:{c:g}",
             r_max=r_max,
             phi_fn=partial(_constant, c=c),
@@ -305,7 +300,6 @@ class PhiModel:
         dphi = interp.derivative(1)
         r_dphi = partial(_r_times, dphi=dphi)
         return cls(
-            family="tabulated",
             label=label,
             # min(r_max, ...) keeps a nan r_max, which the constructor then refuses
             r_max=float(rs[-1]) if r_max is None else min(r_max, float(rs[-1])),

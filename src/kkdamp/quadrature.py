@@ -2,7 +2,9 @@
 the adaptive quadrature that computes them (QUADPACK's QAGS on Python
 floats, bit for bit scipy's `quad`) and the not-a-knot cubic spline that
 interpolates them (numpy and LAPACK's tridiagonal solve on Python floats,
-value for value scipy's `CubicSpline`). Only `entropy` imports it."""
+value for value scipy's `CubicSpline`). One accuracy contract holds for
+every cumulative integral: `ABS_TOL`, `N_INIT` and `MAX_NODES`. Only
+`entropy` imports it."""
 
 from __future__ import annotations
 
@@ -525,18 +527,25 @@ class NotAKnotSpline:
             return 0.0 + y + c2 * s + c1 * ss + c0 * (ss * s)
 
 
+# CumulativeIntegral's accuracy: its probe tolerance, its first node count
+# and the node count at which it gives up; read where used, so a test can patch them
+ABS_TOL = 1e-10
+N_INIT = 256
+MAX_NODES = 8192
+
+
 class CumulativeIntegral:
     """F(r) = int_0^r f(s) ds on [0, r_max], evaluable on arrays.
 
-    Per-segment adaptive quadrature (`qags`) on `n_init` >= 3
+    Per-segment adaptive quadrature (`qags`) on `N_INIT`
     segments whose nodes cluster quadratically near zero (integrands like
     s**(m-1) phi'(s) may be singular there but integrable), accumulated and
     interpolated with a `NotAKnotSpline`, bit for bit scipy's
     `CubicSpline`. The spline is spot-checked against direct adaptive
-    quadrature at probe points, to within `abs_tol * max(1, max
+    quadrature at probe points, to within `ABS_TOL * max(1, max
     |F(probe)|)`: absolute for integrals up to 1, relative beyond, where an
     absolute 1e-10 would be below the rounding of F itself. On failure the
-    node count doubles, up to `max_nodes`, after which QuadratureFailure is
+    node count doubles, up to `MAX_NODES`, after which QuadratureFailure is
     raised. So it is when the probe integrals or the cumulative sums are
     not finite, and, at the first build that meets it, `no spline: ...`
     when the nodes are not strictly increasing (they underflow into
@@ -547,23 +556,11 @@ class CumulativeIntegral:
     `qags`'s estimate of each probe integral's absolute error.
     """
 
-    def __init__(
-        self,
-        f,
-        r_max: float,
-        abs_tol: float = 1e-10,
-        n_init: int = 256,
-        max_nodes: int = 8192,
-    ):
+    def __init__(self, f, r_max: float):
         if r_max <= 0 or not np.isfinite(r_max):
             raise ConfigError(f"r_max must be positive and finite, got {r_max}")
-        if abs_tol <= 0:
-            raise ConfigError(f"abs_tol must be positive, got {abs_tol}")
-        if n_init < 3:  # a spline through 3 nodes or fewer is a special case, not built
-            raise ConfigError(f"n_init must be at least 3, got {n_init}")
         self.f = f
         self.r_max = float(r_max)
-        self.abs_tol = float(abs_tol)
 
         self.probes = probes = self.r_max * np.array(
             [1e-4, 1e-3, 1e-2, 0.05, 0.13, 0.25, 0.41, 0.5, 0.66, 0.79, 0.9, 1.0]
@@ -572,17 +569,17 @@ class CumulativeIntegral:
         if not np.all(np.isfinite(direct)):
             raise self._failure("probe integrals are not finite")
 
-        tol = self.abs_tol * max(1.0, float(np.max(np.abs(direct))))
-        n = int(n_init)
+        tol = ABS_TOL * max(1.0, float(np.max(np.abs(direct))))
+        n = N_INIT
         while True:
             self._build(n)
             err = np.max(np.abs(self(probes) - direct))
             if err <= tol:
                 self.probe_error = float(err)
                 return
-            if n >= max_nodes:
+            if n >= MAX_NODES:
                 raise self._failure(
-                    f"not within {tol:g} at {max_nodes} nodes (probe error {err:.3e})"
+                    f"not within {tol:g} at {MAX_NODES} nodes (probe error {err:.3e})"
                 )
             n *= 2
 
@@ -591,12 +588,12 @@ class CumulativeIntegral:
 
     def _direct(self, r: float) -> tuple[float, float]:
         """int_0^r f by `qags`, and its estimate of the absolute error."""
-        return qags(self.f, 0.0, r, self.abs_tol * 0.1, 1e-12, 400)
+        return qags(self.f, 0.0, r, ABS_TOL * 0.1, 1e-12, 400)
 
     def _build(self, n: int):
         nodes = self.r_max * np.linspace(0.0, 1.0, n + 1) ** 2
         segs = np.empty(n)
-        seg_tol = self.abs_tol * 0.1 / n
+        seg_tol = ABS_TOL * 0.1 / n
         for i in range(n):
             segs[i], _ = qags(self.f, nodes[i], nodes[i + 1], seg_tol, 1e-12, 200)
         cumulative = np.concatenate([[0.0], np.cumsum(segs)])

@@ -425,7 +425,7 @@ def _prepare_containment(s: SetUp):
     c1 = sc.get("check.containment.c1", 0.0)
     c2 = sc.get("check.containment.c2", "auto")
     if c0 == "auto":
-        c0 = float(np.max(s.phi.phi(float(np.max(s.init.r)))))
+        c0 = float(np.max(s.phi.phi(s.init.r)))
     if c1 == "auto":
         c1 = float(np.min(z0))
     if c2 == "auto":

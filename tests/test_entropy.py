@@ -7,6 +7,7 @@ from _oracles import random_states
 
 from kkdamp import entropy as ent
 from kkdamp import model as md
+from kkdamp import quadrature
 from kkdamp.errors import ConfigError, NonLipschitz, QuadratureFailure
 from kkdamp.quadrature import (
     CumulativeIntegral,
@@ -22,11 +23,11 @@ from kkdamp.solver import bump, bump_derivative
 
 
 def test_cumulative_integral_against_antiderivatives():
-    ci = CumulativeIntegral(lambda s: 3.0 * s * s, 4.0, abs_tol=1e-11)
+    ci = CumulativeIntegral(lambda s: 3.0 * s * s, 4.0)
     rs = np.linspace(0.0, 4.0, 37)
     assert np.max(np.abs(ci(rs) - rs**3)) <= 1e-10
     # integrable endpoint singularity: int_0^r s^{-1/2} ds = 2 sqrt(r)
-    ci = CumulativeIntegral(lambda s: 1.0 / np.sqrt(s) if s > 0 else 0.0, 1.0, abs_tol=1e-9)
+    ci = CumulativeIntegral(lambda s: 1.0 / np.sqrt(s) if s > 0 else 0.0, 1.0)
     assert abs(ci(0.81) - 1.8) <= 1e-8
     assert ci.probe_error <= 1e-9
 
@@ -40,19 +41,17 @@ def test_cumulative_integral_rejects_out_of_range():
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
-def test_cumulative_integral_failure_is_reported():
+def test_cumulative_integral_failure_is_reported(monkeypatch):
     # a spike far narrower than any allowed node spacing, with a demand
     # tighter than the spline can honor between nodes
     def nasty(s):
         return np.sin(1e4 * s) * 1e3
 
-    with pytest.raises(QuadratureFailure):
-        CumulativeIntegral(nasty, 10.0, abs_tol=1e-15, n_init=4, max_nodes=8)
-
-
-def test_cumulative_integral_needs_three_segments():
-    with pytest.raises(ConfigError, match="n_init must be at least 3"):
-        CumulativeIntegral(lambda s: s, 1.0, n_init=2)
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-15)
+    monkeypatch.setattr(quadrature, "N_INIT", 4)
+    monkeypatch.setattr(quadrature, "MAX_NODES", 8)
+    with pytest.raises(QuadratureFailure, match="at 8 nodes"):
+        CumulativeIntegral(nasty, 10.0)
 
 
 def _bits(a):
@@ -127,7 +126,8 @@ def _qags_corpus():
     cases = []
     # CumulativeIntegral's own calls: moments s**(m-1) phi(s) on segments of
     # its clustered nodes and on [0, probe], with its tolerances
-    nodes = np.linspace(0.0, 1.0, 257) ** 2
+    n, tol = quadrature.N_INIT, quadrature.ABS_TOL * 0.1
+    nodes = np.linspace(0.0, 1.0, n + 1) ** 2
     for m, spec in [(2.0, "power:1"), (3.0, "power:2"), (2.5, "power:0.5"), (4.0, "power:1"),
                     (1.5, "power:0.3"), (3.0, "shifted:0.5,1"), (2.0, "const:2")]:
         phi = md.PhiModel.from_spec(spec, r_max=10.0)
@@ -136,10 +136,10 @@ def _qags_corpus():
         def moment(s, m=m, phi=phi):
             return s ** (m - 1.0) * float(phi.phi(s))
 
-        for i in rng.choice(256, 12, replace=False):
-            cases.append((moment, r_max * nodes[i], r_max * nodes[i + 1], 1e-11 / 256, 1e-12, 200))
+        for i in rng.choice(n, 12, replace=False):
+            cases.append((moment, r_max * nodes[i], r_max * nodes[i + 1], tol / n, 1e-12, 200))
         for r in r_max * np.array([1e-4, 0.05, 0.41, 1.0]):
-            cases.append((moment, 0.0, r, 1e-11, 1e-12, 400))
+            cases.append((moment, 0.0, r, tol, 1e-12, 400))
     # smooth and peaked integrands on random intervals
     for _ in range(60):
         k, w, c = rng.uniform(0.0, 5.0), rng.uniform(0.0, 60.0), rng.uniform(0.0, 1.0)
@@ -240,7 +240,7 @@ def test_power_pair_constant_phi_m2():
 
 
 def test_power_pair_shifted_phi_m3():
-    pair = ent.power_entropy_pair(3.0, md.PhiModel.shifted_power(1.0, 1.0), quadrature_tol=1e-11)
+    pair = ent.power_entropy_pair(3.0, md.PhiModel.shifted_power(1.0, 1.0))
     rs = np.linspace(0.0, 4.0, 81)
     exact = rs**3 + 1.5 * rs**4
     assert np.max(np.abs(pair.q(rs) - exact)) <= 1e-7
@@ -279,9 +279,7 @@ def test_power_pair_rejects_small_m():
 def test_flux_from_eta_agrees_with_power_route():
     phi = md.PhiModel.power(1.0, r_max=6.0)
     direct = ent.power_entropy_pair(2.0, phi)
-    generic = ent.flux_from_eta(
-        lambda r: np.asarray(r) ** 2, lambda r: 2.0 * np.asarray(r), phi, label="r^2"
-    )
+    generic = ent.flux_from_eta(lambda r: np.asarray(r) ** 2, lambda r: 2.0 * np.asarray(r), phi)
     rs = np.linspace(0.0, 6.0, 121)
     assert np.max(np.abs(generic.q(rs) - direct.q(rs))) <= 1e-8
 
@@ -313,8 +311,6 @@ def test_verify_pair_rejects_wrong_flux(rng):
         eta=good.eta,
         deta=good.deta,
         q=lambda r: 1.1 * np.asarray(good.q(r)),
-        label="detuned",
-        quadrature_tol=good.quadrature_tol,
         m=2.0,
     )
     us, vs = random_states(rng, 30, r_lo=0.5, r_hi=2.0)

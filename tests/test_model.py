@@ -216,7 +216,7 @@ def test_damping_validation():
 
 
 def test_from_spec_parsing():
-    assert md.PhiModel.from_spec("power:2").family == "power"
+    assert md.PhiModel.from_spec("power:2").label == "power:2"
     assert md.PhiModel.from_spec("shifted:1,0.5").phi0 == 1.0
     assert float(md.PhiModel.from_spec("const:3").phi(1.7)) == 3.0
     assert float(md.PhiModel.from_spec("constant:3").phi(0.2)) == 3.0

@@ -148,6 +148,22 @@ def test_an_auto_c1_is_the_smallest_initial_z(tmp_path):
     assert f"check.containment.c1 = {_fmt(np.min(z0))}" in manifest
 
 
+def test_an_auto_c0_holds_the_initial_field_under_a_decreasing_phi(tmp_path):
+    # phi = 1 - r/2 is largest at the smallest radius, not at the top one
+    from types import SimpleNamespace
+
+    from kkdamp.region import trajectory_containment
+
+    rs = np.linspace(0.0, 1.0, 41)
+    table = tmp_path / "falling.tsv"
+    np.savetxt(table, np.column_stack([rs, 1.0 - rs / 2.0]))
+    s = sn.set_up(sn.parse_scenario_text(GOOD.replace("power:1", f"tabulated:{table}")))
+    options = s.checks["containment"]
+    assert options["sigma"].c0 == pytest.approx(0.85, abs=1e-3)  # not phi(top r) = 0.65
+    start = SimpleNamespace(times=[s.init.t], fields=[s.init])
+    assert trajectory_containment(start, phi=s.phi, **options).max_violation == 0.0
+
+
 def test_run_scenario_final_snapshot_mode(tmp_path):
     text = GOOD.replace("snapshots = all", "snapshots = final")
     res = sn.run_scenario(sn.parse_scenario_text(text), out_root=tmp_path)
