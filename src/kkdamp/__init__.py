@@ -1,13 +1,12 @@
 """Numerical laboratory for the symmetric Keyfitz-Kranzer system with
 linear damping: eigenstructure, radial entropy pairs, invariant regions,
-a split finite-volume solver with optional viscosity, and decay/entropy
-diagnostics.
+a split finite-volume solver with optional viscosity, and decay and
+Riemann-invariant diagnostics.
 
-scipy is imported inside the functions that call it (tabulated phi,
-`PhiModel.level_radius` and the characteristics oracle; the cumulative
-quadrature and its spline are kkdamp's own), and each CLI command imports
-the modules it runs, so importing the package and its CLI needs numpy
-alone."""
+scipy is imported inside the two functions that call it (the tabulated phi
+family and `PhiModel.level_radius`; the cumulative quadrature and its
+spline are kkdamp's own), and each CLI command imports the modules it
+runs, so importing the package and its CLI needs numpy alone."""
 
 __version__ = "0.1.0"
 
@@ -18,14 +17,10 @@ from .errors import (  # noqa: F401
     InsufficientData,
     KKDampError,
     NonFinite,
-    NonLipschitz,
     OutOfRange,
     ParseError,
     QuadratureFailure,
-    RootBracketFailure,
-    ShockFormed,
     StabilityViolation,
-    TestFunctionSupport,
     ValidationError,
 )
 from .model import Damping, PhiModel, State  # noqa: F401

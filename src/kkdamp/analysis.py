@@ -1,99 +1,16 @@
-"""Diagnostics built around the damped system: exact oracles for smooth
-regimes, norm decay fits, weak entropy residuals against space-time test
-functions, and Riemann-invariant envelopes.
-
-Oracles used for cross-checks:
-
-* constant phi decouples the channels into damped linear transport with
-  the closed-form solution profile(x - c t) exp(-rate t);
-* equal damping (a = b) closes the radial equation
-  r_t + (r phi(r))_x + a r = 0, solved along characteristics
-  X(xi, t) = xi + int_0^t lambda_2(r0(xi) e^{-a s}) ds with amplitude
-  r = r0(xi) e^{-a t}, valid until characteristics cross.
-"""
+"""Diagnostics of a computed trajectory: norm decay fits against the
+guaranteed rates, and Riemann-invariant envelopes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    InsufficientData,
-    RootBracketFailure,
-    ShockFormed,
-    TestFunctionSupport,
-)
+from .errors import ConfigError, InsufficientData
 from .model import Damping, PhiModel, z_invariant
 # decay_harness calls lp_norm by this module's name, which the benchmark tracer counts
-from .solver import StateField, Trajectory, bump, bump_derivative, lp_norm, weight, weight_slope
-
-if TYPE_CHECKING:
-    from .entropy import EntropyPair
-
-
-# -- closed-form oracles ----------------------------------------------------
-
-
-def exact_scalar_solution(profile: Callable, c: float, rate: float, x, t: float):
-    """Damped linear transport at speed c: profile(x - c t) * exp(-rate t).
-    Solves w_t + c w_x + rate * w = 0, the per-channel equation when phi
-    is constant."""
-    x = np.asarray(x, dtype=float)
-    return np.asarray(profile(x - c * t), dtype=float) * np.exp(-rate * t)
-
-
-def radial_characteristics_oracle(r0: Callable, phi: PhiModel, a: float, x, t: float):
-    """Smooth solution of r_t + (r phi(r))_x + a r = 0 by characteristics
-    (the radial closure when both channels share the damping rate a).
-
-    Foot points xi solve x = xi + Delta(xi, t) with
-    Delta = int_0^t lambda_2(r0(xi) e^{-a s}) ds (48-point Gauss-Legendre
-    in s); then r(x, t) = r0(xi) e^{-a t}. Raises ShockFormed when the
-    forward map xi -> x stops being increasing on the 8192-point probe grid."""
-    if t < 0:
-        raise ConfigError(f"t must be nonnegative, got {t}")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if t == 0.0:
-        out = np.asarray(r0(x_arr), dtype=float)
-        return out if np.ndim(x) else float(out[0])
-
-    nodes, weights = np.polynomial.legendre.leggauss(48)
-    s = 0.5 * t * (nodes + 1.0)
-    ws = 0.5 * t * weights
-    damp = np.exp(-a * s)
-
-    def delta(xi: np.ndarray) -> np.ndarray:
-        return phi.lambda2(np.asarray(r0(xi), dtype=float)[..., None] * damp) @ ws
-
-    # bracket the foot points: pad by the extreme signed speeds
-    probe = np.linspace(np.min(x_arr) - 1.0, np.max(x_arr) + 1.0, 512)
-    r_hi = float(np.max(np.abs(np.asarray(r0(probe), dtype=float))))
-    r_grid = np.linspace(0.0, max(r_hi, 1e-12), 256)
-    lam_grid = phi.lambda2(r_grid)
-    pad_lo = max(float(np.max(lam_grid)), 0.0) * t + 1e-6
-    pad_hi = -min(float(np.min(lam_grid)), 0.0) * t + 1e-6
-    xi_grid = np.linspace(np.min(x_arr) - pad_lo, np.max(x_arr) + pad_hi, 8192)
-    forward = xi_grid + delta(xi_grid)
-    if np.any(np.diff(forward) <= 0.0):
-        raise ShockFormed(f"characteristics cross before t = {t:g}")
-
-    def forward_scalar(xi: float) -> float:
-        return float(xi + delta(np.array([xi]))[0])
-
-    from scipy.optimize import brentq
-
-    out = np.empty(x_arr.size)
-    idx = np.searchsorted(forward, x_arr)
-    for j, xj in enumerate(x_arr):
-        i = int(idx[j])
-        if i <= 0 or i >= forward.size:
-            raise RootBracketFailure(f"target x = {xj:g} outside the probed range")
-        xi_star = brentq(lambda xi: forward_scalar(xi) - xj, xi_grid[i - 1], xi_grid[i])
-        out[j] = float(r0(xi_star)) * np.exp(-a * t)
-    return out if np.ndim(x) else float(out[0])
+from .solver import Trajectory, lp_norm
 
 
 # -- decay fits ---------------------------------------------------------------
@@ -165,8 +82,6 @@ def decay_harness(
     fitted over the last 90% of the time span, and the envelope check is
     norms <= 1.05 norm0 e^{-rate (t - t0)}."""
     times = traj.times
-    if times.size < 5:
-        raise InsufficientData("decay harness needs at least five snapshots")
     norms = np.array([lp_norm(f, p, weighted) for f in traj.fields])
 
     if not weighted:
@@ -202,138 +117,6 @@ def decay_harness(
         rate_band_ok=bool(rate_band_ok),
         passed=bool(pointwise_ok and rate_band_ok),
     )
-
-
-# -- weak entropy residuals ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SpaceTimeBump:
-    """Nonnegative C^1 test function j((x-x0)/wx) j((t-t0)/wt) built from
-    the standard smooth bump, supported on the open box
-    (x0 - wx, x0 + wx) x (t0 - wt, t0 + wt)."""
-
-    x0: float
-    t0: float
-    wx: float
-    wt: float
-
-    def value(self, x, t: float):
-        return bump((np.asarray(x, dtype=float) - self.x0) / self.wx) * float(
-            bump((t - self.t0) / self.wt)
-        )
-
-    def partial_x(self, x, t: float):
-        return (
-            bump_derivative((np.asarray(x, dtype=float) - self.x0) / self.wx)
-            / self.wx
-            * float(bump((t - self.t0) / self.wt))
-        )
-
-    def partial_t(self, x, t: float):
-        return bump((np.asarray(x, dtype=float) - self.x0) / self.wx) * float(
-            bump_derivative((t - self.t0) / self.wt) / self.wt
-        )
-
-
-@dataclass(frozen=True)
-class EntropyResidualReport:
-    residuals: np.ndarray
-    max_residual: float
-    passed: bool | None
-
-
-def entropy_source(f: StateField, pair: EntropyPair, d: Damping) -> np.ndarray:
-    """grad(eta) . (a u, b v) = eta'(r) (a u^2 + b v^2) / r, continued by
-    zero at r = 0 (eta'(r) = O(r^{m-1}) keeps the limit finite)."""
-    r = f.r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        src = np.asarray(pair.deta(r), dtype=float) * (
-            d.a * f.u**2 + d.b * f.v**2
-        ) / np.where(r > 0.0, r, 1.0)
-    return np.where(r > 0.0, src, 0.0)
-
-
-def entropy_residual(
-    traj: Trajectory,
-    pair: EntropyPair,
-    d: Damping,
-    thetas: Sequence[SpaceTimeBump],
-    tol: float | None = None,
-) -> EntropyResidualReport:
-    """Weak entropy production against nonnegative test functions:
-
-        R(theta) = - int int [ eta theta_t + q theta_x
-                               - grad(eta).(a u, b v) theta ] dx dt.
-
-    Entropy solutions give R <= 0 for every admissible theta (equality in
-    smooth regions); the scheme reproduces this up to truncation noise.
-    Time integration uses the trajectory snapshots (trapezoid weights),
-    so snapshots must resolve the bump's time width."""
-    times = traj.times
-    if times.size < 8:
-        raise InsufficientData("entropy residual needs a densely sampled trajectory")
-    grid = traj.grid
-    x = grid.centers
-    t_lo, t_hi = float(times[0]), float(times[-1])
-    for th in thetas:
-        if th.wx <= 0 or th.wt <= 0:
-            raise ConfigError("bump widths must be positive")
-        if not (grid.x_lo < th.x0 - th.wx and th.x0 + th.wx < grid.x_hi):
-            raise TestFunctionSupport(
-                f"x support [{th.x0 - th.wx:g}, {th.x0 + th.wx:g}] touches the domain"
-            )
-        if not (t_lo < th.t0 - th.wt and th.t0 + th.wt < t_hi):
-            raise TestFunctionSupport(
-                f"t support [{th.t0 - th.wt:g}, {th.t0 + th.wt:g}] touches the window"
-            )
-
-    diffs = np.diff(times)
-    wt = np.empty(times.size)
-    wt[0] = diffs[0] / 2.0
-    wt[-1] = diffs[-1] / 2.0
-    wt[1:-1] = (diffs[:-1] + diffs[1:]) / 2.0
-
-    residuals = np.zeros(len(thetas))
-    for k, f in enumerate(traj.fields):
-        r = f.r
-        eta = np.asarray(pair.eta(r), dtype=float)
-        q = np.asarray(pair.q(r), dtype=float)
-        src = entropy_source(f, pair, d)
-        tk = float(times[k])
-        for j, th in enumerate(thetas):
-            if abs(tk - th.t0) >= th.wt:
-                continue
-            integrand = (
-                eta * th.partial_t(x, tk) + q * th.partial_x(x, tk) - src * th.value(x, tk)
-            )
-            residuals[j] -= wt[k] * grid.dx * float(np.sum(integrand))
-
-    max_residual = float(np.max(residuals)) if residuals.size else 0.0
-    return EntropyResidualReport(
-        residuals=residuals,
-        max_residual=max_residual,
-        passed=bool(max_residual <= tol) if tol is not None else None,
-    )
-
-
-def calibrate_entropy_tolerance(
-    smooth_traj: Trajectory,
-    pair: EntropyPair,
-    d: Damping,
-    thetas: Sequence[SpaceTimeBump],
-) -> float:
-    """Constant C such that tol = C (dx + avg_dt) bounds the quadrature
-    and truncation noise of the residual, estimated from a smooth run
-    where the exact residual is zero, with a safety factor of 10."""
-    report = entropy_residual(smooth_traj, pair, d, thetas)
-    scale = smooth_traj.grid.dx + smooth_traj.avg_dt
-    worst = float(np.max(np.abs(report.residuals)))
-    return 10.0 * worst / scale
-
-
-def entropy_tolerance(c: float, traj: Trajectory) -> float:
-    return c * (traj.grid.dx + traj.avg_dt)
 
 
 # -- Riemann-invariant diagnostics -------------------------------------------
@@ -388,56 +171,3 @@ def riemann_invariant_diagnostics(
         passed=bool(z_ok and w_ok),
     )
 
-
-# -- weighted entropy balance --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    residuals: np.ndarray        # d/dt E + source - flux, <= 0 up to truncation
-    max_residual: float
-    rms_residual: float
-
-
-def weighted_entropy_balance(
-    traj: Trajectory,
-    pair: EntropyPair,
-    d: Damping,
-    weighted: bool = False,
-) -> BalanceReport:
-    """Discrete check of d/dt int eta k dx = int q k' dx - int source k dx
-    between consecutive snapshots (time derivative by differencing, right
-    side by trapezoid in time), with k = solver.weight when weighted
-    and k = 1 otherwise. With k = 1 on a periodic grid this is the plain
-    entropy balance; the m = 2 pair gives the energy law."""
-    times = traj.times
-    if times.size < 2:
-        raise InsufficientData("balance needs at least two snapshots")
-    grid = traj.grid
-    x = grid.centers
-    if weighted:
-        kx = weight(x)
-        dkx = weight_slope(x)
-    else:
-        kx = np.ones_like(x)
-        dkx = np.zeros_like(x)
-
-    def energy(f: StateField) -> float:
-        return float(grid.dx * np.sum(np.asarray(pair.eta(f.r), dtype=float) * kx))
-
-    def right_side(f: StateField) -> float:
-        q = np.asarray(pair.q(f.r), dtype=float)
-        src = entropy_source(f, pair, d)
-        return float(grid.dx * np.sum(q * dkx - src * kx))
-
-    energies = np.array([energy(f) for f in traj.fields])
-    rhs = np.array([right_side(f) for f in traj.fields])
-    dts = np.diff(times)
-    lhs = np.diff(energies) / dts
-    rhs_mid = 0.5 * (rhs[:-1] + rhs[1:])
-    residuals = lhs - rhs_mid
-    return BalanceReport(
-        residuals=residuals,
-        max_residual=float(np.max(residuals)),
-        rms_residual=float(np.sqrt(np.mean(residuals**2))),
-    )

@@ -2,9 +2,8 @@
 
 For eta = eta(r) the pairing condition grad(eta) . dF = grad(q) reduces to
 the scalar relation q'(r) = eta'(r) lambda_2(r) with lambda_2 = phi + r phi'.
-Writing psi = q - eta phi, this is psi'(s) = (s eta'(s) - eta(s)) phi'(s),
-which is integrated cumulatively from 0. For the power family eta = r**m
-(m >= 1) integration by parts gives the closed form
+For the power family eta = r**m (m >= 1) integration by parts gives the
+closed form
 
     q(r) = m r**m phi(r) - m (m - 1) int_0^r s**(m-1) phi(s) ds,
 
@@ -24,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import model as md
-from .errors import ConfigError, NonLipschitz, QuadratureFailure
+from .errors import ConfigError, QuadratureFailure
 from .quadrature import CumulativeIntegral
 
 
@@ -33,13 +32,7 @@ class EntropyPair:
     eta: Callable
     deta: Callable          # eta'
     q: Callable
-    m: float | None = None  # exponent when eta = r**m, else None
-
-
-@dataclass(frozen=True)
-class PairingReport:
-    max_residual: float
-    passed: bool
+    m: float                # the exponent: eta = r**m
 
 
 @dataclass(frozen=True)
@@ -107,73 +100,10 @@ def power_entropy_pair(m: float, phi: md.PhiModel) -> EntropyPair:
     return EntropyPair(eta=eta, deta=deta, q=q, m=m)
 
 
-def flux_from_eta(eta: Callable, deta: Callable, phi: md.PhiModel) -> EntropyPair:
-    """Entropy flux for a general radial eta via cumulative quadrature of
-    psi'(s) = (s eta'(s) - eta(s)) phi'(s), then q = psi + eta phi.
-
-    Rejects candidates whose slope s*eta'(s) blows up toward r = 0
-    (non-Lipschitz at the origin; the pairing integral is not usable)."""
-    probe = phi.r_max * 10.0 ** -np.linspace(12.0, 1.0, 45)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.abs(probe * np.asarray(deta(probe), dtype=float))
-    ref = max(1.0, abs(float(deta(phi.r_max))) * phi.r_max)
-    if not np.all(np.isfinite(slope)) or np.max(slope) > 1e8 * ref:
-        raise NonLipschitz("r * eta'(r) unbounded near r = 0")
-
-    def integrand(s: float) -> float:
-        return (s * float(deta(s)) - float(eta(s))) * float(phi.dphi(s))
-
-    psi = CumulativeIntegral(integrand, phi.r_max)
-
-    def q(r):
-        r = np.asarray(r, dtype=float)
-        return (psi(r) + np.asarray(eta(r), dtype=float) * phi.phi(r))[()]
-
-    return EntropyPair(eta=eta, deta=deta, q=q)
-
-
-def verify_pair(pair: EntropyPair, phi: md.PhiModel, states) -> PairingReport:
-    """Residual | grad(eta) . dF - grad(q) | at sample states, with both
-    gradients taken by central differences in (u, v) (relative step 1e-6)
-    so the check does not reuse the analytic construction it is verifying.
-    Passes at 1e-6: the difference gradients floor the achievable residual
-    near sqrt(eps), far above the flux's quadrature tolerance
-    (`quadrature.ABS_TOL`)."""
-
-    def eta_of(u, v):
-        return float(pair.eta(np.hypot(u, v)))
-
-    def q_of(u, v):
-        return float(pair.q(np.hypot(u, v)))
-
-    worst = 0.0
-    for s in states:
-        u, v = (s.u, s.v) if isinstance(s, md.State) else (float(s[0]), float(s[1]))
-        hu = 1e-6 * max(1.0, abs(u))
-        hv = 1e-6 * max(1.0, abs(v))
-        grad_eta = np.array(
-            [
-                (eta_of(u + hu, v) - eta_of(u - hu, v)) / (2 * hu),
-                (eta_of(u, v + hv) - eta_of(u, v - hv)) / (2 * hv),
-            ]
-        )
-        grad_q = np.array(
-            [
-                (q_of(u + hu, v) - q_of(u - hu, v)) / (2 * hu),
-                (q_of(u, v + hv) - q_of(u, v - hv)) / (2 * hv),
-            ]
-        )
-        a_mat = md.jacobian(md.State(u, v), phi)
-        worst = max(worst, float(np.max(np.abs(grad_eta @ a_mat - grad_q))))
-    return PairingReport(max_residual=worst, passed=bool(worst <= 1e-6))
-
-
 def flux_bound(pair: EntropyPair, sup_phi: float, r_working: float) -> BoundReport:
     """|q(r)| <= 2 m M r**m on (0, r_working], M = sup phi there (compute
     M with PhiModel.sup_phi), sampled at 4096 even radii and 64 log-spaced
-    ones toward r = 0. Only defined for power-family pairs."""
-    if pair.m is None:
-        raise ConfigError("flux bound applies to power-family pairs only")
+    ones toward r = 0."""
     if r_working <= 0:
         raise ConfigError(f"r_working must be positive, got {r_working}")
     if sup_phi <= 0:

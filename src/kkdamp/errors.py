@@ -41,10 +41,6 @@ class QuadratureFailure(KKDampError):
     """Cumulative integral failed its spot checks at the maximum refinement."""
 
 
-class NonLipschitz(KKDampError):
-    """Entropy candidate with unbounded r*eta'(r) near r = 0."""
-
-
 class StabilityViolation(KKDampError):
     """Requested step breaks speed dt/dx + 2 eps dt/dx^2 <= 1, the CFL limit
     dt <= dx / speed when eps = 0 (the message names the diffusion number
@@ -61,22 +57,8 @@ class NonFinite(KKDampError):
     """NaN or Inf encountered in a state field."""
 
 
-class ShockFormed(KKDampError):
-    """Characteristics crossed; the smooth-solution oracle is no longer valid."""
-
-
-class RootBracketFailure(KKDampError):
-    """Characteristic foot point could not be bracketed for a target location."""
-
-
 class InsufficientData(KKDampError):
     """Too few usable samples for a fit (decay rate needs at least five times)."""
-
-
-class TestFunctionSupport(KKDampError):
-    """Space-time test function support touches the domain boundary."""
-
-    __test__ = False  # starts with "Test" but is not a pytest class
 
 
 class ParseError(KKDampError, ValueError):

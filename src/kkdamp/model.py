@@ -1,5 +1,5 @@
-"""Flux, eigenstructure, and Riemann invariants of the symmetric
-Keyfitz-Kranzer system with linear damping.
+"""Velocity model, eigenstructure and the angular invariant Z = u/v of the
+symmetric Keyfitz-Kranzer system with linear damping.
 
 The system is
 
@@ -38,7 +38,6 @@ R_MAX_DEFAULT = 10.0
 
 LINEARLY_DEGENERATE = "linearly_degenerate"
 GENUINELY_NONLINEAR = "genuinely_nonlinear"
-MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,9 @@ class C1Report:
 
 
 @dataclass(frozen=True)
-class HyperbolicityReport:
-    passed: bool
-    min_gap: float          # min of |r phi'(r)| = |lambda_2 - lambda_1| over samples
-
-
-@dataclass(frozen=True)
 class FieldClassification:
     gn_value: float         # grad(lambda_i) . unit eigenvector, exact formula
-    kind: str               # LINEARLY_DEGENERATE / GENUINELY_NONLINEAR / MIXED
+    kind: str               # LINEARLY_DEGENERATE / GENUINELY_NONLINEAR
 
 
 # family formulas: module-level and bound by functools.partial, so a PhiModel pickles
@@ -401,30 +394,6 @@ def _state_radius(s: State, phi: PhiModel) -> float:
     return r
 
 
-def flux(s: State, phi: PhiModel) -> np.ndarray:
-    """F(u, v) = (u phi(r), v phi(r))."""
-    r = _state_radius(s, phi)
-    p = float(phi.phi(r))
-    return np.array([s.u * p, s.v * p], dtype=float)
-
-
-def jacobian(s: State, phi: PhiModel) -> np.ndarray:
-    """dF/d(u,v) = phi I + (phi'/r) w w^T. At r = 0 the limit phi(0) I is
-    returned (`_state_radius` has checked that phi(0) is finite)."""
-    r = _state_radius(s, phi)
-    if r == 0.0:
-        return np.eye(2) * phi.phi0
-    p = float(phi.phi(r))
-    dp_over_r = float(phi.dphi(r)) / r
-    u, v = s.u, s.v
-    return np.array(
-        [
-            [p + dp_over_r * u * u, dp_over_r * u * v],
-            [dp_over_r * u * v, p + dp_over_r * v * v],
-        ]
-    )
-
-
 def eigenvalues(s: State, phi: PhiModel) -> tuple[float, float]:
     """(lambda_1, lambda_2) = (phi(r), phi(r) + r phi'(r)); r = 0 is degenerate."""
     r = _state_radius(s, phi)
@@ -451,12 +420,6 @@ def z_invariant(u, v):
     return u / v
 
 
-def riemann_invariants(s: State, phi: PhiModel) -> tuple[float, float]:
-    """(W, Z) = (phi(r), u/v). W is constant along field 1, Z along field 2."""
-    r = _state_radius(s, phi)
-    return float(phi.phi(r)), z_invariant(s.u, s.v)
-
-
 def classify_field(s: State, phi: PhiModel, field_index: int) -> FieldClassification:
     """Nonlinearity indicator grad(lambda_i) . unit eigenvector at a state.
 
@@ -474,33 +437,3 @@ def classify_field(s: State, phi: PhiModel, field_index: int) -> FieldClassifica
     kind = LINEARLY_DEGENERATE if abs(gn) <= 1e-10 * max(1.0, abs(lam2)) else GENUINELY_NONLINEAR
     return FieldClassification(gn, kind)
 
-
-def classify_field_range(phi: PhiModel, r_lo: float, r_hi: float) -> FieldClassification:
-    """Classification of field 2 over an r-interval; MIXED if the
-    indicator changes character across the samples."""
-    if not (0 < r_lo < r_hi <= phi.r_max):
-        raise ConfigError("need 0 < r_lo < r_hi <= r_max")
-    rs = np.linspace(r_lo, r_hi, 512)
-    gn = 2.0 * np.asarray(phi.dphi(rs)) + rs * np.asarray(phi.d2phi(rs))
-    tol = 1e-10 * max(1.0, float(np.max(np.abs(phi.lambda2(rs)))))
-    degenerate = np.abs(gn) <= tol
-    if np.all(degenerate):
-        kind = LINEARLY_DEGENERATE
-    elif not np.any(degenerate) and (np.all(gn > 0) or np.all(gn < 0)):
-        kind = GENUINELY_NONLINEAR
-    else:
-        kind = MIXED
-    worst = int(np.argmin(np.abs(gn)))
-    return FieldClassification(float(gn[worst]), kind)
-
-
-def check_strict_hyperbolicity(phi: PhiModel, r_lo: float, r_hi: float) -> HyperbolicityReport:
-    """Sampled eigenvalue gap |lambda_2 - lambda_1| = |r phi'(r)| on
-    [r_lo, r_hi]; passes when the gap never vanishes."""
-    if not (0 < r_lo < r_hi <= phi.r_max):
-        raise ConfigError(
-            f"need 0 < r_lo < r_hi <= r_max={phi.r_max:g}, got [{r_lo}, {r_hi}]"
-        )
-    rs = np.linspace(r_lo, r_hi, 512)
-    min_gap = float(np.min(np.abs(np.asarray(phi.r_dphi(rs), dtype=float))))
-    return HyperbolicityReport(passed=min_gap > 0.0, min_gap=min_gap)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .model import Damping, PhiModel, State, z_invariant
+from .model import Damping, PhiModel, z_invariant
 
 
 @dataclass(frozen=True)
@@ -66,14 +66,6 @@ class ContainmentReport:
     first_violation_time: float | None
     violations_per_time: np.ndarray
     passed: bool
-
-
-def contains(s: State, sigma: RegionSigma, phi: PhiModel) -> bool:
-    """Membership of a state in Sigma, with additive slack 1e-8 on each face;
-    OutOfRange for a state beyond r_max."""
-    z = z_invariant(s.u, s.v)
-    w = float(phi.phi(phi.check_radius(s.r)))
-    return (w <= sigma.c0 + 1e-8) and (sigma.c1 - 1e-8 <= z <= sigma.c2 + 1e-8)
 
 
 def _piece(name: str, dots_outward: np.ndarray) -> PieceReport:

@@ -47,7 +47,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,26 +134,12 @@ class StateField:
     def r(self) -> np.ndarray:
         return np.hypot(self.u, self.v)
 
-    @classmethod
-    def from_profiles(cls, grid: Grid1D, u0: Callable, v0: Callable) -> "StateField":
-        """The field (u0(x), v0(x)) at the cell centers, at t = 0."""
-        x = grid.centers
-        u = np.broadcast_to(np.asarray(u0(x), dtype=float), x.shape).copy()
-        v = np.broadcast_to(np.asarray(v0(x), dtype=float), x.shape).copy()
-        return cls(grid, u, v)
-
 
 def weight(x):
     """Spatial weight k(x) = exp(-h(x)) with h(x) = sqrt(1 + x^2). Since
     |h'| <= 1, |k'| <= k: that slope bound is what lets the weighted entropy
     flux term be absorbed into the weighted entropy itself."""
     return np.exp(-np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2))
-
-
-def weight_slope(x):
-    """d/dx of `weight`: -h'(x) k(x) with h'(x) = x / sqrt(1 + x^2)."""
-    x = np.asarray(x, dtype=float)
-    return -(x / np.sqrt(1.0 + x * x)) * weight(x)
 
 
 def _check_p(p: float) -> None:
@@ -491,17 +477,6 @@ def bump(s):
     inside = np.abs(s) < 1.0
     si = s[inside]
     out[inside] = np.exp(-1.0 / (1.0 - si * si))
-    return out[()]
-
-
-def bump_derivative(s):
-    """d/ds of `bump`: bump(s) * (-2 s / (1 - s^2)^2) inside the support."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    inside = np.abs(s) < 1.0
-    si = s[inside]
-    one = 1.0 - si * si
-    out[inside] = np.exp(-1.0 / one) * (-2.0 * si / (one * one))
     return out[()]
 
 

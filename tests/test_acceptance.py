@@ -14,25 +14,25 @@ import numpy as np
 import pytest
 
 from kkdamp import model as md
-from kkdamp.analysis import (
-    SpaceTimeBump,
-    calibrate_entropy_tolerance,
-    entropy_residual,
-    entropy_tolerance,
-    exact_scalar_solution,
-    fit_exponential_rate,
-    lp_norm,
-    radial_characteristics_oracle,
-    riemann_invariant_diagnostics,
-)
-from kkdamp.entropy import flux_bound, power_entropy_pair, verify_pair
+from kkdamp.analysis import fit_exponential_rate, lp_norm, riemann_invariant_diagnostics
+from kkdamp.entropy import flux_bound, power_entropy_pair
 from kkdamp.model import Damping, PhiModel, State
 from kkdamp.region import RegionSigma, boundary_flow_check, trajectory_containment
 from kkdamp.scenario import parse_scenario, run_scenario
 from kkdamp.solver import Grid1D, SolverConfig, StateField, Trajectory, simulate
 from kkdamp.viscous import ViscousConfig, vanishing_viscosity_sweep
 
-from _oracles import random_states
+from _oracles import (
+    SpaceTimeBump,
+    calibrate_entropy_tolerance,
+    entropy_residual,
+    entropy_tolerance,
+    exact_scalar_solution,
+    jacobian,
+    radial_characteristics_oracle,
+    random_states,
+    verify_pair,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -75,9 +75,9 @@ def test_criterion_1_scalar_transport_oracle():
     errors = []
     for n in (256, 512, 1024):
         grid = Grid1D(0.0, 2.0 * np.pi, n)
-        init = StateField.from_profiles(grid, np.sin, v0)
-        final = simulate(init, phi, d, cfg)[-1]
         x = grid.centers
+        init = StateField(grid, np.sin(x), v0(x))
+        final = simulate(init, phi, d, cfg)[-1]
         exact_u = exact_scalar_solution(np.sin, 1.0, d.a, x, t_end)
         exact_v = exact_scalar_solution(v0, 1.0, d.b, x, t_end)
         errors.append(
@@ -202,11 +202,8 @@ def test_criterion_5_weak_entropy_inequality(scenario_runs):
         def r0(x):
             return 0.7 - 0.3 * np.tanh(x)  # same magnitudes, no crossing by t=1
 
-        init = StateField.from_profiles(
-            grid,
-            lambda x: r0(x) / np.sqrt(2.0),
-            lambda x: r0(x) / np.sqrt(2.0),
-        )
+        x = grid.centers
+        init = StateField(grid, r0(x) / np.sqrt(2.0), r0(x) / np.sqrt(2.0))
         cfg = SolverConfig(t_end=1.0, output_times=np.linspace(0.0, 1.0, 513)[1:])
         return simulate(init, phi, d, cfg)
 
@@ -270,7 +267,8 @@ def test_criterion_6_invariant_region(scenario_runs):
         def v0(x):
             return (0.5 + 0.2 * np.sin(x)) * np.sin(x_angle + angle_amp * np.sin(x))
 
-        init = StateField.from_profiles(grid, u0, v0)
+        x = grid.centers
+        init = StateField(grid, u0(x), v0(x))
         cfg = SolverConfig(t_end=0.5, output_times=np.linspace(0.0, 0.5, 11)[1:])
         return simulate(init, phi, d, cfg)
 
@@ -369,9 +367,8 @@ def test_criterion_8_vanishing_viscosity():
     # constant phi: the regularization enters linearly, so the distance to
     # the inviscid run should scale like eps itself
     grid = Grid1D(0.0, 2.0 * np.pi, 1024)
-    init = StateField.from_profiles(
-        grid, lambda x: 0.5 + 0.2 * np.sin(x), lambda x: 0.5 + 0.2 * np.cos(x)
-    )
+    x = grid.centers
+    init = StateField(grid, 0.5 + 0.2 * np.sin(x), 0.5 + 0.2 * np.cos(x))
     cfg_const = ViscousConfig(t_end=0.5, output_times=[0.5])
     rep_const = vanishing_viscosity_sweep(
         init, PhiModel.constant(1.0), Damping(0.5, 0.5), cfg_const, eps_values
@@ -423,7 +420,7 @@ def test_criterion_9_eigenstructure_suite(rng):
 
         for i in range(n):
             s = State(float(u[i]), float(v[i]))
-            a_mat = md.jacobian(s, phi)
+            a_mat = jacobian(s, phi)
             fd = np.array([[j11[i], j12[i]], [j21[i], j22[i]]])
             scale = max(1.0, float(np.max(np.abs(a_mat))))
             worst["jac"] = max(

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
+from _oracles import (
+    OracleError,
+    SpaceTimeBump,
+    calibrate_entropy_tolerance,
+    entropy_residual,
+    entropy_tolerance,
+    exact_scalar_solution,
+    radial_characteristics_oracle,
+    weight_slope,
+    weighted_entropy_balance,
+)
 from scipy.integrate import quad
 
 from kkdamp import analysis as an
 from kkdamp import entropy as ent
 from kkdamp import model as md
 from kkdamp import solver as sv
-from kkdamp.errors import (
-    AxisState,
-    ConfigError,
-    InsufficientData,
-    ShockFormed,
-    TestFunctionSupport,
-)
-from kkdamp.solver import bump, weight, weight_slope
+from kkdamp.errors import AxisState, ConfigError, InsufficientData
+from kkdamp.solver import bump, weight
 
 
 # -- weight and norms -----------------------------------------------------------
@@ -54,7 +59,7 @@ def test_weighted_norm_matches_quadrature():
 
 def test_exact_scalar_solution_formula():
     x = np.linspace(0.0, 2 * np.pi, 33)
-    got = an.exact_scalar_solution(np.sin, 1.0, 0.5, x, 2.0)
+    got = exact_scalar_solution(np.sin, 1.0, 0.5, x, 2.0)
     assert np.allclose(got, np.sin(x - 2.0) * np.exp(-1.0), atol=1e-14)
 
 
@@ -63,7 +68,7 @@ def test_radial_oracle_reduces_to_constant_speed():
     phi = md.PhiModel.constant(0.7)
     r0 = lambda xi: 0.5 + 0.2 * np.sin(xi)
     x = np.linspace(0.0, 2 * np.pi, 17)
-    got = an.radial_characteristics_oracle(r0, phi, 0.3, x, 1.2)
+    got = radial_characteristics_oracle(r0, phi, 0.3, x, 1.2)
     assert np.max(np.abs(got - r0(x - 0.7 * 1.2) * np.exp(-0.3 * 1.2))) <= 1e-9
 
 
@@ -77,7 +82,7 @@ def test_radial_oracle_satisfies_the_pde():
     dt, dx = 1e-4, 1e-4
 
     def r_of(xx, tt):
-        return np.asarray(an.radial_characteristics_oracle(r0, phi, a, xx, tt))
+        return np.asarray(radial_characteristics_oracle(r0, phi, a, xx, tt))
 
     r_t = (r_of(x, t + dt) - r_of(x, t - dt)) / (2 * dt)
     gp = r_of(x + dx, t)
@@ -91,11 +96,11 @@ def test_radial_oracle_time_zero_and_shock():
     phi = md.PhiModel.power(1.0)
     r0 = lambda xi: 0.5 + 0.45 * np.sin(xi)
     x = np.linspace(0.0, 2 * np.pi, 9)
-    assert np.allclose(an.radial_characteristics_oracle(r0, phi, 0.05, x, 0.0), r0(x))
+    assert np.allclose(radial_characteristics_oracle(r0, phi, 0.05, x, 0.0), r0(x))
     # steep data + weak damping: crossing time is near 1.14 here
-    with pytest.raises(ShockFormed):
-        an.radial_characteristics_oracle(r0, phi, 0.05, x, 10.0)
-    an.radial_characteristics_oracle(r0, phi, 0.05, x, 0.5)  # pre-shock is fine
+    with pytest.raises(OracleError, match="characteristics cross"):
+        radial_characteristics_oracle(r0, phi, 0.05, x, 10.0)
+    radial_characteristics_oracle(r0, phi, 0.05, x, 0.5)  # pre-shock is fine
 
 
 def test_radial_oracle_matches_solver_under_equal_damping():
@@ -109,7 +114,7 @@ def test_radial_oracle_matches_solver_under_equal_damping():
         x = grid.centers
         init = sv.StateField(grid, r0(x) / np.sqrt(2), r0(x) / np.sqrt(2))
         traj = sv.simulate(init, phi, d, sv.SolverConfig(t_end=0.5))
-        oracle = an.radial_characteristics_oracle(r0, phi, a, x, 0.5)
+        oracle = radial_characteristics_oracle(r0, phi, a, x, 0.5)
         errs.append(float(np.max(np.abs(traj[-1].r - oracle))))
     assert errs[1] < errs[0] / 1.4
     assert errs[1] < 2e-2
@@ -242,8 +247,8 @@ def test_entropy_residual_positive_for_non_solution():
     phi = md.PhiModel.power(1.0)
     pair = ent.power_entropy_pair(2.0, phi)
     traj = constant_traj(u, v)
-    theta = an.SpaceTimeBump(x0=0.0, t0=0.5, wx=1.0, wt=0.3)
-    rep = an.entropy_residual(traj, pair, d, [theta])
+    theta = SpaceTimeBump(x0=0.0, t0=0.5, wx=1.0, wt=0.3)
+    rep = entropy_residual(traj, pair, d, [theta])
     bump_mass, _ = quad(lambda s: float(bump(s)), -1.0, 1.0)
     src = 2.0 * (0.5 * u * u + 0.25 * v * v)  # deta(r) (a u^2 + b v^2)/r at r=1
     expect = src * (1.0 * bump_mass) * (0.3 * bump_mass)
@@ -266,10 +271,10 @@ def test_entropy_residual_vanishes_on_exact_solution():
         fields.append(sv.StateField(grid, u, v, t))
     traj = sv.Trajectory(fields, n_steps=k, avg_dt=1.0 / k)
     thetas = [
-        an.SpaceTimeBump(x0=np.pi, t0=0.5, wx=1.2, wt=0.3),
-        an.SpaceTimeBump(x0=2.0, t0=0.6, wx=0.8, wt=0.25),
+        SpaceTimeBump(x0=np.pi, t0=0.5, wx=1.2, wt=0.3),
+        SpaceTimeBump(x0=2.0, t0=0.6, wx=0.8, wt=0.25),
     ]
-    rep = an.entropy_residual(traj, pair, d, thetas)
+    rep = entropy_residual(traj, pair, d, thetas)
     assert np.max(np.abs(rep.residuals)) <= 5e-4
 
 
@@ -278,12 +283,12 @@ def test_entropy_residual_support_checks():
     pair = ent.power_entropy_pair(2.0, phi)
     d = md.Damping(0.3, 0.1)
     traj = constant_traj(0.3, 0.4)
-    with pytest.raises(TestFunctionSupport):
-        an.entropy_residual(traj, pair, d, [an.SpaceTimeBump(0.0, 0.5, wx=4.0, wt=0.2)])
-    with pytest.raises(TestFunctionSupport):
-        an.entropy_residual(traj, pair, d, [an.SpaceTimeBump(0.0, 0.1, wx=1.0, wt=0.2)])
+    with pytest.raises(OracleError, match="x support"):
+        entropy_residual(traj, pair, d, [SpaceTimeBump(0.0, 0.5, wx=4.0, wt=0.2)])
+    with pytest.raises(OracleError, match="t support"):
+        entropy_residual(traj, pair, d, [SpaceTimeBump(0.0, 0.1, wx=1.0, wt=0.2)])
     with pytest.raises(ConfigError):
-        an.entropy_residual(traj, pair, d, [an.SpaceTimeBump(0.0, 0.5, wx=-1.0, wt=0.2)])
+        entropy_residual(traj, pair, d, [SpaceTimeBump(0.0, 0.5, wx=-1.0, wt=0.2)])
 
 
 def test_entropy_tolerance_calibration_scales():
@@ -291,10 +296,10 @@ def test_entropy_tolerance_calibration_scales():
     pair = ent.power_entropy_pair(2.0, phi)
     d = md.Damping(0.2, 0.2)
     traj = constant_traj(0.3, 0.4)
-    theta = an.SpaceTimeBump(0.0, 0.5, wx=1.0, wt=0.3)
-    c = an.calibrate_entropy_tolerance(traj, pair, d, [theta])
+    theta = SpaceTimeBump(0.0, 0.5, wx=1.0, wt=0.3)
+    c = calibrate_entropy_tolerance(traj, pair, d, [theta])
     assert c > 0
-    assert an.entropy_tolerance(c, traj) == pytest.approx(
+    assert entropy_tolerance(c, traj) == pytest.approx(
         c * (traj.grid.dx + traj.avg_dt)
     )
 
@@ -371,7 +376,7 @@ def test_balance_vanishes_on_exact_scalar_solution():
         v = (1.0 + 0.1 * np.cos(x - t)) * np.exp(-0.4 * t)
         fields.append(sv.StateField(grid, u, v, t))
     traj = sv.Trajectory(fields, n_steps=k, avg_dt=1.0 / k)
-    rep = an.weighted_entropy_balance(traj, pair, d)
+    rep = weighted_entropy_balance(traj, pair, d)
     # energy law: d/dt int r^2 = -2 int (a u^2 + b v^2); discretization
     # errors are O(dt^2) + O(dx^2)
     scale = 2 * 0.4 * float(np.max(traj[0].r)) ** 2 * 2 * np.pi
@@ -393,7 +398,7 @@ def test_weighted_balance_vanishes_on_exact_constant_phi_solution():
         g = np.exp(-((x - t) ** 2)) * np.exp(-0.4 * t)
         fields.append(sv.StateField(grid, 0.8 * g, 0.6 * g, t))
     traj = sv.Trajectory(fields, n_steps=k, avg_dt=1.0 / k)
-    rep = an.weighted_entropy_balance(traj, pair, d, weighted=True)
+    rep = weighted_entropy_balance(traj, pair, d, weighted=True)
     assert rep.rms_residual <= 1e-4
 
 
@@ -406,7 +411,7 @@ def test_balance_dissipates_on_computed_solution():
     r0 = 0.5 + 0.2 * np.sin(x)
     init = sv.StateField(grid, r0 * np.cos(0.8), r0 * np.sin(0.8))
     cfg = sv.SolverConfig(t_end=1.0, output_times=np.linspace(0.0, 1.0, 101)[1:])
-    rep = an.weighted_entropy_balance(sv.simulate(init, phi, d, cfg), pair, d)
+    rep = weighted_entropy_balance(sv.simulate(init, phi, d, cfg), pair, d)
     # scheme dissipation keeps the residual at or below truncation noise
     rhs_scale = 2 * 0.4 * float(an.lp_norm(init, 2)) ** 2
     assert rep.max_residual <= 0.05 * rhs_scale

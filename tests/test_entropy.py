@@ -3,12 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from _oracles import random_states
+from _oracles import bump_derivative, random_states, verify_pair
 
 from kkdamp import entropy as ent
 from kkdamp import model as md
 from kkdamp import quadrature
-from kkdamp.errors import ConfigError, NonLipschitz, QuadratureFailure
+from kkdamp.errors import ConfigError, QuadratureFailure
 from kkdamp.quadrature import (
     CumulativeIntegral,
     IntegrationWarning,
@@ -16,7 +16,7 @@ from kkdamp.quadrature import (
     qags,
     solve_tridiagonal,
 )
-from kkdamp.solver import bump, bump_derivative
+from kkdamp.solver import bump
 
 
 # -- quadrature machinery ------------------------------------------------------
@@ -273,23 +273,6 @@ def test_power_pair_rejects_small_m():
             ent.power_entropy_pair(m, md.PhiModel.power(1.0))
 
 
-# -- generic construction -------------------------------------------------------
-
-
-def test_flux_from_eta_agrees_with_power_route():
-    phi = md.PhiModel.power(1.0, r_max=6.0)
-    direct = ent.power_entropy_pair(2.0, phi)
-    generic = ent.flux_from_eta(lambda r: np.asarray(r) ** 2, lambda r: 2.0 * np.asarray(r), phi)
-    rs = np.linspace(0.0, 6.0, 121)
-    assert np.max(np.abs(generic.q(rs) - direct.q(rs))) <= 1e-8
-
-
-def test_flux_from_eta_rejects_non_lipschitz():
-    phi = md.PhiModel.power(1.0)
-    with pytest.raises(NonLipschitz):
-        ent.flux_from_eta(lambda r: 1.0 / np.asarray(r), lambda r: -1.0 / np.asarray(r) ** 2, phi)
-
-
 # -- pairing verification --------------------------------------------------------
 
 
@@ -299,7 +282,7 @@ def test_verify_pair_accepts_true_pairs(rng):
         for m in (1.0, 1.5, 2.0):
             pair = ent.power_entropy_pair(m, phi)
             us, vs = random_states(rng, 50, r_lo=0.05, r_hi=3.0)
-            rep = ent.verify_pair(pair, phi, list(zip(us, vs)))
+            rep = verify_pair(pair, phi, list(zip(us, vs)))
             assert rep.passed, f"m={m} {phi.label}: residual {rep.max_residual:.2e}"
             assert rep.max_residual <= 1e-6
 
@@ -314,7 +297,7 @@ def test_verify_pair_rejects_wrong_flux(rng):
         m=2.0,
     )
     us, vs = random_states(rng, 30, r_lo=0.5, r_hi=2.0)
-    rep = ent.verify_pair(bad, phi, list(zip(us, vs)))
+    rep = verify_pair(bad, phi, list(zip(us, vs)))
     assert not rep.passed
     assert rep.max_residual > 1e-2
 
@@ -351,9 +334,3 @@ def test_flux_bound_zero_cap_holds_only_a_zero_flux():
         rep = ent.flux_bound(ent.power_entropy_pair(2.0, md.PhiModel.constant(1.0)), 0.0, 1.0)
     assert rep.max_ratio == np.inf and not rep.passed
 
-
-def test_flux_bound_needs_power_pair():
-    phi = md.PhiModel.power(1.0)
-    generic = ent.flux_from_eta(lambda r: np.asarray(r) ** 2, lambda r: 2.0 * np.asarray(r), phi)
-    with pytest.raises(ConfigError):
-        ent.flux_bound(generic, 1.0, 1.0)

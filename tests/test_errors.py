@@ -15,9 +15,8 @@ CASES = [
     *(
         cls("message")
         for cls in (errors.ConfigError, errors.OutOfRange, errors.DegenerateState,
-                    errors.AxisState, errors.QuadratureFailure, errors.NonLipschitz,
-                    errors.NonFinite, errors.ShockFormed, errors.RootBracketFailure,
-                    errors.InsufficientData, errors.TestFunctionSupport)
+                    errors.AxisState, errors.QuadratureFailure, errors.NonFinite,
+                    errors.InsufficientData)
     ),
 ]
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from _oracles import fd_grad, fd_jacobian, random_states, raw_flux
+from _oracles import fd_grad, fd_jacobian, jacobian, random_states
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +32,7 @@ def family_zoo():
 
 
 def test_jacobian_linear_phi_at_3_4():
-    a = md.jacobian(md.State(3.0, 4.0), md.PhiModel.power(1.0))
+    a = jacobian(md.State(3.0, 4.0), md.PhiModel.power(1.0))
     assert np.allclose(a, [[6.8, 2.4], [2.4, 8.2]], rtol=0, atol=1e-12)
 
 
@@ -55,26 +55,20 @@ def test_eigenvector_normalization_is_deterministic():
 
 
 def test_riemann_invariants_linear_phi():
-    w, z = md.riemann_invariants(md.State(1.0, 1.0), md.PhiModel.power(1.0))
-    assert w == pytest.approx(np.sqrt(2.0), abs=1e-14)
-    assert z == pytest.approx(1.0, abs=1e-15)
+    # W = phi(r) and Z = u/v
+    s = md.State(1.0, 1.0)
+    assert float(md.PhiModel.power(1.0).phi(s.r)) == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    assert md.z_invariant(s.u, s.v) == pytest.approx(1.0, abs=1e-15)
 
 
 # -- oracle-backed structure checks -----------------------------------------
-
-
-def test_flux_matches_the_raw_flux_oracle(rng):
-    for phi in family_zoo():
-        us, vs = random_states(rng, 40, r_lo=0.0, r_hi=3.5)
-        for u, v in zip(us, vs):
-            assert np.array_equal(md.flux(md.State(u, v), phi), raw_flux(u, v, phi))
 
 
 def test_jacobian_matches_finite_differences(rng):
     for phi in family_zoo():
         us, vs = random_states(rng, 60, r_lo=0.2, r_hi=3.5)
         for u, v in zip(us, vs):
-            a = md.jacobian(md.State(u, v), phi)
+            a = jacobian(md.State(u, v), phi)
             a_fd = fd_jacobian(u, v, phi)
             scale = max(1.0, float(np.max(np.abs(a))))
             assert np.max(np.abs(a - a_fd)) <= 1e-6 * scale
@@ -85,7 +79,7 @@ def test_eigen_residuals(rng):
         us, vs = random_states(rng, 60, r_lo=0.2, r_hi=3.5)
         for u, v in zip(us, vs):
             s = md.State(u, v)
-            a = md.jacobian(s, phi)
+            a = jacobian(s, phi)
             lam1, lam2 = md.eigenvalues(s, phi)
             basis = md.eigenvectors(s)
             assert np.max(np.abs(a @ basis.r1 - lam1 * basis.r1)) <= 1e-8
@@ -140,13 +134,6 @@ def test_classification_kinds():
     s = md.State(1.0, 2.0)
     assert md.classify_field(s, md.PhiModel.power(1.0), 2).kind == md.GENUINELY_NONLINEAR
     assert md.classify_field(s, md.PhiModel.constant(1.0), 2).kind == md.LINEARLY_DEGENERATE
-    rng_kind = md.classify_field_range(md.PhiModel.power(1.0), 0.1, 5.0)
-    assert rng_kind.kind == md.GENUINELY_NONLINEAR
-    assert md.classify_field_range(md.PhiModel.constant(2.0), 0.1, 5.0).kind == md.LINEARLY_DEGENERATE
-    # 2 phi' + r phi'' changes sign for phi = sin 2r
-    rs = np.linspace(0.0, 2.0, 201)
-    wavy = md.PhiModel.tabulated(rs, np.sin(2.0 * rs))
-    assert md.classify_field_range(wavy, 0.1, 1.9).kind == md.MIXED
 
 
 # -- degenerate and invalid inputs -------------------------------------------
@@ -162,27 +149,24 @@ def test_origin_is_degenerate():
     with pytest.raises(DegenerateState):
         md.classify_field(zero, phi, 2)
     # the Jacobian limit exists whenever phi(0) is finite
-    assert np.allclose(md.jacobian(zero, phi), np.zeros((2, 2)))
-    assert np.allclose(md.jacobian(zero, md.PhiModel.shifted_power(2.0, 1.0)), 2.0 * np.eye(2))
+    assert np.allclose(jacobian(zero, phi), np.zeros((2, 2)))
+    assert np.allclose(jacobian(zero, md.PhiModel.shifted_power(2.0, 1.0)), 2.0 * np.eye(2))
 
 
 def test_axis_state_for_z():
     with pytest.raises(AxisState):
-        md.riemann_invariants(md.State(1.0, 0.0), md.PhiModel.power(1.0))
+        md.z_invariant(1.0, 0.0)
 
 
 def test_out_of_range_radius():
     phi = md.PhiModel.power(1.0, r_max=1.0)
-    with pytest.raises(OutOfRange):
-        md.flux(md.State(3.0, 4.0), phi)
     with pytest.raises(OutOfRange):
         md.eigenvalues(md.State(3.0, 4.0), phi)
 
 
 def test_a_state_whose_phi_or_lambda_2_overflows_is_out_of_range():
     phi = md.PhiModel.power(400.0)
-    point_functions = (md.flux, md.jacobian, md.eigenvalues, md.riemann_invariants,
-                       lambda s, phi: md.classify_field(s, phi, 2))
+    point_functions = (md.eigenvalues, lambda s, phi: md.classify_field(s, phi, 2))
     # r = 8.49: phi = r**400 overflows; r = 5.82: phi = 1e306 is finite and
     # lambda_2 = 401 phi overflows
     for s, r in ((md.State(6.0, 6.0), "8.48528"), (md.State(10**0.765, 1e-3), "5.82103")):
@@ -196,7 +180,7 @@ def test_a_state_whose_phi_or_lambda_2_overflows_is_out_of_range():
 def test_nan_radius_is_out_of_range():
     phi = md.PhiModel.power(1.0)
     with pytest.raises(OutOfRange):
-        md.riemann_invariants(md.State(np.nan, 1.0), phi)
+        md.eigenvalues(md.State(np.nan, 1.0), phi)
 
 
 def test_damping_validation():
@@ -340,17 +324,6 @@ def test_structure_condition_report():
     rep = md.PhiModel.constant(1.0).c1_report
     assert not rep.satisfied
     assert rep.min_abs_r_dphi == 0.0
-
-
-def test_strict_hyperbolicity_report():
-    rep = md.check_strict_hyperbolicity(md.PhiModel.power(1.0), 0.1, 5.0)
-    assert rep.passed and rep.min_gap == pytest.approx(0.1, rel=1e-12)
-    rep = md.check_strict_hyperbolicity(md.PhiModel.constant(1.0), 0.1, 5.0)
-    assert not rep.passed and rep.min_gap == 0.0
-    with pytest.raises(ConfigError):
-        md.check_strict_hyperbolicity(md.PhiModel.power(1.0), 0.0, 5.0)
-    with pytest.raises(ConfigError):
-        md.check_strict_hyperbolicity(md.PhiModel.power(1.0), 1.0, 99.0)
 
 
 def test_level_radius_and_sup():

@@ -4,7 +4,7 @@ import pytest
 from kkdamp import model as md
 from kkdamp import region as rg
 from kkdamp import solver as sv
-from kkdamp.errors import AxisState, ConfigError, OutOfRange, ValidationError
+from kkdamp.errors import ConfigError, ValidationError
 
 
 def test_sigma_validation():
@@ -15,19 +15,6 @@ def test_sigma_validation():
         rg.RegionSigma(1.0, 2.0, 2.0)
     with pytest.raises(ValidationError):
         rg.RegionSigma(np.inf, 0.0, 2.0)
-
-
-def test_contains():
-    phi = md.PhiModel.power(1.0)
-    sigma = rg.RegionSigma(c0=2.0, c1=0.0, c2=1.5)
-    assert rg.contains(md.State(1.0, 1.0), sigma, phi)          # r=sqrt(2), Z=1
-    assert not rg.contains(md.State(2.0, 2.0), sigma, phi)      # W exceeds C0
-    assert not rg.contains(md.State(1.6, 1.0), sigma, phi)      # Z exceeds C2
-    assert not rg.contains(md.State(-0.1, 1.0), sigma, phi)     # Z below C1
-    with pytest.raises(AxisState):
-        rg.contains(md.State(1.0, 0.0), sigma, phi)
-    with pytest.raises(OutOfRange):
-        rg.contains(md.State(50.0, 1.0), sigma, phi)            # r beyond r_max = 10
 
 
 def test_boundary_flow_signs_with_zero_lower_edge():

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import kkdamp
+from kkdamp import errors
 
 SRC = Path(kkdamp.__file__).resolve().parent.parent
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -84,7 +85,6 @@ def test_the_remaining_scipy_imports_are_brentq_and_pchip():
                           if alias.name.split(".")[0] == "scipy"}
     assert found == {
         ("model", "scipy.optimize", "brentq"),
-        ("analysis", "scipy.optimize", "brentq"),
         ("model", "scipy.interpolate", "PchipInterpolator"),
     }
 
@@ -178,6 +178,45 @@ def test_only_entropy_imports_quadrature_and_none_imports_entropy_up_front():
             up_front.add(path.stem)
     assert importers == {"entropy"}
     assert up_front == set()
+
+
+def test_every_definition_has_a_user_and_every_error_is_raised():
+    """Each top-level function and class, and each public method, of
+    `kkdamp` is named in some file under src/, benchmarks/ or tools/ apart
+    from its own definition: as a name, an attribute, an import alias or a
+    whole string (the benchmark tracer names its targets by string). Each
+    `KKDampError` subclass is raised in src/. It is a name-level scan: a
+    local variable of the same name hides a definition, as `solver`'s
+    local `flux` hid `model.flux`, so it can miss an unused name but never
+    fail a used one."""
+    defined, named, raised = {}, set(), set()
+    for path in sorted(p for d in ("src", "benchmarks", "tools")
+                       for p in (SRC.parent / d).rglob("*.py")):
+        tree, in_src = ast.parse(path.read_text()), path.parent.name == "kkdamp"
+        for node in tree.body if in_src else ():
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[f"{path.stem}.{node.name}"] = node.name
+            if isinstance(node, ast.ClassDef):
+                defined |= {f"{path.stem}.{node.name}.{m.name}": m.name for m in node.body
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named |= {node.name, node.asname}
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+            elif isinstance(node, ast.Raise) and in_src and node.exc:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    unused = sorted(label for label, name in defined.items() if name not in named)
+    assert not unused, f"defined but named nowhere else: {unused}"
+    kinds = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.KKDampError)}
+    never_raised = sorted(kinds - raised - {"KKDampError"})
+    assert not never_raised, f"never raised in src/: {never_raised}"
 
 
 def test_importing_the_scenario_module_leaves_the_checks_out(tmp_path):
