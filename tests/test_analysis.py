@@ -136,6 +136,16 @@ def synthetic_traj(rate_u, rate_v, n=128, t_end=2.0, k=21):
     return sv.Trajectory(fields, n_steps=k, avg_dt=t_end / k)
 
 
+def test_in_fit_window_takes_the_last_90_percent_with_slack():
+    t = np.linspace(0.0, 2.0, 21)
+    # the default window starts at 0.2: t = 0 and 0.1 fall out, t = 0.2 stays
+    assert np.array_equal(an.in_fit_window(t), t >= 0.2 - 1e-12)
+    assert np.array_equal(an.in_fit_window(t, (0.5, 1.0)), (t > 0.45) & (t < 1.05))
+    # 1e-15 of slack on each edge, no more
+    assert an.in_fit_window([1.0 - 1e-15, 1.0 - 1e-14], (1.0, 2.0)).tolist() == [True, False]
+    assert an.in_fit_window([2.0 + 1e-15, 2.0 + 1e-14], (1.0, 2.0)).tolist() == [True, False]
+
+
 def test_fit_exponential_rate_exact():
     t = np.linspace(0.0, 3.0, 31)
     vals = 2.5 * np.exp(-0.7 * t)

@@ -183,6 +183,14 @@ def test_nan_radius_is_out_of_range():
         md.eigenvalues(md.State(np.nan, 1.0), phi)
 
 
+def test_check_radius_allows_a_relative_1e_12_past_r_max():
+    phi = md.PhiModel.power(1.0, r_max=4.0)
+    assert phi.check_radius(4.0 * (1.0 + 1e-13)) == 4.0 * (1.0 + 1e-13)
+    for r in (4.0 * (1.0 + 1e-11), np.inf, np.nan):
+        with pytest.raises(OutOfRange, match="outside \\[0, r_max=4\\]"):
+            phi.check_radius(r)
+
+
 def test_damping_validation():
     md.Damping(0.5, 0.5)
     md.Damping(0.0, 0.0)
@@ -256,6 +264,17 @@ def test_tabulated_r_dphi_is_r_times_dphi_and_zero_at_the_origin():
     assert phi.r_dphi(0.0) == 0.0
 
 
+@pytest.mark.parametrize("phi", family_zoo(), ids=lambda phi: phi.label)
+def test_d2phi_matches_finite_differences(phi):
+    # midpoints of tab:smooth's 0.02-wide knot intervals, away from the kinks
+    # of its piecewise-linear phi''
+    r = 0.03 + 0.1 * np.arange(35)
+    h = 1e-5
+    fd = (phi.dphi(r + h) - phi.dphi(r - h)) / (2.0 * h)
+    d2 = phi.d2phi(r)
+    assert np.max(np.abs(d2 - fd) / np.maximum(1.0, np.abs(d2))) <= 1e-6
+
+
 # -- wave speeds ---------------------------------------------------------------
 
 
@@ -324,6 +343,17 @@ def test_structure_condition_report():
     rep = md.PhiModel.constant(1.0).c1_report
     assert not rep.satisfied
     assert rep.min_abs_r_dphi == 0.0
+
+
+def test_strict_hyperbolicity_report():
+    # the eigenvalue gap is |r phi'(r)|; c1_report keeps its sampled minimum,
+    # whose smallest radius is r_max * 1e-6
+    rep = md.PhiModel.power(1.0, r_max=5.0).c1_report
+    assert rep.min_abs_r_dphi == pytest.approx(5e-6, rel=1e-12)
+    assert md.PhiModel.power(2.0, r_max=5.0).c1_report.min_abs_r_dphi == pytest.approx(
+        2.0 * 25e-12, rel=1e-12
+    )
+    assert md.PhiModel.constant(1.0).c1_report.min_abs_r_dphi == 0.0
 
 
 def test_level_radius_and_sup():

@@ -4,7 +4,7 @@ import pytest
 from kkdamp import model as md
 from kkdamp import region as rg
 from kkdamp import solver as sv
-from kkdamp.errors import ConfigError, ValidationError
+from kkdamp.errors import AxisState, ConfigError, ValidationError
 
 
 def test_sigma_validation():
@@ -15,6 +15,26 @@ def test_sigma_validation():
         rg.RegionSigma(1.0, 2.0, 2.0)
     with pytest.raises(ValidationError):
         rg.RegionSigma(np.inf, 0.0, 2.0)
+
+
+def test_contains():
+    # membership of a state in Sigma, as trajectory_containment reads it off
+    # a field of that one state: slack 1e-8 on each face
+    phi = md.PhiModel.power(1.0)
+    sigma = rg.RegionSigma(c0=2.0, c1=0.0, c2=1.5)
+    grid = sv.Grid1D(0.0, 1.0, 8)
+
+    def contains(u, v):
+        field = sv.StateField(grid, np.full(8, u), np.full(8, v))
+        return rg.trajectory_containment(sv.Trajectory([field]), sigma, phi).passed
+
+    assert contains(1.0, 1.0)                      # r=sqrt(2), Z=1
+    assert contains(np.sqrt(2.0), np.sqrt(2.0))    # W = C0 up to rounding
+    assert not contains(2.0, 2.0)                  # W exceeds C0
+    assert not contains(1.6, 1.0)                  # Z exceeds C2
+    assert not contains(-0.1, 1.0)                 # Z below C1
+    with pytest.raises(AxisState):
+        contains(1.0, 0.0)
 
 
 def test_boundary_flow_signs_with_zero_lower_edge():
