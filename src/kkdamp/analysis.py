@@ -18,10 +18,7 @@ from .solver import Trajectory, lp_norm
 
 @dataclass(frozen=True)
 class DecayReport:
-    weighted: bool
-    norms: np.ndarray
     fitted_rate: float
-    k_est: float
     theorem_rate: float
     rate_band: tuple[float, float]
     pointwise_ok: bool
@@ -32,23 +29,20 @@ class DecayReport:
 MIN_FIT_SAMPLES = 5  # the fewest samples `fit_exponential_rate` fits
 
 
-def in_fit_window(times, window=None) -> np.ndarray:
-    """Mask of the times inside the fit window (t_lo, t_hi), 1e-15 slack
-    on each side; the default window is the last 90% of the time span."""
+def in_fit_window(times) -> np.ndarray:
+    """Mask of the increasing times inside the fit window, the last 90% of
+    the time span, with 1e-15 slack at its start."""
     times = np.asarray(times, dtype=float)
-    if window is None:
-        t0, t1 = times[0], times[-1]
-        window = (t0 + 0.1 * (t1 - t0), t1)
-    return (times >= window[0] - 1e-15) & (times <= window[1] + 1e-15)
+    t0, t1 = times[0], times[-1]
+    return times >= t0 + 0.1 * (t1 - t0) - 1e-15
 
 
-def fit_exponential_rate(times, values, window=None) -> tuple[float, float, int]:
-    """OLS fit of log(values) = log K - rate * t on the window
-    (`in_fit_window`); returns (rate, K, n_used). Zero or negative values
-    are excluded."""
+def fit_exponential_rate(times, values) -> float:
+    """The rate of an OLS fit of log(values) = log K - rate * t on the fit
+    window (`in_fit_window`). Zero or negative values are excluded."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    mask = in_fit_window(times, window) & (values > 0)
+    mask = in_fit_window(times) & (values > 0)
     if int(np.sum(mask)) < MIN_FIT_SAMPLES:
         raise InsufficientData(
             f"rate fit needs >= {MIN_FIT_SAMPLES} positive samples in the window, "
@@ -58,8 +52,7 @@ def fit_exponential_rate(times, values, window=None) -> tuple[float, float, int]
     yy = np.log(values[mask])
     if not np.sum(tt * tt) > 0.0:  # polyfit divides the t column by its norm
         raise InsufficientData(f"rate fit cannot resolve a rate over t = {tt[0]:g} to {tt[-1]:g}")
-    slope, intercept = np.polyfit(tt, yy, 1)
-    return -float(slope), float(np.exp(intercept)), int(np.sum(mask))
+    return -float(np.polyfit(tt, yy, 1)[0])
 
 
 def decay_harness(
@@ -93,7 +86,7 @@ def decay_harness(
         sup = phi.sup_phi(r_hi) if r_hi > 0.0 else abs(phi.phi0)
         theorem_rate = min(d.a, d.b) - 2.0 * sup
 
-    fitted_rate, k_est, _ = fit_exponential_rate(times, norms)
+    fitted_rate = fit_exponential_rate(times, norms)
 
     slack = max(0.05 * max(d.a, d.b), 1e-3)
     if not weighted:
@@ -107,10 +100,7 @@ def decay_harness(
     pointwise_ok = bool(np.all(norms <= 1.05 * envelope))
 
     return DecayReport(
-        weighted=weighted,
-        norms=norms,
         fitted_rate=fitted_rate,
-        k_est=k_est,
         theorem_rate=float(theorem_rate),
         rate_band=(float(band[0]), float(band[1])),
         pointwise_ok=pointwise_ok,
@@ -152,12 +142,10 @@ def riemann_invariant_diagnostics(
     rel_dev = np.abs(sup_z - envelope) / np.where(envelope > 0, envelope, 1.0)
     max_dev = float(np.max(rel_dev))
 
-    if d.a == d.b:
-        fitted = 0.0 if np.allclose(sup_z, sup_z[0], rtol=1e-12) else float(
-            fit_exponential_rate(times, sup_z)[0]
-        )
+    if d.a == d.b and np.allclose(sup_z, sup_z[0], rtol=1e-12):
+        fitted = 0.0
     else:
-        fitted = float(fit_exponential_rate(times, sup_z)[0])
+        fitted = fit_exponential_rate(times, sup_z)
 
     w_excess = float(np.max(sup_w - sup_w[0]))
     w_ok = w_excess <= tol * max(sup_w[0], 1e-300)

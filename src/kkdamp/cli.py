@@ -56,6 +56,7 @@ from .model import (
     classify_field,
     eigenvalues,
     eigenvectors,
+    short_label,
 )
 
 
@@ -285,11 +286,12 @@ def _cmd_entropy_pair(args) -> int:
     pair = power_entropy_pair(args.m, phi)
     rs = np.linspace(0.0, phi.r_max, args.n)
     safe_phi = args.phi.replace(":", "_").replace(",", "_").replace("/", "_")
+    m = short_label(args.m)
     out_path = (Path(args.out) if args.out is not None
-                else output_dir(args.output_dir) / f"entropy_pair_m{args.m:g}_{safe_phi}.tsv")
+                else output_dir(args.output_dir) / f"entropy_pair_m{m}_{safe_phi}.tsv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_table(out_path, ("r", "q"), (rs, np.asarray(pair.q(rs), dtype=float)),
-                comments=(f"entropy flux table: eta = r**{args.m:g}, phi = {phi.label}",))
+                comments=(f"entropy flux table: eta = r**{m}, phi = {phi.label}",))
     m_sup = phi.sup_phi()
     bound = flux_bound(pair, m_sup, phi.r_max)
     print(f"wrote {out_path}")

@@ -29,9 +29,7 @@ from .quadrature import CumulativeIntegral
 
 @dataclass(frozen=True)
 class EntropyPair:
-    eta: Callable
-    deta: Callable          # eta'
-    q: Callable
+    q: Callable             # the entropy flux q(r)
     m: float                # the exponent: eta = r**m
 
 
@@ -69,15 +67,6 @@ def power_entropy_pair(m: float, phi: md.PhiModel) -> EntropyPair:
         raise ConfigError(f"power entropy m={m:g}: s**(m - 1) overflows on "
                           f"[0, r_max = {phi.r_max:g}]") from exc
 
-    def eta(r):
-        return np.asarray(r, dtype=float) ** m
-
-    def deta(r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = m * r ** (m - 1.0)
-        return out[()]
-
     def q(r):
         r = np.asarray(r, dtype=float)
         return (m * r**m * phi.phi(r) - m * (m - 1.0) * moment(r))[()]
@@ -97,7 +86,7 @@ def power_entropy_pair(m: float, phi: md.PhiModel) -> EntropyPair:
             f"|q(r)| <= r**m sup |lambda_2| = {cap[i]:g}; the moment's quadrature is wrong there"
         )
 
-    return EntropyPair(eta=eta, deta=deta, q=q, m=m)
+    return EntropyPair(q=q, m=m)
 
 
 def flux_bound(pair: EntropyPair, sup_phi: float, r_working: float) -> BoundReport:

@@ -55,6 +55,13 @@ class FieldClassification:
     kind: str               # LINEARLY_DEGENERATE / GENUINELY_NONLINEAR
 
 
+def short_label(x: float) -> str:
+    """x as the shortest `g` text where that reads back as x, else repr(x),
+    so two floats never share a label or a file name."""
+    text = format(x, "g")
+    return text if float(text) == x else repr(x)
+
+
 # family formulas: module-level and bound by functools.partial, so a PhiModel pickles
 def _power(r, g):
     return r**g
@@ -221,7 +228,7 @@ class PhiModel:
             raise ConfigError(f"power family needs finite gamma > 0, got {gamma}")
         g = float(gamma)
         return cls(
-            label=f"power:{g:g}",
+            label=f"power:{short_label(g)}",
             r_max=r_max,
             phi_fn=partial(_power, g=g),
             dphi_fn=partial(_scaled_power, k=g, g=g - 1.0),
@@ -244,7 +251,7 @@ class PhiModel:
         g = float(gamma)
         r_dphi = partial(_scaled_power, k=g, g=g)
         return cls(
-            label=f"shifted:{c:g},{g:g}",
+            label=f"shifted:{short_label(c)},{short_label(g)}",
             r_max=r_max,
             phi_fn=partial(_shifted, c=c, g=g),
             dphi_fn=partial(_scaled_power, k=g, g=g - 1.0),
@@ -264,7 +271,7 @@ class PhiModel:
         c = float(c)
         r_dphi = partial(_constant, c=0.0)
         return cls(
-            label=f"const:{c:g}",
+            label=f"const:{short_label(c)}",
             r_max=r_max,
             phi_fn=partial(_constant, c=c),
             dphi_fn=partial(_constant, c=0.0),
@@ -382,7 +389,6 @@ class Damping:
 class EigenBasis(NamedTuple):
     r1: np.ndarray          # unit eigenvector of lambda_1, (v, -u)/r
     r2: np.ndarray          # unit eigenvector of lambda_2, (u, v)/r
-    axis_state: bool        # True when u = 0 or v = 0 (basis aligns with axes)
 
 
 def _state_radius(s: State, phi: PhiModel) -> float:
@@ -410,7 +416,7 @@ def eigenvectors(s: State) -> EigenBasis:
         raise DegenerateState("eigenvectors undefined at r = 0")
     r1 = np.array([s.v, -s.u]) / r
     r2 = np.array([s.u, s.v]) / r
-    return EigenBasis(r1=r1, r2=r2, axis_state=(s.u == 0.0 or s.v == 0.0))
+    return EigenBasis(r1=r1, r2=r2)
 
 
 def z_invariant(u, v):

@@ -335,8 +335,8 @@ def _write_norm_series(traj: Trajectory, path: Path) -> Path:
     fields = traj.fields
     with np.errstate(divide="ignore", invalid="ignore"):
         sup_z = [np.max(np.abs(f.u / f.v)) if np.all(f.v != 0.0) else np.nan for f in fields]
-    sup_r = np.array([np.max(f.r) for f in fields])
-    norms = ([lp_norm(f, p) for f in fields] for p in (1, 2, 4, np.inf))
+    norms = [[lp_norm(f, p) for f in fields] for p in (1, 2, 4, np.inf)]
+    sup_r = np.array(norms[-1])
     return write_table(path, ("t", "l1", "l2", "l4", "linf", "sup_abs_z", "sup_r_ratio"),
                        ([f.t for f in fields], *norms, sup_z, sup_r / max(sup_r[0], 1e-300)))
 

@@ -298,25 +298,14 @@ def _check_eps(eps: float) -> None:
         raise ConfigError(f"eps must be finite and nonnegative, got {eps}")
 
 
-def damping_substep(f: StateField, d: Damping, dt: float) -> StateField:
-    """Exact integration of u_t = -a u, v_t = -b v over dt. Leaves t
-    unchanged; the flux update owns the clock."""
-    _check_dt(dt)
-    return StateField(
-        f.grid,
-        f.u * np.exp(-d.a * dt),
-        f.v * np.exp(-d.b * dt),
-        f.t,
-    )
-
-
 def step_once(
     f: StateField, phi: PhiModel, d: Damping, dt: float, *, eps: float = 0.0, _out=None
 ) -> StateField:
-    """One Strang split step of size dt: D(dt/2) H(dt) D(dt/2). D multiplies
-    u and v by damping_substep's factors; H is the conservative Rusanov flux
-    update plus eps w_xx, taken on the damped data with one ghost cell per
-    side, whose face dissipation is the local two-sided wave speed.
+    """One Strang split step of size dt: D(dt/2) H(dt) D(dt/2). D is the
+    exact damping (u, v) -> (u e^{-a dt/2}, v e^{-b dt/2}); H is the
+    conservative Rusanov flux update plus eps w_xx, taken on the damped data
+    with one ghost cell per side, whose face dissipation is the local
+    two-sided wave speed.
 
     The grid is marched in tiles of TILE cells. Each tile builds its damped
     slice with a one-cell halo in tile-sized buffers; hypot, phi and the

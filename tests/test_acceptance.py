@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from kkdamp import model as md
-from kkdamp.analysis import fit_exponential_rate, lp_norm, riemann_invariant_diagnostics
+from kkdamp.analysis import lp_norm, riemann_invariant_diagnostics
 from kkdamp.entropy import flux_bound, power_entropy_pair
 from kkdamp.model import Damping, PhiModel, State
 from kkdamp.region import RegionSigma, boundary_flow_check, trajectory_containment
@@ -106,7 +106,7 @@ def test_criterion_2_equal_damping_decay_rate(scenario_runs):
     traj = res.trajectory
     times = traj.times
     norms = np.array([lp_norm(f, 2) for f in traj.fields])
-    rate, _, _ = fit_exponential_rate(times, norms, window=(times[0], times[-1]))
+    rate = -float(np.polyfit(times, np.log(norms), 1)[0])  # over the full span
     envelope = norms[0] * np.exp(-0.3 * times)
     pointwise_ok = bool(np.all(norms <= 1.05 * envelope))
 
@@ -163,7 +163,7 @@ def test_criterion_4_entropy_pairing(rng):
         states = random_states(rng, 100, 0.05, 3.0)
         for m in (1.0, 1.5, 2.0):
             pair = power_entropy_pair(m, phi)
-            rep = verify_pair(pair, phi, states)
+            rep = verify_pair(pair, phi, list(zip(*states)))
             worst_residual = max(worst_residual, rep.max_residual)
             bound = flux_bound(pair, phi.sup_phi(1.0), 1.0)
             worst_bound = max(worst_bound, bound.max_ratio)

@@ -138,21 +138,17 @@ def synthetic_traj(rate_u, rate_v, n=128, t_end=2.0, k=21):
 
 def test_in_fit_window_takes_the_last_90_percent_with_slack():
     t = np.linspace(0.0, 2.0, 21)
-    # the default window starts at 0.2: t = 0 and 0.1 fall out, t = 0.2 stays
+    # the window starts at 0.2: t = 0 and 0.1 fall out, t = 0.2 stays
     assert np.array_equal(an.in_fit_window(t), t >= 0.2 - 1e-12)
-    assert np.array_equal(an.in_fit_window(t, (0.5, 1.0)), (t > 0.45) & (t < 1.05))
-    # 1e-15 of slack on each edge, no more
-    assert an.in_fit_window([1.0 - 1e-15, 1.0 - 1e-14], (1.0, 2.0)).tolist() == [True, False]
-    assert an.in_fit_window([2.0 + 1e-15, 2.0 + 1e-14], (1.0, 2.0)).tolist() == [True, False]
+    # 1e-15 of slack at the start, no more: the window of [0, 10] starts at 1
+    t = [0.0, 1.0 - 1e-15, 1.0 - 1e-14, 10.0]
+    assert an.in_fit_window(t).tolist() == [False, True, False, True]
 
 
 def test_fit_exponential_rate_exact():
     t = np.linspace(0.0, 3.0, 31)
     vals = 2.5 * np.exp(-0.7 * t)
-    rate, k_est, n_used = an.fit_exponential_rate(t, vals)
-    assert rate == pytest.approx(0.7, abs=1e-12)
-    assert k_est == pytest.approx(2.5, rel=1e-10)
-    assert n_used < 31  # default window drops the initial 10%
+    assert an.fit_exponential_rate(t, vals) == pytest.approx(0.7, abs=1e-12)
     with pytest.raises(InsufficientData, match="rate fit needs >= 5 positive samples"):
         an.fit_exponential_rate(t[:4], vals[:4])
     # a time span whose squares underflow: a typed error, no LAPACK failure
@@ -167,7 +163,6 @@ def test_decay_harness_exact_equal_rates():
     assert rep.fitted_rate == pytest.approx(0.35, abs=1e-10)
     assert rep.theorem_rate == 0.35
     assert rep.pointwise_ok and rep.rate_band_ok and rep.passed
-    assert rep.k_est == pytest.approx(rep.norms[0], rel=1e-8)
 
 
 def test_decay_harness_flags_too_slow_decay():
@@ -184,7 +179,6 @@ def test_decay_harness_weighted_needs_phi_and_uses_chain_rate():
         an.decay_harness(traj, 2, d, weighted=True)
     phi = md.PhiModel.constant(0.05)
     rep = an.decay_harness(traj, 2, d, phi, weighted=True)
-    assert rep.weighted
     assert rep.theorem_rate == pytest.approx(0.4 - 2 * 0.05, rel=1e-12)
     assert rep.passed
 

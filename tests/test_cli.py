@@ -383,6 +383,19 @@ def test_entropy_pair_default_output_under_root(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "root" / "entropy_pair_m1.5_shifted_1_1.tsv").exists()
 
 
+def test_entropy_pair_writes_two_tables_for_two_m_that_g_format_alike(tmp_path, capsys):
+    # `g` writes 1.0000001 as 1: the second table would overwrite the first
+    for m in ("1", "1.0000001"):
+        assert main(["entropy-pair", "--m", m, "--phi", "power:1", "--r-max", "1",
+                     "--output-dir", str(tmp_path)]) == 0
+    heads = {p.name: p.read_text().splitlines()[0] for p in tmp_path.iterdir()}
+    assert heads == {
+        "entropy_pair_m1_power_1.tsv": "# entropy flux table: eta = r**1, phi = power:1",
+        "entropy_pair_m1.0000001_power_1.tsv":
+            "# entropy flux table: eta = r**1.0000001, phi = power:1",
+    }
+
+
 def test_entropy_pair_refuses_a_nan_r_max_for_a_table(tmp_path, capsys):
     table = tmp_path / "phi.txt"
     rs = np.linspace(0.0, 4.0, 9)

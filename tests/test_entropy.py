@@ -290,12 +290,7 @@ def test_verify_pair_accepts_true_pairs(rng):
 def test_verify_pair_rejects_wrong_flux(rng):
     phi = md.PhiModel.power(1.0)
     good = ent.power_entropy_pair(2.0, phi)
-    bad = ent.EntropyPair(
-        eta=good.eta,
-        deta=good.deta,
-        q=lambda r: 1.1 * np.asarray(good.q(r)),
-        m=2.0,
-    )
+    bad = ent.EntropyPair(q=lambda r: 1.1 * np.asarray(good.q(r)), m=2.0)
     us, vs = random_states(rng, 30, r_lo=0.5, r_hi=2.0)
     rep = verify_pair(bad, phi, list(zip(us, vs)))
     assert not rep.passed

@@ -50,8 +50,6 @@ def test_eigenvector_normalization_is_deterministic():
     basis = md.eigenvectors(md.State(3.0, 4.0))
     assert np.allclose(basis.r1, [0.8, -0.6], atol=1e-15)
     assert np.allclose(basis.r2, [0.6, 0.8], atol=1e-15)
-    assert not basis.axis_state
-    assert md.eigenvectors(md.State(2.0, 0.0)).axis_state
 
 
 def test_riemann_invariants_linear_phi():
@@ -209,6 +207,9 @@ def test_damping_validation():
 
 def test_from_spec_parsing():
     assert md.PhiModel.from_spec("power:2").label == "power:2"
+    # a parameter that `g` would round is labelled in full
+    assert md.PhiModel.from_spec("shifted:0.5,1.0000001").label == "shifted:0.5,1.0000001"
+    assert md.PhiModel.from_spec("const:-1e-300").label == "const:-1e-300"
     assert md.PhiModel.from_spec("shifted:1,0.5").phi0 == 1.0
     assert float(md.PhiModel.from_spec("const:3").phi(1.7)) == 3.0
     assert float(md.PhiModel.from_spec("constant:3").phi(0.2)) == 3.0

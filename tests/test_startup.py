@@ -219,6 +219,37 @@ def test_every_definition_has_a_user_and_every_error_is_raised():
     assert not never_raised, f"never raised in src/: {never_raised}"
 
 
+def test_every_parameter_default_is_overridden_by_some_call():
+    """Each parameter default of each function and method of `kkdamp` is
+    overridden by some call under src/, benchmarks/ or tools/: by keyword,
+    by position, or through *args or **kwargs; a class is called through
+    its `__init__`. A default that only tests override is a knob no caller
+    needs. Calls are matched by name, like the scan above."""
+    calls, knobs = {}, []
+    for path in sorted(p for d in ("src", "benchmarks", "tools")
+                       for p in (SRC.parent / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+            if path.parent.name != "kkdamp" or not isinstance(node, (ast.Module, ast.ClassDef,
+                                                                     ast.FunctionDef)):
+                continue
+            for fn in (n for n in node.body if isinstance(n, ast.FunctionDef)):
+                static = any(getattr(d, "id", "") == "staticmethod" for d in fn.decorator_list)
+                pos = (fn.args.posonlyargs + fn.args.args)[isinstance(node, ast.ClassDef)
+                                                            and not static:]
+                name = node.name if fn.name == "__init__" else fn.name
+                knobs += [(name, i, p.arg) for i, p in enumerate(pos)
+                          if i >= len(pos) - len(fn.args.defaults)]
+                knobs += [(name, None, p.arg) for p, default
+                          in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+    unturned = sorted(f"{name}({arg})" for name, i, arg in knobs if not any(
+        any(isinstance(a, ast.Starred) for a in call.args) or (i is not None and len(call.args) > i)
+        or any(k.arg in (arg, None) for k in call.keywords) for call in calls.get(name, ())))
+    assert not unturned, f"defaults no call overrides: {unturned}"
+
+
 def test_importing_the_scenario_module_leaves_the_checks_out(tmp_path):
     loaded = _loaded_after("import kkdamp.scenario", tmp_path)
     assert "kkdamp.solver" in loaded
